@@ -31,7 +31,7 @@ from .errors import (
     NegativeStaleness,
     UnknownStrategyName,
 )
-from .params import ModelUpdate, ParameterSet, zeros_like
+from .params import ModelUpdate, ParameterSet, _weighted_accumulate, zeros_like
 
 # shared hyperparameter defaults
 ALPHA = 0.9  # async mixing weight
@@ -72,18 +72,26 @@ def _full_of(state: AggregatorState, u: ModelUpdate) -> ParameterSet:
     if not u.is_delta:
         state.global_params.check_structure(u.params)
         return u.params
-    return ParameterSet(
+    return ParameterSet._adopt(
         (n, g + u.params[n]) for n, g in state.global_params.items()
     )
 
 
-def _delta_of(state: AggregatorState, u: ModelUpdate) -> ParameterSet:
-    if u.is_delta:
-        state.global_params.check_structure(u.params)
-        return u.params
-    return ParameterSet(
-        (n, u.params[n] - g) for n, g in state.global_params.items()
-    )
+def _terms(state: AggregatorState, ups, weights, delta: bool) -> list[tuple]:
+    """Accumulation terms giving each update as a delta or as full weights.
+
+    A delta becomes full weights as ``delta + g`` and full weights become a
+    delta as ``full - g``, with ``g`` the current global model.
+    """
+    g = state.global_params
+    terms = []
+    for u, w in zip(ups, weights):
+        g.check_structure(u.params)
+        if u.is_delta == delta:
+            terms.append((w, u.params, None, None))
+        else:
+            terms.append((w, u.params, np.subtract if delta else np.add, g))
+    return terms
 
 
 def _sample_weights(updates: Sequence[ModelUpdate]) -> np.ndarray:
@@ -99,12 +107,8 @@ def _mean_delta(state: AggregatorState, updates: Sequence[ModelUpdate]) -> Param
     ups = _ordered(updates)
     for u in ups:
         _staleness(state, u)
-    weights = _sample_weights(ups)
-    deltas = [_delta_of(state, u) for u in ups]
-    acc = zeros_like(state.global_params)
-    for d, w in zip(deltas, weights):
-        acc = ParameterSet((n, a + a.dtype.type(w) * d[n]) for n, a in acc.items())
-    return acc
+    terms = _terms(state, ups, _sample_weights(ups), delta=True)
+    return ParameterSet._adopt(_weighted_accumulate(state.global_params, terms))
 
 
 def agg_weighted_avg(state: AggregatorState, updates: Sequence[ModelUpdate]) -> ParameterSet:
@@ -112,12 +116,8 @@ def agg_weighted_avg(state: AggregatorState, updates: Sequence[ModelUpdate]) -> 
     ups = _ordered(updates)
     for u in ups:
         _staleness(state, u)
-    weights = _sample_weights(ups)
-    fulls = [_full_of(state, u) for u in ups]
-    acc = zeros_like(state.global_params)
-    for f, w in zip(fulls, weights):
-        acc = ParameterSet((n, a + a.dtype.type(w) * f[n]) for n, a in acc.items())
-    state.global_params = acc
+    terms = _terms(state, ups, _sample_weights(ups), delta=False)
+    state.global_params = ParameterSet._adopt(_weighted_accumulate(state.global_params, terms))
     state.epoch += 1
     return state.global_params
 
@@ -140,40 +140,40 @@ def agg_server_opt(
 
     if variant == "fedavgm":
         v = state.momentum if state.momentum is not None else zeros_like(g)
-        v = ParameterSet((n, a.dtype.type(beta) * a + dbar[n]) for n, a in v.items())
+        v = ParameterSet._adopt((n, a.dtype.type(beta) * a + dbar[n]) for n, a in v.items())
         state.momentum = v
-        step = ParameterSet((n, a.dtype.type(server_lr) * a) for n, a in v.items())
+        step = ParameterSet._adopt((n, a.dtype.type(server_lr) * a) for n, a in v.items())
     else:
         u = state.u if state.u is not None else zeros_like(g)
-        d2 = ParameterSet((n, a * a) for n, a in dbar.items())
+        d2 = ParameterSet._adopt((n, a * a) for n, a in dbar.items())
         if variant == "fedadagrad":
-            u = ParameterSet((n, a + d2[n]) for n, a in u.items())
+            u = ParameterSet._adopt((n, a + d2[n]) for n, a in u.items())
             direction = dbar
         else:
             m = state.m if state.m is not None else zeros_like(g)
-            m = ParameterSet(
+            m = ParameterSet._adopt(
                 (n, a.dtype.type(beta1) * a + a.dtype.type(1 - beta1) * dbar[n])
                 for n, a in m.items()
             )
             state.m = m
             direction = m
             if variant == "fedadam":
-                u = ParameterSet(
+                u = ParameterSet._adopt(
                     (n, a.dtype.type(beta2) * a + a.dtype.type(1 - beta2) * d2[n])
                     for n, a in u.items()
                 )
             else:  # fedyogi
-                u = ParameterSet(
+                u = ParameterSet._adopt(
                     (n, a - a.dtype.type(1 - beta2) * d2[n] * np.sign(a - d2[n]))
                     for n, a in u.items()
                 )
         state.u = u
-        step = ParameterSet(
+        step = ParameterSet._adopt(
             (n, d.dtype.type(server_lr) * d / (np.sqrt(u[n]) + d.dtype.type(tau)))
             for n, d in direction.items()
         )
 
-    state.global_params = ParameterSet((n, a + step[n]) for n, a in g.items())
+    state.global_params = ParameterSet._adopt((n, a + step[n]) for n, a in g.items())
     state.epoch += 1
     return state.global_params
 
@@ -188,7 +188,7 @@ def agg_async(
     s = _staleness(state, update)
     a_s = alpha * (s + 1) ** (-staleness_exponent)
     full = _full_of(state, update)
-    state.global_params = ParameterSet(
+    state.global_params = ParameterSet._adopt(
         (n, g.dtype.type(1 - a_s) * g + g.dtype.type(a_s) * full[n])
         for n, g in state.global_params.items()
     )
@@ -205,16 +205,14 @@ def agg_buffered(
     """Mean staleness-discounted delta over a buffer, applied in one step."""
     ups = _ordered(updates)
     scale = 1.0 / len(ups)
-    acc = zeros_like(state.global_params)
-    for u in ups:
-        s = _staleness(state, u)
-        disc = (s + 1) ** (-staleness_exponent)
-        d = _delta_of(state, u)
-        acc = ParameterSet((n, a + a.dtype.type(disc) * d[n]) for n, a in acc.items())
-    state.global_params = ParameterSet(
-        (n, g + g.dtype.type(server_lr * scale) * acc[n])
-        for n, g in state.global_params.items()
-    )
+    discounts = [(_staleness(state, u) + 1) ** (-staleness_exponent) for u in ups]
+    g = state.global_params
+    acc = _weighted_accumulate(g, _terms(state, ups, discounts, delta=True))
+    # g + (lr/n) * acc, finished in the accumulator's own buffers
+    for (_, a), (_, t) in zip(acc, g):
+        np.multiply(a, t.dtype.type(server_lr * scale), out=a)
+        np.add(t, a, out=a)
+    state.global_params = ParameterSet._adopt(acc)
     state.epoch += 1
     return state.global_params
 

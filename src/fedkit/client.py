@@ -112,7 +112,7 @@ def local_train(
         x, y = state.next_batch()
         _, grads = backward(state.model_spec, params, x, y)
         if mu > 0.0:
-            grads = ParameterSet(
+            grads = ParameterSet._adopt(
                 (name, g + g.dtype.type(mu) * (params[name] - base[name]))
                 for name, g in grads.items()
             )
@@ -133,11 +133,20 @@ def local_train(
 
 
 def _transmitted(trained: ParameterSet, base: ParameterSet, send_delta: bool) -> ParameterSet:
+    """The trained weights, or ``trained - base`` when sending deltas.
+
+    A trained set other than ``base`` came fresh from the optimizer and has
+    not been returned to anyone, so it becomes the delta in place.
+    """
     if not send_delta:
         return trained
-    return ParameterSet(
-        (name, t - base[name]) for name, t in trained.items()
-    )
+    if trained is base:  # zero steps: base belongs to the caller
+        return ParameterSet._adopt((name, b - b) for name, b in base.items())
+    for (_, t), (_, b) in zip(trained.items(), base.items()):
+        t.flags.writeable = True
+        np.subtract(t, b, out=t)
+        t.flags.writeable = False
+    return trained
 
 
 def evaluate(state: ClientState, params: ParameterSet) -> dict:

@@ -33,6 +33,7 @@ onto the two built-in codecs; see :data:`LOSSY_ALIASES` and
 """
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -133,7 +134,7 @@ def _rle_decode(data: bytes) -> bytes:
         raise CorruptBlob("rle payload has odd length")
     out = bytearray()
     for i in range(0, len(data), 2):
-        out.extend(data[i + 1 : i + 2] * data[i])
+        out.extend(bytes((data[i + 1],)) * data[i])
     return bytes(out)
 
 
@@ -231,7 +232,8 @@ def _qz_encode(arr: np.ndarray, eb_rel: float):
     return header + exc + _pack_indices(k, bits)
 
 
-def _qz_decode(block: bytes, count: int, tag: int) -> np.ndarray:
+def _qz_decode(block: bytes, shape: tuple, tag: int) -> np.ndarray:
+    count = math.prod(shape)
     le = _TAG_TO_DTYPE[tag]
     dtype = le.newbyteorder("=")
     if len(block) < 9:
@@ -241,7 +243,7 @@ def _qz_decode(block: bytes, count: int, tag: int) -> np.ndarray:
         if len(block) != 9:
             raise CorruptBlob("constant qz block has trailing bytes")
         (vmin,) = struct.unpack(">d", block[1:9])
-        return np.full(count, vmin, dtype=dtype)
+        return np.full(shape, vmin, dtype=dtype)
     if flags != 0:
         raise CorruptBlob(f"unknown qz flags {flags}")
     if len(block) < _QZ_HEADER_SIZE:
@@ -258,11 +260,11 @@ def _qz_decode(block: bytes, count: int, tag: int) -> np.ndarray:
     exc_val = np.frombuffer(block[pos : pos + le.itemsize * n_exc], dtype=le).astype(dtype)
     pos += le.itemsize * n_exc
     k = _unpack_indices(block[pos:], count, bits)
-    out = _reconstruct(k, vmin, vmax, w, dtype)
+    out = _reconstruct(k.reshape(shape), vmin, vmax, w, dtype)
     if n_exc:
         if exc_idx.max(initial=-1) >= count:
             raise CorruptBlob("qz exception index out of range")
-        out[exc_idx] = exc_val
+        np.put(out, exc_idx, exc_val)
     return out
 
 
@@ -298,13 +300,15 @@ def compress_params(p: ParameterSet, cfg: CodecConfig) -> bytes:
 
 
 class _BlobReader:
+    """Cursor over a blob; ``take`` returns zero-copy memoryview slices."""
+
     __slots__ = ("buf", "pos")
 
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    def __init__(self, buf):
+        self.buf = memoryview(buf).cast("B")
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise CorruptBlob(f"blob truncated at offset {self.pos}")
         out = self.buf[self.pos : self.pos + n]
@@ -317,12 +321,12 @@ class _BlobReader:
 
 def decompress_params(blob: bytes) -> ParameterSet:
     """Decode a blob produced by :func:`compress_params`."""
-    r = _BlobReader(bytes(blob))
+    r = _BlobReader(blob)
     (count,) = r.unpack(">I")
     entries = []
     for _ in range(count):
         (name_len,) = r.unpack(">H")
-        name = r.take(name_len).decode("utf-8")
+        name = str(r.take(name_len), "utf-8")
         scheme, tag, ndim = r.unpack(">BBB")
         if tag not in _TAG_TO_DTYPE:
             raise CorruptBlob(f"bad dtype tag {tag} in entry {name!r}")
@@ -332,9 +336,8 @@ def decompress_params(blob: bytes) -> ParameterSet:
         if zlib.crc32(payload) != crc:
             raise ChecksumMismatch(f"entry {name!r}: stored crc does not match payload")
         dt = _TAG_TO_DTYPE[tag]
-        n_elem = 1
-        for d in shape:
-            n_elem *= d
+        n_elem = math.prod(shape)
+        # each branch ends in one fresh array that the result adopts
         if scheme in (SCHEME_RAW, SCHEME_LOSSLESS):
             body = _lossless_decode(codec_id, payload)
             if len(body) != n_elem * dt.itemsize:
@@ -342,13 +345,13 @@ def decompress_params(blob: bytes) -> ParameterSet:
             arr = np.frombuffer(body, dtype=dt).reshape(shape).astype(dt.newbyteorder("="))
         elif scheme == SCHEME_LOSSY_QZ:
             block = _lossless_decode(codec_id, payload)
-            arr = _qz_decode(block, n_elem, tag).reshape(shape)
+            arr = _qz_decode(block, shape, tag)
         else:
             raise CorruptBlob(f"unknown scheme {scheme} in entry {name!r}")
         entries.append((name, arr))
     if r.pos != len(r.buf):
         raise CorruptBlob(f"{len(r.buf) - r.pos} trailing bytes after last entry")
-    return ParameterSet(entries)
+    return ParameterSet._adopt(entries)
 
 
 def compression_ratio(p: ParameterSet, cfg: CodecConfig) -> float:

@@ -137,7 +137,7 @@ def _backprop(spec: ModelSpec, params: ParameterSet, pre, post, delta: np.ndarra
         grads[f"W{layer}"] = post[layer].T @ delta
         grads[f"b{layer}"] = delta.sum(axis=0)
         delta = delta @ params[f"W{layer}"].T
-    ordered = ParameterSet((name, grads[name]) for name in params.names)
+    ordered = ParameterSet._adopt((name, grads[name]) for name in params.names)
     return ordered, delta
 
 

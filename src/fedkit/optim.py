@@ -2,7 +2,8 @@
 
 Optimizer state (Adam moments, step counter) lives in the optimizer object
 and persists for as long as the caller keeps it around; federated clients
-deliberately keep theirs across rounds.
+deliberately keep theirs across rounds.  ``step`` never writes to its inputs:
+it returns a new set that adopts the arrays it just computed.
 """
 from __future__ import annotations
 
@@ -19,9 +20,12 @@ class SGD:
     def step(self, params: ParameterSet, grads: ParameterSet) -> ParameterSet:
         params.check_structure(grads)
         lr = self.lr
-        return ParameterSet(
-            (n, p - p.dtype.type(lr) * g) for (n, p), (_, g) in zip(params.items(), grads.items())
-        )
+        out = []
+        for (n, p), (_, g) in zip(params.items(), grads.items()):
+            # p - lr*g with one allocation: the product's buffer takes the difference
+            new = np.multiply(g, p.dtype.type(lr), out=np.empty_like(g))
+            out.append((n, np.subtract(p, new, out=new)))
+        return ParameterSet._adopt(out)
 
 
 class Adam:
@@ -45,15 +49,27 @@ class Adam:
             m = self._m.get(name)
             v = self._v.get(name)
             if m is None:
-                m = np.zeros_like(g)
-                v = np.zeros_like(g)
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * (g * g)
-            self._m[name] = m
-            self._v[name] = v
-            step = self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            out.append((name, p - step))
-        return ParameterSet(out)
+                m = self._m[name] = np.zeros_like(g)
+                v = self._v[name] = np.zeros_like(g)
+            # the moments are private, so they update in place; every product
+            # and sum keeps the operand order of the textbook expressions
+            # m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*(g*g)
+            tmp = np.multiply(g, 1.0 - b1, out=np.empty_like(g))
+            m *= b1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - b2
+            v *= b2
+            v += tmp
+            # p - lr * (m/bias1) / (sqrt(v/bias2) + eps)
+            new = np.divide(m, bias1, out=np.empty_like(m))
+            new *= self.lr
+            np.divide(v, bias2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            new /= tmp
+            out.append((name, np.subtract(p, new, out=new)))
+        return ParameterSet._adopt(out)
 
 
 OPTIMIZERS = {"sgd": SGD, "adam": Adam}

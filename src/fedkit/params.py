@@ -17,6 +17,13 @@ Wire format (big-endian lengths, little-endian element bytes)::
         ...  raw elements, row-major, little-endian
 
 The same byte layout is used for ``.apfm`` checkpoint files.
+
+Ownership: a set owns its tensors, and no set is ever mutated after it is
+returned.  The public constructor and :meth:`ParameterSet.map` copy their
+inputs, because those arrays belong to the caller.  Results that fedkit
+computes itself (gradients, optimizer steps, deltas, aggregates, decoded
+payloads) are fresh arrays that nothing else references; they are adopted
+and frozen in place rather than copied again.
 """
 from __future__ import annotations
 
@@ -42,14 +49,18 @@ MAX_NAME_BYTES = 0xFFFF
 CHECKPOINT_SUFFIX = ".apfm"
 
 
-def _as_tensor(name, value) -> np.ndarray:
+def _as_tensor(name, value, adopt: bool) -> np.ndarray:
     arr = np.asarray(value)
     if arr.dtype not in _DTYPE_TO_TAG:
         # everything else (ints, bools, f16) is promoted; complex is rejected
         if np.issubdtype(arr.dtype, np.complexfloating):
             raise ShapeMismatch(f"tensor {name!r}: complex dtype not supported")
         arr = arr.astype(np.float64)
-    arr = arr.copy(order="C")  # ascontiguousarray would promote 0-d to 1-d
+    # an adopted array must be ours alone: a view, or a read-only array that
+    # may already belong to another set, is copied like caller input
+    flags = arr.flags
+    if not (adopt and flags.c_contiguous and flags.owndata and flags.writeable):
+        arr = arr.copy(order="C")  # ascontiguousarray would promote 0-d to 1-d
     arr.flags.writeable = False
     return arr
 
@@ -67,6 +78,21 @@ class ParameterSet:
     __slots__ = ("_names", "_arrays", "_index")
 
     def __init__(self, entries):
+        self._fill(entries, adopt=False)
+
+    @classmethod
+    def _adopt(cls, entries) -> "ParameterSet":
+        """Build a set from arrays the caller just computed and shares with nobody.
+
+        The arrays are frozen in place instead of copied; dtype promotion
+        still applies, and anything that is not a C-contiguous array owning
+        writeable data is copied as the public constructor would.
+        """
+        p = cls.__new__(cls)
+        p._fill(entries, adopt=True)
+        return p
+
+    def _fill(self, entries, adopt: bool) -> None:
         names: list[str] = []
         arrays: list[np.ndarray] = []
         index: dict[str, int] = {}
@@ -79,7 +105,7 @@ class ParameterSet:
                 raise ShapeMismatch(f"duplicate tensor name {name!r}")
             index[name] = len(names)
             names.append(name)
-            arrays.append(_as_tensor(name, value))
+            arrays.append(_as_tensor(name, value, adopt))
         self._names = tuple(names)
         self._arrays = tuple(arrays)
         self._index = index
@@ -148,12 +174,12 @@ class ParameterSet:
     # -- conversion ----------------------------------------------------------
 
     def map(self, fn) -> "ParameterSet":
-        """Apply ``fn(name, array) -> array`` to every tensor."""
+        """Apply ``fn(name, array) -> array`` to every tensor; results are copied."""
         return ParameterSet((n, fn(n, a)) for n, a in self)
 
     def astype(self, dtype) -> "ParameterSet":
         dt = np.dtype(dtype)
-        return self.map(lambda n, a: a.astype(dt))
+        return ParameterSet._adopt((n, a.astype(dt)) for n, a in self)
 
     def flat(self) -> np.ndarray:
         """All elements concatenated in entry order (copy)."""
@@ -163,7 +189,48 @@ class ParameterSet:
 
 
 def zeros_like(p: ParameterSet) -> ParameterSet:
-    return p.map(lambda n, a: np.zeros_like(a))
+    return ParameterSet._adopt((n, np.zeros_like(a)) for n, a in p)
+
+
+# elements per accumulation block: a block of the accumulator and the scratch
+# buffer stay in cache while every term streams through them
+_ACC_BLOCK = 1 << 16
+
+
+def _weighted_accumulate(like: ParameterSet, terms) -> list[tuple[str, np.ndarray]]:
+    """Per tensor of ``like``, ``sum_i w_i * x_i`` accumulated from zero in term order.
+
+    Each term is ``(w, x, op, base)``: its tensors are those of the set
+    ``x``, or ``op(x, base)`` when ``op`` is given (``np.add`` for
+    delta-to-full, ``np.subtract`` for full-to-delta).  Terms must share
+    ``like``'s structure.  Every step goes through one small scratch buffer,
+    so the only model-sized allocation is the result: fresh arrays the caller
+    may finish in place and then adopt.  Each element sees exactly
+    ``acc = acc + w * x`` in term order, starting from ``+0.0`` (which turns
+    a leading ``-0.0`` term into ``+0.0``), so results are bit-identical to
+    summing whole sets one term at a time.
+    """
+    scratch = np.empty(_ACC_BLOCK * 8, dtype=np.uint8)  # fits any float dtype
+    out = []
+    for k, (name, ref) in enumerate(like):
+        acc = np.zeros_like(ref)
+        flat = acc.reshape(-1)
+        tmp = scratch.view(ref.dtype)
+        xs = [
+            (acc.dtype.type(w), x._arrays[k].reshape(-1), op,
+             None if op is None else base._arrays[k].reshape(-1))
+            for w, x, op, base in terms
+        ]
+        for lo in range(0, flat.size, _ACC_BLOCK):
+            hi = lo + _ACC_BLOCK
+            a = flat[lo:hi]
+            t = tmp[: a.size]
+            for w, x, op, b in xs:
+                term = x[lo:hi] if op is None else op(x[lo:hi], b[lo:hi], out=t)
+                np.multiply(term, w, out=t)
+                a += t
+        out.append((name, acc))
+    return out
 
 
 def weighted_sum(sets: Sequence[ParameterSet], weights: Sequence[float]) -> ParameterSet:
@@ -179,19 +246,14 @@ def weighted_sum(sets: Sequence[ParameterSet], weights: Sequence[float]) -> Para
     first = sets[0]
     for other in sets[1:]:
         first.check_structure(other)
-    out = []
-    for k, name in enumerate(first.names):
-        acc = np.zeros_like(first._arrays[k])
-        for p, w in zip(sets, weights):
-            acc += p._arrays[k] * acc.dtype.type(w)
-        out.append((name, acc))
-    return ParameterSet(out)
+    terms = [(w, p, None, None) for p, w in zip(sets, weights)]
+    return ParameterSet._adopt(_weighted_accumulate(first, terms))
 
 
 def axpy(alpha: float, x: ParameterSet, y: ParameterSet) -> ParameterSet:
     """``alpha * x + y`` with structure checking."""
     x.check_structure(y)
-    return ParameterSet(
+    return ParameterSet._adopt(
         (n, a.dtype.type(alpha) * a + b)
         for (n, a), (_, b) in zip(x.items(), y.items())
     )
@@ -243,13 +305,15 @@ def serialize_params(p: ParameterSet) -> bytes:
 
 
 class _Reader:
+    """Cursor over a byte buffer; ``take`` returns zero-copy memoryview slices."""
+
     __slots__ = ("buf", "pos")
 
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    def __init__(self, buf):
+        self.buf = memoryview(buf).cast("B")
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise Truncated(
                 f"need {n} bytes at offset {self.pos}, only {len(self.buf) - self.pos} left"
@@ -270,12 +334,12 @@ class _Reader:
 
 def deserialize_params(buf: bytes) -> ParameterSet:
     """Inverse of :func:`serialize_params`; rejects trailing bytes."""
-    r = _Reader(bytes(buf))
+    r = _Reader(buf)
     count = r.u32()
     entries = []
     for _ in range(count):
         name_len = r.u16()
-        name = r.take(name_len).decode("utf-8")
+        name = str(r.take(name_len), "utf-8")
         tag = r.u8()
         if tag not in _TAG_TO_DTYPE:
             raise BadDtypeTag(f"dtype tag {tag} in entry {name!r}")
@@ -286,11 +350,12 @@ def deserialize_params(buf: bytes) -> ParameterSet:
             n_elem *= d
         dt = _TAG_TO_DTYPE[tag]
         raw = r.take(n_elem * dt.itemsize)
+        # the one copy: astype out of the caller's buffer into an array we own
         arr = np.frombuffer(raw, dtype=dt).reshape(shape).astype(dt.newbyteorder("="))
         entries.append((name, arr))
     if r.pos != len(r.buf):
         raise TrailingBytes(f"{len(r.buf) - r.pos} bytes left after last entry")
-    return ParameterSet(entries)
+    return ParameterSet._adopt(entries)
 
 
 def save_params(p: ParameterSet, path) -> None:

@@ -2,9 +2,14 @@
 
 The transmitted object (full weights or delta, whichever the client sends)
 is clipped to an l1 ball of radius ``clip_norm`` and perturbed with
-coordinate-wise Laplace noise of scale ``clip_norm / epsilon``.  With the
-l1 clip this is the standard Laplace mechanism per round; l2 clipping is
-accepted for experimentation but weakens the formal guarantee.
+coordinate-wise Laplace noise of scale ``clip_norm / epsilon``.
+
+The guarantee, per round and per client: two neighbouring inputs are any two
+clipped updates.  Both lie in the l1 ball of radius ``clip_norm``, so their
+l1 distance, the sensitivity, is at most ``2 * clip_norm``.  Laplace noise of
+scale ``clip_norm / epsilon`` is therefore ``2 * epsilon``-differentially
+private per round, not ``epsilon``.  l2 clipping is accepted for
+experimentation but gives no l1 bound and so no such guarantee.
 
 ``epsilon = inf`` disables noise and ``clip_norm = inf`` disables clipping;
 both together make the pipeline a bit-exact no-op.

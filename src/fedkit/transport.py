@@ -83,8 +83,11 @@ def decode_update(payload: bytes, connectors: Optional[dict] = None) -> ModelUpd
     env = decode_envelope(payload)
     body = fetch_body(env, connectors)
     meta = env.meta
+    enc = meta.get("enc", "raw")
+    if enc not in ("raw", "qz"):
+        raise ProtocolError(f"unknown update encoding {enc!r}")
     try:
-        params = decompress_params(body) if meta.get("enc") == "qz" else deserialize_params(body)
+        params = decompress_params(body) if enc == "qz" else deserialize_params(body)
         wall = None
         if "wall_start" in meta and "wall_end" in meta:
             wall = (float(meta["wall_start"]), float(meta["wall_end"]))

@@ -277,3 +277,125 @@ def test_fedavgm_beta_zero_equals_fedavg_on_deltas_vector():
     A.agg_weighted_avg(st_a, ups)
     for n in g0.names:
         np.testing.assert_allclose(st_m.global_params[n], st_a.global_params[n], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# ownership and bit-identity against plain-loop oracles
+
+
+def random_round(seed, n=5):
+    """A global model and ``n`` updates, mixing deltas and full weights."""
+    rng = np.random.default_rng(seed)
+
+    def rand_set():
+        return ParameterSet([("W", rng.normal(size=(3, 4))), ("b", rng.normal(size=5))])
+
+    g = rand_set()
+    ups = [
+        ModelUpdate(f"c{i}", rand_set(), bool(i % 2), int(rng.integers(1, 50)), 1, int(rng.integers(0, 3)))
+        for i in range(n)
+    ]
+    return g, ups[::-1]  # out of client-id order on purpose
+
+
+AGGREGATIONS = {
+    "weighted_avg": lambda st, ups: A.agg_weighted_avg(st, ups),
+    "fedavgm": lambda st, ups: A.agg_server_opt(st, ups, "fedavgm"),
+    "fedadagrad": lambda st, ups: A.agg_server_opt(st, ups, "fedadagrad"),
+    "fedadam": lambda st, ups: A.agg_server_opt(st, ups, "fedadam", server_lr=0.1),
+    "fedyogi": lambda st, ups: A.agg_server_opt(st, ups, "fedyogi"),
+    "async": lambda st, ups: [A.agg_async(st, u) for u in ups[:2]][-1],  # a full, a delta
+    "buffered": lambda st, ups: A.agg_buffered(st, ups, server_lr=0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGGREGATIONS))
+def test_aggregation_result_is_owned(check_owned, name):
+    g, ups = random_round(11)
+    st = A.AggregatorState(g, epoch=3)
+    inputs = [g] + [u.params for u in ups]
+    for _ in range(2):  # the second round also reads the optimizer state
+        prev = [p for p in (st.global_params, st.momentum, st.m, st.u) if p is not None]
+        check_owned(lambda: AGGREGATIONS[name](st, ups), *inputs, *prev)
+        for p in (st.momentum, st.m, st.u):
+            if p is not None:
+                check_owned(lambda: p, *inputs, *prev)
+
+
+def oracle_weights(ups):
+    total = float(sum(u.sample_count for u in ups))
+    return [u.sample_count / total for u in ups]
+
+
+def oracle_sum(g, ups, weights, delta):
+    """Element loop: ``acc = acc + w * x`` from zero in client-id order."""
+    out = {}
+    for name in g.names:
+        acc = np.zeros_like(g[name])
+        for it in np.ndindex(acc.shape):
+            s = 0.0
+            for u, w in zip(ups, weights):
+                x = float(u.params[name][it])
+                if u.is_delta and not delta:
+                    x = float(g[name][it]) + x
+                elif delta and not u.is_delta:
+                    x = x - float(g[name][it])
+                s = s + w * x
+            acc[it] = s
+        out[name] = acc
+    return out
+
+
+@pytest.fixture(params=[None, 5], ids=["one-block", "5-element-blocks"])
+def acc_block(request, monkeypatch):
+    """Also run the accumulation kernel with blocks that split every tensor."""
+    if request.param is not None:
+        monkeypatch.setattr("fedkit.params._ACC_BLOCK", request.param)
+
+
+def test_weighted_avg_bit_identical_to_loop_oracle(acc_block):
+    g, ups = random_round(21)
+    st = A.AggregatorState(g, epoch=3)
+    A.agg_weighted_avg(st, ups)
+    ordered = sorted(ups, key=lambda u: u.client_id)
+    want = oracle_sum(g, ordered, oracle_weights(ordered), delta=False)
+    assert st.global_params == ParameterSet(want.items())
+
+
+def test_fedadam_bit_identical_to_loop_oracle(acc_block):
+    g, ups = random_round(22)
+    lr, b1, b2, tau = 0.1, A.BETA1, A.BETA2, A.TAU
+    st = A.AggregatorState(g, epoch=3)
+    ordered = sorted(ups, key=lambda u: u.client_id)
+    want = {n: a.copy() for n, a in g.items()}
+    m = {n: np.zeros_like(a) for n, a in g.items()}
+    u2 = {n: np.zeros_like(a) for n, a in g.items()}
+    for _ in range(2):
+        cur = ParameterSet(want.items())
+        dbar = oracle_sum(cur, ordered, oracle_weights(ordered), delta=True)
+        for n in g.names:
+            for it in np.ndindex(g[n].shape):
+                d = float(dbar[n][it])
+                m[n][it] = b1 * float(m[n][it]) + (1 - b1) * d
+                u2[n][it] = b2 * float(u2[n][it]) + (1 - b2) * (d * d)
+                step = lr * float(m[n][it]) / (math.sqrt(float(u2[n][it])) + tau)
+                want[n][it] = float(want[n][it]) + step
+        A.agg_server_opt(st, ordered, "fedadam", server_lr=lr)
+        assert st.global_params == ParameterSet(want.items())
+        st.epoch = 3  # keep every staleness non-negative for the second round
+
+
+def test_buffered_bit_identical_to_loop_oracle(acc_block):
+    g, ups = random_round(23)
+    st = A.AggregatorState(g, epoch=3)
+    A.agg_buffered(st, ups, server_lr=0.5, staleness_exponent=0.5)
+    ordered = sorted(ups, key=lambda u: u.client_id)
+    discounts = [(3 - u.base_epoch + 1) ** -0.5 for u in ordered]
+    acc = oracle_sum(g, ordered, discounts, delta=True)
+    scale = 0.5 * (1.0 / len(ordered))
+    want = {}
+    for n in g.names:
+        want[n] = np.zeros_like(g[n])
+        for it in np.ndindex(g[n].shape):
+            want[n][it] = float(g[n][it]) + scale * float(acc[n][it])
+    assert st.global_params == ParameterSet(want.items())

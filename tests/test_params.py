@@ -226,3 +226,120 @@ def test_tensors_are_immutable():
 def test_duplicate_names_rejected():
     with pytest.raises(ShapeMismatch):
         P.ParameterSet([("a", np.zeros(1)), ("a", np.zeros(1))])
+
+
+# ---------------------------------------------------------------------------
+# ownership: public construction copies, internal results are adopted
+
+
+def test_public_constructor_and_map_copy():
+    a = np.arange(4.0)
+    p = P.ParameterSet([("a", a)])
+    assert not np.shares_memory(p["a"], a)
+    assert a.flags.writeable
+    q = p.map(lambda n, x: x)
+    assert not np.shares_memory(q["a"], p["a"])
+
+
+def test_adopt_freezes_fresh_arrays_in_place():
+    a = np.full((2, 3), 1.5)
+    p = P.ParameterSet._adopt([("a", a)])
+    assert p["a"] is a
+    assert not a.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: np.arange(8.0)[::2],  # strided view
+        lambda: np.arange(6.0).reshape(2, 3),  # contiguous view of a temporary
+        lambda: np.asfortranarray(np.ones((3, 2))),
+        lambda: pset(a=np.ones(3))["a"],  # frozen: may belong to another set
+    ],
+)
+def test_adopt_copies_what_it_cannot_own(make):
+    a = make()
+    p = P.ParameterSet._adopt([("a", a)])
+    assert not np.shares_memory(p["a"], a)
+    assert p["a"].flags.c_contiguous and not p["a"].flags.writeable
+    np.testing.assert_array_equal(p["a"], a)
+
+
+def test_adopt_promotes_dtypes():
+    p = P.ParameterSet._adopt([("i", np.arange(3)), ("s", np.float32(2.0) * np.float32(3.0))])
+    assert p["i"].dtype == np.float64
+    assert p["s"].shape == () and p["s"].dtype == np.float32
+
+
+def _model_and_batch():
+    from fedkit.models import ModelSpec, init_params
+
+    spec = ModelSpec((4, 6, 3), loss="softmax_cross_entropy")
+    rng = np.random.default_rng(0)
+    return spec, init_params(spec, seed=1), rng.normal(size=(5, 4)), rng.integers(0, 3, 5)
+
+
+def test_backward_result_is_owned(check_owned):
+    from fedkit.models import backward
+
+    spec, params, x, y = _model_and_batch()
+    check_owned(lambda: backward(spec, params, x, y)[1], params)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_optimizer_step_result_is_owned(check_owned, kind):
+    from fedkit.models import backward
+    from fedkit.optim import make_optimizer
+
+    spec, params, x, y = _model_and_batch()
+    grads = backward(spec, params, x, y)[1]
+    opt = make_optimizer(kind, 0.1)
+    first = check_owned(lambda: opt.step(params, grads), params, grads)
+    # a second step runs on the moments the first one left behind
+    check_owned(lambda: opt.step(first, grads), first, grads, params)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("send_delta", [False, True])
+@pytest.mark.parametrize("steps", [0, 3])
+def test_local_train_result_is_owned(check_owned, optimizer, send_delta, steps):
+    from fedkit.client import ClientState, TrainConfig, local_train
+    from fedkit.models import make_blobs
+
+    spec, base, _, _ = _model_and_batch()
+    ds = make_blobs(classes=3, dim=4, per_class=10, seed=2)
+    cfg = TrainConfig(optimizer=optimizer, lr=0.1, batch_size=4, send_delta=send_delta, prox_mu=0.5)
+    state = ClientState("c0", ds, spec, cfg)
+    if steps == 0 and not send_delta:
+        # nothing trained, nothing computed: the base itself is sent on
+        assert local_train(state, base, steps=0).params is base
+        return
+    update = check_owned(lambda: local_train(state, base, steps=steps).params, base)
+    if steps == 0:
+        assert P.norms(update) == (0.0, 0.0, 0.0)
+
+
+def test_decoded_sets_are_owned(check_owned):
+    from fedkit.compression import CodecConfig, compress_params, decompress_params
+
+    rng = np.random.default_rng(4)
+    p = pset(W=rng.normal(size=(40, 50)), b=rng.normal(size=7).astype(np.float32), s=np.float64(2.5))
+    buf = bytearray(P.serialize_params(p))
+    out = check_owned(lambda: P.deserialize_params(buf), p)
+    assert out == p
+    buf[:] = bytes(len(buf))  # the decoded set must not see the caller's buffer
+    assert out == p
+    blob = compress_params(p, CodecConfig(eb_rel=0.01, small_tensor_threshold=8))
+    out = check_owned(lambda: decompress_params(blob), p)
+    assert [(n, a.shape, a.dtype) for n, a in out] == [(n, a.shape, a.dtype) for n, a in p]
+
+
+def test_arithmetic_results_are_owned(check_owned):
+    rng = np.random.default_rng(5)
+    x = pset(a=rng.normal(size=(3, 4)), b=rng.normal(size=2))
+    y = pset(a=rng.normal(size=(3, 4)), b=rng.normal(size=2))
+    check_owned(lambda: P.weighted_sum([x, y], [0.25, 0.75]), x, y)
+    check_owned(lambda: P.weighted_sum([x], [1.0]), x)
+    check_owned(lambda: P.axpy(0.0, x, y), x, y)
+    check_owned(lambda: P.zeros_like(x), x)
+    check_owned(lambda: x.astype(np.float64), x)

@@ -7,9 +7,9 @@ import pytest
 from fedkit.aggregators import FedAvgAggregator
 from fedkit.client import ClientState, TrainConfig, local_train
 from fedkit.compression import CodecConfig
-from fedkit.errors import OversizedPayload, Unauthenticated, UnknownClient
+from fedkit.errors import OversizedPayload, ProtocolError, Unauthenticated, UnknownClient
 from fedkit.models import ModelSpec, PartitionSpec, init_params, make_blobs, partition
-from fedkit.params import ModelUpdate, ParameterSet
+from fedkit.params import ModelUpdate, ParameterSet, serialize_params
 from fedkit.schedulers import AsyncScheduler, SyncScheduler
 from fedkit.server import ServerAgent
 from fedkit.transport import (
@@ -18,7 +18,7 @@ from fedkit.transport import (
     decode_update,
     encode_update,
 )
-from fedkit.wire import MemoryConnector, MessageType, encode_frame, read_frame
+from fedkit.wire import MemoryConnector, MessageType, encode_frame, read_frame, stage_body
 
 
 def toy_update(n=16, delta=False, wall=(1.5, 3.25)):
@@ -61,6 +61,13 @@ class TestUpdateCodec:
         bound = 0.01 * (ref.max() - ref.min()) + 1e-12
         assert np.abs(w - ref).max() <= bound
         assert out.is_delta
+
+    def test_unknown_encoding_rejected(self):
+        u = toy_update()
+        meta = {"client_id": "c0", "samples": "1", "steps": "1", "base_epoch": "0",
+                "delta": "0", "enc": "zz"}
+        with pytest.raises(ProtocolError, match="zz"):
+            decode_update(stage_body(meta, serialize_params(u.params)))
 
     def test_dataref_spill_roundtrip(self):
         c = MemoryConnector("mem")
