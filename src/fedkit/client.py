@@ -6,6 +6,13 @@ shuffle cursor continues where the previous round stopped, and the step
 counter only ever grows.  Two states constructed with the same arguments
 produce bit-identical updates for the same inputs, which is what makes
 simulated and socket-distributed runs comparable.
+
+Each :func:`local_train` call trains on private flat buffers, one per dtype
+of the model (in practice one): the weights, the gradient that ``backward``
+writes into, and with ``prox_mu > 0`` the base model plus a scratch vector.
+A step is then a few whole-vector operations and builds no parameter set.
+Only the weight buffer outlives the call, as the views that the returned
+update adopts; nothing is kept per client besides the optimizer state.
 """
 from __future__ import annotations
 
@@ -19,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, UnknownStrategyName
 from .models import Dataset, ModelSpec, backward, dataset_metrics
 from .optim import make_optimizer
-from .params import ModelUpdate, ParameterSet, save_params
+from .params import FlatBuffers, ModelUpdate, ParameterSet, save_params
 from .privacy import PrivacyConfig, apply_privacy
 
 TRAINERS = ("VanillaTrainer",)
@@ -107,17 +114,8 @@ def local_train(
         steps = cfg.local_steps
     start = clock()
     params = base
-    mu = cfg.prox_mu
-    for _ in range(steps):
-        x, y = state.next_batch()
-        _, grads = backward(state.model_spec, params, x, y)
-        if mu > 0.0:
-            grads = ParameterSet._adopt(
-                (name, g + g.dtype.type(mu) * (params[name] - base[name]))
-                for name, g in grads.items()
-            )
-        params = state.optimizer.step(params, grads)
-        state.steps_taken += 1
+    if steps > 0:
+        params = _train(state, base, steps)
     end = clock()
     payload = _transmitted(params, base, cfg.send_delta)
     payload = apply_privacy(payload, state.privacy, state.privacy_rng)
@@ -130,6 +128,37 @@ def local_train(
         base_epoch=base_epoch,
         wall_meta=(start, end),
     )
+
+
+def _train(state: ClientState, base: ParameterSet, steps: int) -> ParameterSet:
+    """``steps`` optimizer steps from ``base`` on this call's flat buffers.
+
+    The weights ``w`` start as a copy of ``base``; ``backward`` writes each
+    batch's gradient into ``g``; the proximal pull ``g += mu*(w - b)`` and
+    the optimizer step are whole-vector operations.  The trained set adopts
+    the views of ``w``, the only buffer that outlives the call.
+    """
+    spec, optimizer, mu = state.model_spec, state.optimizer, state.cfg.prox_mu
+    w = FlatBuffers(base)
+    g = FlatBuffers(base, copy=False)
+    prox = []
+    if mu > 0.0:
+        # the base once more as flat buffers, and scratch for w - b
+        b, t = FlatBuffers(base), FlatBuffers(base, copy=False)
+        prox = [
+            (wv, bv, tv, gv, gv.dtype.type(mu))
+            for wv, bv, tv, gv in zip(w.bufs, b.bufs, t.bufs, g.bufs)
+        ]
+    for _ in range(steps):
+        x, y = state.next_batch()
+        backward(spec, w.views, x, y, out=g.views)
+        for wv, bv, tv, gv, mu_t in prox:
+            np.subtract(wv, bv, out=tv)
+            tv *= mu_t
+            gv += tv
+        optimizer.update(w.bufs, g.bufs)
+        state.steps_taken += 1
+    return ParameterSet._adopt_views(w.views)
 
 
 def _transmitted(trained: ParameterSet, base: ParameterSet, send_delta: bool) -> ParameterSet:

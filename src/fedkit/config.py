@@ -25,7 +25,7 @@ import yaml
 from .aggregators import AGGREGATORS
 from .client import TRAINERS, TrainConfig
 from .compression import CodecConfig
-from .errors import MissingRequired, ParseError, UnknownKey, UnknownStrategyName
+from .errors import ConfigError, MissingRequired, ParseError, UnknownKey, UnknownStrategyName
 from .models import DATASETS, ModelSpec, build_dataset
 from .privacy import PrivacyConfig
 from .schedulers import SCHEDULERS
@@ -399,6 +399,15 @@ def build_scenario(cfg: ExperimentConfig) -> SimScenario:
     """Instantiate datasets and assemble the simulation scenario."""
     if cfg.model_spec is None:
         raise MissingRequired("server_configs.model_configs is required to simulate")
+    # the simulator models one codec for every upload, so a mix cannot be
+    # simulated faithfully; refuse it rather than model an uncompressed run
+    codec = cfg.clients[0].codec if cfg.clients else None
+    for plan in cfg.clients:
+        if plan.codec != codec:
+            raise ConfigError(
+                f"clients {cfg.clients[0].client_id!r} and {plan.client_id!r} use different "
+                "codecs; the simulator needs one codec for every client"
+            )
     sim = cfg.sim
     mbt_map = sim.get("mean_batch_times") or {}
     if mbt_map:
@@ -429,8 +438,6 @@ def build_scenario(cfg: ExperimentConfig) -> SimScenario:
     eval_dataset = None
     if cfg.evaluation is not None:
         eval_dataset = build_dataset(cfg.evaluation["dataset_name"], cfg.evaluation["dataset_kwargs"])
-    codecs = {plan.codec for plan in cfg.clients}
-    codec = next(iter(codecs)) if len(codecs) == 1 else None
 
     bandwidth = sim.get("bandwidth", math.inf)
     bandwidth = math.inf if bandwidth in (None, ".inf") else float(bandwidth)

@@ -69,12 +69,6 @@ def _act(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _act_grad(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
-    if spec.activation == "relu":
-        return (z > 0.0).astype(z.dtype)
-    return np.ones_like(z)
-
-
 def _check_features(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != spec.layer_dims[0]:
@@ -82,15 +76,16 @@ def _check_features(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_cache(spec: ModelSpec, params: ParameterSet, x: np.ndarray):
+def _forward_cache(spec: ModelSpec, params, x: np.ndarray):
     """Returns (output, pre-activations per layer, post-activations incl. input)."""
     x = _check_features(spec, x)
     pre, post = [], [x]
     h = x
-    for layer in range(spec.n_layers):
+    last = spec.n_layers - 1
+    for layer in range(last + 1):
         z = h @ params[f"W{layer}"] + params[f"b{layer}"]
         pre.append(z)
-        h = _act(spec, z) if layer < spec.n_layers - 1 else z
+        h = _act(spec, z) if layer < last else z
         post.append(h)
     return h, pre, post
 
@@ -101,7 +96,7 @@ def forward(spec: ModelSpec, params: ParameterSet, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _loss_and_grad(spec: ModelSpec, out: np.ndarray, y: np.ndarray):
+def _loss_and_grad(spec: ModelSpec, out: np.ndarray, y):
     n = out.shape[0]
     if spec.loss == "mse":
         target = np.asarray(y, dtype=out.dtype)
@@ -117,53 +112,102 @@ def _loss_and_grad(spec: ModelSpec, out: np.ndarray, y: np.ndarray):
     if labels.ndim != 1 or labels.shape[0] != n:
         raise DimMismatch(f"labels {labels.shape} vs batch {n}")
     labels = labels.astype(np.int64)
-    if labels.min() < 0 or labels.max() >= out.shape[1]:
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= out.shape[1]:
         raise DimMismatch("label out of range for output layer")
-    shifted = out - out.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.sum(np.exp(shifted), axis=1))
-    loss = float(np.mean(logsumexp - shifted[np.arange(n), labels]))
+    rows = np.arange(n)
+    shifted = out - np.maximum.reduce(out, axis=1, keepdims=True)
+    # one exp serves both the log-sum-exp of the loss and the softmax
     probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
-    probs[np.arange(n), labels] -= 1.0
-    return loss, probs / n
+    total = np.add.reduce(probs, axis=1, keepdims=True)
+    # the sum and the division of np.mean, without its Python-level wrapper
+    loss = float(np.add.reduce(np.log(total[:, 0]) - shifted[rows, labels]) / n)
+    probs /= total
+    probs[rows, labels] -= 1.0
+    probs /= n
+    return loss, probs
 
 
-def _backprop(spec: ModelSpec, params: ParameterSet, pre, post, delta: np.ndarray):
-    """Gradients of a scalar whose d/d(output) is ``delta``; also returns d/d(input)."""
+def _grad_out(out, name: str, shape: tuple, dtype) -> Optional[np.ndarray]:
+    """``out[name]`` if it has exactly the gradient's shape and dtype.
+
+    numpy would broadcast into a larger array or cast to a narrower dtype
+    (a float32 model on float64 features has float64 gradients), so both
+    are checked here instead.
+    """
+    if out is None:
+        return None
+    try:
+        arr = out[name]
+    except KeyError:
+        raise ShapeMismatch(f"no output array for gradient {name!r}") from None
+    if arr.shape != shape or arr.dtype != dtype:
+        raise ShapeMismatch(
+            f"gradient {name!r} is {np.dtype(dtype).name}{list(shape)}, "
+            f"output array is {arr.dtype.name}{list(arr.shape)}"
+        )
+    return arr
+
+
+def _backprop(spec: ModelSpec, params, pre, post, delta: np.ndarray, out, input_grad: bool):
+    """Gradients of a scalar whose d/d(output) is ``delta``, plus d/d(input) if asked.
+
+    With ``out`` (gradient name -> writable array) the gradients are written
+    there and ``out`` is returned; otherwise they are fresh arrays adopted
+    into a set in the entry order of ``params``.
+    """
+    last = spec.n_layers - 1
+    if out is not None and len(out) != 2 * (last + 1):
+        raise ShapeMismatch(f"{len(out)} output arrays for {2 * (last + 1)} gradients")
+    relu = spec.activation == "relu"
     grads: dict[str, np.ndarray] = {}
-    for layer in range(spec.n_layers - 1, -1, -1):
-        if layer < spec.n_layers - 1:
-            delta = delta * _act_grad(spec, pre[layer])
-        grads[f"W{layer}"] = post[layer].T @ delta
-        grads[f"b{layer}"] = delta.sum(axis=0)
-        delta = delta @ params[f"W{layer}"].T
-    ordered = ParameterSet._adopt((name, grads[name]) for name in params.names)
-    return ordered, delta
+    for layer in range(last, -1, -1):
+        if layer < last and relu:
+            # below the output layer delta is a product made here, never the
+            # caller's array, so the mask applies in place
+            np.multiply(delta, pre[layer] > 0.0, out=delta)
+        h = post[layer]
+        w_name, b_name = f"W{layer}", f"b{layer}"
+        w_out = _grad_out(out, w_name, (h.shape[1], delta.shape[1]), np.result_type(h, delta))
+        b_out = _grad_out(out, b_name, delta.shape[1:], delta.dtype)
+        grads[w_name] = np.matmul(h.T, delta, out=w_out)
+        grads[b_name] = np.add.reduce(delta, axis=0, out=b_out)
+        if layer or input_grad:
+            delta = delta @ params[w_name].T
+    if out is None:
+        out = ParameterSet._adopt((name, grads[name]) for name in params.keys())
+    return out, delta if input_grad else None
 
 
-def loss_on(spec: ModelSpec, params: ParameterSet, x, y) -> float:
+def loss_on(spec: ModelSpec, params, x, y) -> float:
     out, _, _ = _forward_cache(spec, params, x)
     loss, _ = _loss_and_grad(spec, out, y)
     return loss
 
 
-def backward(spec: ModelSpec, params: ParameterSet, x, y):
-    """(mean loss, gradient ParameterSet) for one batch."""
-    out, pre, post = _forward_cache(spec, params, x)
-    loss, dout = _loss_and_grad(spec, out, y)
-    grads, _ = _backprop(spec, params, pre, post, dout)
+def backward(spec: ModelSpec, params, x, y, *, out=None):
+    """(mean loss, gradients) for one batch.
+
+    ``params`` is any name -> array mapping.  Without ``out`` the gradients
+    come back as a new :class:`ParameterSet`.  With ``out`` (name -> writable
+    array, one per gradient, of exactly its shape and dtype) they are written
+    there and ``out`` itself is returned; a missing, extra or mismatched
+    array raises :class:`ShapeMismatch`.
+    """
+    fwd, pre, post = _forward_cache(spec, params, x)
+    loss, dout = _loss_and_grad(spec, fwd, y)
+    grads, _ = _backprop(spec, params, pre, post, dout, out, input_grad=False)
     return loss, grads
 
 
-def backward_with_input_grad(spec: ModelSpec, params: ParameterSet, x, y):
+def backward_with_input_grad(spec: ModelSpec, params, x, y):
     """(mean loss, gradient ParameterSet, d loss / d input) for one batch."""
     out, pre, post = _forward_cache(spec, params, x)
     loss, dout = _loss_and_grad(spec, out, y)
-    grads, dx = _backprop(spec, params, pre, post, dout)
+    grads, dx = _backprop(spec, params, pre, post, dout, None, input_grad=True)
     return loss, grads, dx
 
 
-def backward_from_output_grad(spec: ModelSpec, params: ParameterSet, x, dout: np.ndarray):
+def backward_from_output_grad(spec: ModelSpec, params, x, dout: np.ndarray):
     """Backprop an externally supplied output gradient (split-model training).
 
     Returns (output, gradient ParameterSet, input gradient).
@@ -171,7 +215,7 @@ def backward_from_output_grad(spec: ModelSpec, params: ParameterSet, x, dout: np
     out, pre, post = _forward_cache(spec, params, x)
     if np.asarray(dout).shape != out.shape:
         raise DimMismatch(f"output grad {np.asarray(dout).shape} vs outputs {out.shape}")
-    grads, dx = _backprop(spec, params, pre, post, np.asarray(dout))
+    grads, dx = _backprop(spec, params, pre, post, np.asarray(dout), None, input_grad=True)
     return out, grads, dx
 
 

@@ -1,31 +1,44 @@
-"""Plain SGD and Adam over parameter sets.
+"""Plain SGD and Adam over flat parameter vectors.
 
 Optimizer state (Adam moments, step counter) lives in the optimizer object
 and persists for as long as the caller keeps it around; federated clients
-deliberately keep theirs across rounds.  ``step`` never writes to its inputs:
-it returns a new set that adopts the arrays it just computed.
+deliberately keep theirs across rounds.
+
+The step itself is ``update(ws, gs)``: one step in place on the flat
+buffers of a :class:`~fedkit.params.FlatBuffers`, one weight vector and one
+gradient vector per dtype, and it may overwrite the gradients.  Every
+operation is elementwise, so a flat step equals the same step taken tensor by
+tensor, bit for bit.  ``step(params, grads)`` is the set-level form: it never
+writes to its inputs and returns a new set over views of its own copy.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import UnknownStrategyName
-from .params import ParameterSet
+from .errors import ShapeMismatch, UnknownStrategyName
+from .params import FlatBuffers, ParameterSet
+
+
+def _step(opt, params: ParameterSet, grads: ParameterSet) -> ParameterSet:
+    """``opt.update`` on flat copies of ``params`` and ``grads``, as a new set."""
+    params.check_structure(grads)
+    w = FlatBuffers(params)
+    opt.update(w.bufs, FlatBuffers(grads).bufs)
+    return ParameterSet._adopt_views(w.views)
 
 
 class SGD:
     def __init__(self, lr: float):
         self.lr = float(lr)
 
+    def update(self, ws, gs) -> None:
+        """``w = w - lr*g`` in place; ``g`` is left holding ``lr*g``."""
+        for w, g in zip(ws, gs):
+            g *= w.dtype.type(self.lr)
+            w -= g
+
     def step(self, params: ParameterSet, grads: ParameterSet) -> ParameterSet:
-        params.check_structure(grads)
-        lr = self.lr
-        out = []
-        for (n, p), (_, g) in zip(params.items(), grads.items()):
-            # p - lr*g with one allocation: the product's buffer takes the difference
-            new = np.multiply(g, p.dtype.type(lr), out=np.empty_like(g))
-            out.append((n, np.subtract(p, new, out=new)))
-        return ParameterSet._adopt(out)
+        return _step(self, params, grads)
 
 
 class Adam:
@@ -35,41 +48,44 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        # one flat first and second moment per dtype of the model
+        self._m: dict[np.dtype, np.ndarray] = {}
+        self._v: dict[np.dtype, np.ndarray] = {}
 
-    def step(self, params: ParameterSet, grads: ParameterSet) -> ParameterSet:
-        params.check_structure(grads)
+    def update(self, ws, gs) -> None:
+        """One Adam step in place on every ``w``; ``g`` is used as scratch."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        out = []
-        for (name, p), (_, g) in zip(params.items(), grads.items()):
-            m = self._m.get(name)
-            v = self._v.get(name)
+        for w, g in zip(ws, gs):
+            m = self._m.get(w.dtype)
             if m is None:
-                m = self._m[name] = np.zeros_like(g)
-                v = self._v[name] = np.zeros_like(g)
-            # the moments are private, so they update in place; every product
-            # and sum keeps the operand order of the textbook expressions
-            # m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*(g*g)
-            tmp = np.multiply(g, 1.0 - b1, out=np.empty_like(g))
+                m = self._m[w.dtype] = np.zeros_like(w)
+                self._v[w.dtype] = np.zeros_like(w)
+            elif m.shape != w.shape:
+                raise ShapeMismatch(f"Adam moments hold {m.size} {w.dtype.name} values, not {w.size}")
+            v = self._v[w.dtype]
+            # every product and sum keeps the operand order of the textbook
+            # expressions  m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*(g*g)
+            tmp = np.multiply(g, 1.0 - b1)
             m *= b1
             m += tmp
-            np.multiply(g, g, out=tmp)
-            tmp *= 1.0 - b2
+            np.multiply(g, g, out=g)
+            g *= 1.0 - b2
             v *= b2
-            v += tmp
-            # p - lr * (m/bias1) / (sqrt(v/bias2) + eps)
-            new = np.divide(m, bias1, out=np.empty_like(m))
-            new *= self.lr
-            np.divide(v, bias2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.eps
-            new /= tmp
-            out.append((name, np.subtract(p, new, out=new)))
-        return ParameterSet._adopt(out)
+            v += g
+            # w - lr * (m/bias1) / (sqrt(v/bias2) + eps)
+            np.divide(m, bias1, out=tmp)
+            tmp *= self.lr
+            np.divide(v, bias2, out=g)
+            np.sqrt(g, out=g)
+            g += self.eps
+            tmp /= g
+            w -= tmp
+
+    def step(self, params: ParameterSet, grads: ParameterSet) -> ParameterSet:
+        return _step(self, params, grads)
 
 
 OPTIMIZERS = {"sgd": SGD, "adam": Adam}

@@ -23,7 +23,10 @@ returned.  The public constructor and :meth:`ParameterSet.map` copy their
 inputs, because those arrays belong to the caller.  Results that fedkit
 computes itself (gradients, optimizer steps, deltas, aggregates, decoded
 payloads) are fresh arrays that nothing else references; they are adopted
-and frozen in place rather than copied again.
+and frozen in place rather than copied again.  A set's tensors may also be
+views of one private flat buffer per dtype (see :class:`FlatBuffers`), which
+nothing but those views references: training works on such buffers and the
+trained set adopts their views.
 """
 from __future__ import annotations
 
@@ -92,6 +95,22 @@ class ParameterSet:
         p._fill(entries, adopt=True)
         return p
 
+    @classmethod
+    def _adopt_views(cls, views: Mapping[str, np.ndarray]) -> "ParameterSet":
+        """Build a set over views of private flat buffers, without copying.
+
+        Only the views are frozen, not the buffers behind them, so the
+        builder of the set may still turn a view writeable to finish it in
+        place before handing the set out (see ``client._transmitted``).
+        """
+        p = cls.__new__(cls)
+        for v in views.values():
+            v.flags.writeable = False
+        p._names = tuple(views)
+        p._arrays = tuple(views.values())
+        p._index = {name: i for i, name in enumerate(p._names)}
+        return p
+
     def _fill(self, entries, adopt: bool) -> None:
         names: list[str] = []
         arrays: list[np.ndarray] = []
@@ -127,6 +146,9 @@ class ParameterSet:
 
     def __contains__(self, name: str) -> bool:
         return name in self._index
+
+    def keys(self) -> tuple[str, ...]:
+        return self._names
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
         return iter(self)
@@ -186,6 +208,38 @@ class ParameterSet:
         if not self._arrays:
             return np.zeros(0, dtype=np.float64)
         return np.concatenate([a.ravel() for a in self._arrays])
+
+
+class FlatBuffers:
+    """One private flat buffer per dtype, with a named view per tensor.
+
+    The views follow the entry order, shapes and dtypes of ``like`` (any
+    name-to-array mapping); views of one dtype tile that dtype's buffer in
+    entry order.  ``bufs`` holds the buffers in order of first appearance,
+    so a whole-model elementwise operation is one vector operation per dtype,
+    and in practice one.  With ``copy`` the buffers start as a copy of
+    ``like``; otherwise they are uninitialised.  A set takes the buffers over
+    through ``ParameterSet._adopt_views(views)``.
+    """
+
+    __slots__ = ("bufs", "views")
+
+    def __init__(self, like, copy: bool = True):
+        sizes: dict[np.dtype, int] = {}
+        for _, a in like.items():
+            sizes[a.dtype] = sizes.get(a.dtype, 0) + a.size
+        bufs = {dt: np.empty(n, dtype=dt) for dt, n in sizes.items()}
+        offsets = dict.fromkeys(bufs, 0)
+        views: dict[str, np.ndarray] = {}
+        for name, a in like.items():
+            lo = offsets[a.dtype]
+            offsets[a.dtype] = hi = lo + a.size
+            view = bufs[a.dtype][lo:hi].reshape(a.shape)
+            if copy:
+                view[...] = a
+            views[name] = view
+        self.bufs = tuple(bufs.values())
+        self.views = views
 
 
 def zeros_like(p: ParameterSet) -> ParameterSet:

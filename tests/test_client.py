@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from fedkit.client import ClientState, TrainConfig, evaluate, local_train, save_checkpoint
-from fedkit.errors import ConfigError, UnknownStrategyName
-from fedkit.models import ModelSpec, init_params, make_blobs
-from fedkit.params import norms
+from fedkit.errors import ConfigError, ShapeMismatch, UnknownStrategyName
+from fedkit.models import ModelSpec, backward, init_params, make_blobs
+from fedkit.optim import Adam
+from fedkit.params import ParameterSet, norms
 from fedkit.privacy import PrivacyConfig
 
 SPEC = ModelSpec((4, 8, 3), loss="softmax_cross_entropy")
@@ -164,3 +165,180 @@ def test_evaluate_uses_eval_split_when_present():
     base = init_params(SPEC, seed=0)
     m = evaluate(st, base)
     assert set(m) == {"loss", "accuracy"}
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with a per-tensor oracle of backward, the prox term and the
+# optimizers, written the way the tensor-by-tensor code computed them
+
+
+def oracle_backward(spec, params, x, y):
+    """Per-tensor gradients of the mean loss, one fresh array per operation."""
+    n_layers = spec.n_layers
+    pre, post, h = [], [x], x
+    for layer in range(n_layers):
+        z = h @ params[f"W{layer}"] + params[f"b{layer}"]
+        pre.append(z)
+        h = np.maximum(z, 0.0) if layer < n_layers - 1 and spec.activation == "relu" else z
+        post.append(h)
+    n = h.shape[0]
+    if spec.loss == "mse":
+        diff = h - np.asarray(y, dtype=h.dtype).reshape(h.shape)
+        loss = float(np.mean(diff * diff))
+        delta = (2.0 / diff.size) * diff
+    else:
+        labels = np.asarray(y).astype(np.int64)
+        shifted = h - h.max(axis=1, keepdims=True)
+        loss = float(np.mean(np.log(np.sum(np.exp(shifted), axis=1)) - shifted[np.arange(n), labels]))
+        probs = np.exp(shifted)
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[np.arange(n), labels] -= 1.0
+        delta = probs / n
+    grads = {}
+    for layer in range(n_layers - 1, -1, -1):
+        if layer < n_layers - 1:
+            mask = (pre[layer] > 0.0) if spec.activation == "relu" else np.ones(pre[layer].shape, bool)
+            delta = delta * mask.astype(pre[layer].dtype)
+        grads[f"W{layer}"] = post[layer].T @ delta
+        grads[f"b{layer}"] = delta.sum(axis=0)
+        delta = delta @ params[f"W{layer}"].T
+    return loss, {name: grads[name] for name in params.keys()}
+
+
+class OracleAdam:
+    def __init__(self, lr, b1=0.9, b2=0.999, eps=1e-8):
+        self.lr, self.b1, self.b2, self.eps, self.t = lr, b1, b2, eps, 0
+        self.m, self.v = {}, {}
+
+    def step(self, p, g):
+        self.t += 1
+        bias1, bias2 = 1.0 - self.b1**self.t, 1.0 - self.b2**self.t
+        out = {}
+        for name in p:
+            m = self.m.get(name, np.zeros_like(g[name]))
+            v = self.v.get(name, np.zeros_like(g[name]))
+            self.m[name] = m = self.b1 * m + (1.0 - self.b1) * g[name]
+            self.v[name] = v = self.b2 * v + (1.0 - self.b2) * (g[name] * g[name])
+            out[name] = p[name] - self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        return out
+
+
+class OracleSGD:
+    def __init__(self, lr):
+        self.lr = lr
+
+    def step(self, p, g):
+        return {name: p[name] - p[name].dtype.type(self.lr) * g[name] for name in p}
+
+
+def oracle_round(state, opt, base, steps, mu):
+    """The full weights after ``steps`` steps, batches drawn from ``state``."""
+    b = {name: a for name, a in base.items()}
+    p = b
+    for _ in range(steps):
+        x, y = state.next_batch()
+        _, g = oracle_backward(state.model_spec, p, x, y)
+        if mu > 0.0:
+            g = {n: g[n] + g[n].dtype.type(mu) * (p[n] - b[n]) for n in g}
+        p = opt.step(p, g)
+    return p
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+@pytest.mark.parametrize("send_delta", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("steps", [0, 1, 7])
+def test_local_train_equals_per_tensor_oracle(optimizer, mu, send_delta, dtype, steps):
+    # 60 rows in batches of 16: seven steps include the partial 12-row batch
+    ds = make_blobs(classes=3, dim=4, per_class=20, seed=1, dtype=dtype)
+    cfg = TrainConfig(optimizer=optimizer, lr=0.05, batch_size=16, prox_mu=mu,
+                      send_delta=send_delta, seed=3)
+    state = ClientState("c0", ds, SPEC, cfg)
+    shadow = ClientState("c0", ds, SPEC, cfg)  # same batches for the oracle
+    opt = OracleSGD(cfg.lr) if optimizer == "sgd" else OracleAdam(cfg.lr)
+    base = init_params(SPEC, seed=7, dtype=dtype)
+    for _ in range(2):  # the second round runs on the moments of the first
+        update = local_train(state, base, steps=steps)
+        trained = oracle_round(shadow, opt, base, steps, mu)
+        want = {n: trained[n] - base[n] for n in trained} if send_delta else trained
+        assert update.params == ParameterSet(want.items())
+        base = ParameterSet(trained.items())
+    assert state.steps_taken == 2 * steps
+
+
+@pytest.mark.parametrize("activation,loss,dims", [
+    ("relu", "softmax_cross_entropy", (5, 8, 4)),
+    ("relu", "mse", (4, 6, 6, 2)),
+    ("identity", "softmax_cross_entropy", (3, 3)),
+])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_into_out_equals_fresh_and_oracle(activation, loss, dims, dtype):
+    spec = ModelSpec(dims, activation=activation, loss=loss)
+    rng = np.random.default_rng(11)
+    params = init_params(spec, seed=2, dtype=dtype)
+    x = rng.normal(size=(9, dims[0])).astype(dtype)
+    y = rng.normal(size=(9, dims[-1])) if loss == "mse" else rng.integers(0, dims[-1], 9)
+    loss_fresh, fresh = backward(spec, params, x, y)
+    out = {n: np.full_like(a, np.nan) for n, a in params.items()}
+    loss_out, got = backward(spec, params, x, y, out=out)
+    assert got is out and loss_out == loss_fresh
+    assert ParameterSet(out.items()) == fresh
+    loss_oracle, want = oracle_backward(spec, params, x, y)
+    assert loss_fresh == loss_oracle
+    assert fresh == ParameterSet(want.items())
+
+
+def test_public_adam_steps_equal_oracle():
+    rng = np.random.default_rng(5)
+    p = ParameterSet([("W", rng.normal(size=(3, 4))), ("b", rng.normal(size=4).astype(np.float32))])
+    adam, oracle = Adam(0.01), OracleAdam(0.01)
+    want = dict(p.items())
+    for _ in range(2):
+        g = ParameterSet([("W", rng.normal(size=(3, 4))), ("b", rng.normal(size=4).astype(np.float32))])
+        p = adam.step(p, g)
+        want = oracle.step(want, dict(g.items()))
+        assert p == ParameterSet(want.items())
+
+
+# ---------------------------------------------------------------------------
+# ownership and errors of the flat training buffers
+
+
+def test_trained_set_is_views_of_one_private_buffer(check_owned):
+    base = init_params(SPEC, seed=7)
+    trained = check_owned(lambda: local_train(make_state(prox_mu=0.5), base, steps=3).params, base)
+    owners = [a.base for _, a in trained.items()]
+    assert owners[0] is not None and all(o is owners[0] for o in owners)
+
+
+def test_float32_model_on_float64_features_raises_shape_mismatch():
+    st = make_state()  # make_blobs features are float64
+    base = init_params(SPEC, seed=0, dtype=np.float32)
+    with pytest.raises(ShapeMismatch):
+        local_train(st, base, steps=1)
+
+
+def _out_like(params):
+    return {n: np.zeros_like(a) for n, a in params.items()}
+
+
+@pytest.mark.parametrize("breakage", ["missing", "renamed", "extra", "shape", "dtype", "broadcast"])
+def test_mismatched_out_raises_shape_mismatch(breakage):
+    params = init_params(SPEC, seed=0)
+    x, y = make_blobs(classes=3, dim=4, per_class=2, seed=1).features, np.array([0, 1, 2, 0, 1, 2])
+    out = _out_like(params)
+    if breakage == "missing":
+        del out["b1"]
+    elif breakage == "renamed":
+        out["B1"] = out.pop("b1")
+    elif breakage == "extra":
+        out["W9"] = np.zeros(3)
+    elif breakage == "shape":
+        out["W0"] = np.zeros((4, 9))
+    elif breakage == "dtype":
+        out["W1"] = out["W1"].astype(np.float32)
+    else:  # numpy would broadcast a (1, k) sum into a (2, k) array
+        out["b0"] = np.zeros((2, 8))
+    with pytest.raises(ShapeMismatch):
+        backward(SPEC, params, x, y, out=out)

@@ -7,6 +7,7 @@ import yaml
 
 from fedkit.config import build_scenario, client_dataset, dump_resolved, load_config
 from fedkit.errors import (
+    ConfigError,
     MissingRequired,
     ParseError,
     UnknownKey,
@@ -271,6 +272,24 @@ class TestScenario:
         times = sorted(c.mean_batch_time for c in scen.clients)
         assert times[0] == pytest.approx(0.5)
         assert times[-1] == pytest.approx(2.0)
+
+    def test_mixed_client_codecs_rejected_for_simulation(self, tmp_path):
+        doc = yaml.safe_load(yaml.safe_dump(SERVER_DOC))
+        doc["clients"][1]["comm_configs"] = {
+            "compressor_configs": {"enable_compression": True, "lossy_compressor": "qz"}
+        }
+        cfg = load_config(write_server(tmp_path, doc))
+        assert cfg.clients[0].codec is None and cfg.clients[1].codec is not None
+        with pytest.raises(ConfigError, match="'alpha' and 'beta'"):
+            build_scenario(cfg)
+
+    def test_shared_client_codec_reaches_the_scenario(self, tmp_path):
+        doc = yaml.safe_load(yaml.safe_dump(SERVER_DOC))
+        doc["client_configs"]["comm_configs"] = {
+            "compressor_configs": {"enable_compression": True, "lossy_compressor": "qz"}
+        }
+        cfg = load_config(write_server(tmp_path, doc))
+        assert build_scenario(cfg).codec == cfg.clients[0].codec is not None
 
     def test_model_configs_required_for_simulation(self, tmp_path):
         path = write_server(tmp_path, SERVER_DOC, **{"server_configs.model_configs": ...})

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedkit import models as M
-from fedkit.errors import DimMismatch, EmptyDataset, InfeasiblePartition, ParseError
+from fedkit.errors import DimMismatch, EmptyDataset, InfeasiblePartition, ParseError, ShapeMismatch
 from fedkit.optim import Adam, SGD, make_optimizer
 from fedkit.params import ParameterSet
 
@@ -318,3 +318,10 @@ def test_make_optimizer_registry():
 
     with pytest.raises(UnknownStrategyName):
         make_optimizer("lbfgs", 0.1)
+
+
+def test_adam_rejects_a_model_of_another_size():
+    adam = Adam(lr=0.01)
+    adam.step(ParameterSet([("w", np.zeros(3))]), ParameterSet([("w", np.ones(3))]))
+    with pytest.raises(ShapeMismatch):
+        adam.step(ParameterSet([("w", np.zeros(4))]), ParameterSet([("w", np.ones(4))]))

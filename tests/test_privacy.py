@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedkit.errors import ConfigError, NotClipped
 from fedkit.params import ParameterSet, norms
-from fedkit.privacy import PrivacyConfig, apply_privacy, clip, perturb
+from fedkit.privacy import CLIP_SLACK, PrivacyConfig, apply_privacy, clip, perturb
 
 
 def pset(vals):
@@ -100,3 +101,29 @@ def test_config_validation():
         PrivacyConfig(enabled=True, epsilon=1.0, clip_norm=math.inf)
     # infinite epsilon with infinite clip is allowed (fully disabled mechanism)
     PrivacyConfig(enabled=True, epsilon=math.inf, clip_norm=math.inf)
+
+
+# ---------------------------------------------------------------------------
+# the documented guarantee: any two clipped updates are neighbours, their l1
+# distance (the sensitivity) is at most 2 * clip_norm, and the noise scale is
+# clip_norm / epsilon, which together give 2 * epsilon per round
+
+_coords = st.lists(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=12
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coords, _coords, st.floats(1e-3, 1e3))
+def test_clipped_updates_differ_by_at_most_twice_the_clip_norm(a, b, clip_norm):
+    n = min(len(a), len(b))
+    ca = clip(pset(a[:n]), clip_norm, "l1")
+    cb = clip(pset(b[:n]), clip_norm, "l1")
+    distance = float(np.sum(np.abs(ca["w"] - cb["w"])))
+    assert distance <= 2.0 * clip_norm * (1.0 + CLIP_SLACK)
+
+
+@given(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6))
+def test_noise_scale_is_clip_norm_over_epsilon(clip_norm, epsilon):
+    cfg = PrivacyConfig(enabled=True, epsilon=epsilon, clip_norm=clip_norm)
+    assert cfg.noise_scale == clip_norm / epsilon
