@@ -6,7 +6,10 @@ bound ``eb_rel`` and value range ``r = max - min``, bin width is
 indices are bit-packed at ``ceil(log2(max_index + 1))`` bits before a
 lossless second stage.  Reconstruction is ``min + k * w`` clamped to
 ``[min, max]``, so every element lands within ``eb_rel * r`` of its
-original.  The handful of elements a dtype rounding step would push past
+original.  The index stream is value-major and MSB-first: index ``i``
+occupies bits ``i*bits`` to ``(i+1)*bits - 1`` of the stream, most
+significant bit first, and the stream is ``ceil(count * bits / 8)`` bytes,
+zero-padded in its last byte.  The handful of elements a dtype rounding step would push past
 that bound are stored verbatim in an exception list, which makes the bound
 unconditional and re-encoding a fixed point (compressing a decompressed
 set reproduces the blob byte for byte).
@@ -115,27 +118,28 @@ class CodecConfig:
 # lossless codecs
 
 
-def _rle_encode(data: bytes) -> bytes:
-    out = bytearray()
-    i, n = 0, len(data)
-    while i < n:
-        byte = data[i]
-        run = 1
-        while run < 255 and i + run < n and data[i + run] == byte:
-            run += 1
-        out.append(run)
-        out.append(byte)
-        i += run
-    return bytes(out)
+def _rle_encode(data) -> bytes:
+    """(count, byte) pairs, one per run of equal bytes; runs split at 255."""
+    a = np.frombuffer(data, dtype=np.uint8)
+    if a.size == 0:
+        return b""
+    starts = np.flatnonzero(np.diff(a)) + 1
+    lengths = np.diff(starts, prepend=0, append=a.size)
+    pieces = (lengths + 254) // 255
+    counts = np.full(int(pieces.sum()), 255, dtype=np.uint8)
+    counts[np.cumsum(pieces) - 1] = lengths - 255 * (pieces - 1)
+    out = np.empty((counts.size, 2), dtype=np.uint8)
+    out[:, 0] = counts
+    out[:, 1] = np.repeat(a[np.concatenate(([0], starts))], pieces)
+    return out.tobytes()
 
 
-def _rle_decode(data: bytes) -> bytes:
-    if len(data) % 2:
+def _rle_decode(data) -> bytes:
+    pairs = np.frombuffer(data, dtype=np.uint8)
+    if pairs.size % 2:
         raise CorruptBlob("rle payload has odd length")
-    out = bytearray()
-    for i in range(0, len(data), 2):
-        out.extend(bytes((data[i + 1],)) * data[i])
-    return bytes(out)
+    pairs = pairs.reshape(-1, 2)
+    return np.repeat(pairs[:, 1], pairs[:, 0]).tobytes()
 
 
 def _lossless_encode(codec: str, data: bytes) -> bytes:
@@ -164,26 +168,46 @@ def _lossless_decode(codec_id: int, data: bytes) -> bytes:
 # qz quantizer
 
 
+def _index_dtype(bits: int) -> np.dtype:
+    """Narrowest unsigned integer type holding ``bits``-bit indices."""
+    return np.min_scalar_type((1 << bits) - 1)
+
+
 def _pack_indices(k: np.ndarray, bits: int) -> bytes:
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint64)
-    bitmat = ((k[:, None].astype(np.uint64) >> shifts) & 1).astype(np.uint8)
-    return np.packbits(bitmat.ravel()).tobytes()
+    # bit j of row i is bit (bits-1-j) of k[i]: value-major, MSB first
+    kk = k.astype(_index_dtype(bits), copy=False)
+    m = np.empty((kk.size, bits), dtype=np.uint8)
+    for j in range(bits):
+        plane = m[:, j]
+        np.right_shift(kk, bits - 1 - j, out=plane, casting="unsafe")
+        np.bitwise_and(plane, 1, out=plane)
+    # drop each buffer once read, so the peak stays near count*(bits+1) bytes
+    del kk
+    packed = np.packbits(m)
+    del m
+    return packed.tobytes()
 
 
-def _unpack_indices(buf: bytes, count: int, bits: int) -> np.ndarray:
+def _unpack_indices(buf, count: int, bits: int) -> np.ndarray:
     need = count * bits
     raw = np.frombuffer(buf, dtype=np.uint8)
     if raw.size * 8 < need:
         raise CorruptBlob("packed index stream shorter than declared element count")
-    bitmat = np.unpackbits(raw, count=need).reshape(count, bits).astype(np.int64)
-    weights = (np.int64(1) << np.arange(bits - 1, -1, -1, dtype=np.int64))
-    return bitmat @ weights
+    m = np.unpackbits(raw, count=need).reshape(count, bits)
+    k = np.zeros(count, dtype=_index_dtype(bits))
+    for j in range(bits):
+        k <<= 1
+        k |= m[:, j]
+    return k
 
 
 def _reconstruct(k: np.ndarray, vmin: float, vmax: float, w: float, dtype) -> np.ndarray:
-    recon = vmin + k.astype(np.float64) * w
+    # min + k*w in float64, clamped: addition commutes in IEEE arithmetic,
+    # so adding min in place gives the same bits
+    recon = np.multiply(k, w, dtype=np.float64)
+    recon += vmin
     np.clip(recon, vmin, vmax, out=recon)
-    return recon.astype(dtype)
+    return recon.astype(dtype, copy=False)
 
 
 _QZ_CONSTANT = 1
@@ -197,7 +221,7 @@ def _qz_encode(arr: np.ndarray, eb_rel: float):
     """Quantize one tensor; returns the qz block, or None when the dtype grid
     is too coarse for the requested bound and the tensor must stay lossless."""
     x = arr.ravel()
-    x64 = x.astype(np.float64)
+    x64 = x.astype(np.float64, copy=False)
     vmin = float(x64.min())
     vmax = float(x64.max())
     if vmin == vmax:
@@ -213,15 +237,21 @@ def _qz_encode(arr: np.ndarray, eb_rel: float):
     if float(np.spacing(np.dtype(arr.dtype).type(max(abs(vmin), abs(vmax))))) > w / 4.0:
         return None
     k_top = int(np.ceil(r / w)) + 2
-    k = np.rint((x64 - vmin) / w).astype(np.int64)
+    # indices live in one float64 vector: its values are whole numbers
+    # in [0, k_top], which every later step reads exactly
+    k = np.subtract(x64, vmin)
+    k /= w
+    np.rint(k, out=k)
     np.clip(k, 0, k_top, out=k)
     k[x64 == vmax] = k_top
     k[x64 == vmin] = 0
     xhat = _reconstruct(k, vmin, vmax, w, arr.dtype)
     # canonical index for anything that lands on an endpoint after rounding
-    k = np.where(xhat == x.dtype.type(vmax), k_top, k)
-    k = np.where(xhat == x.dtype.type(vmin), 0, k)
-    err = np.abs(xhat.astype(np.float64) - x64)
+    k[xhat == x.dtype.type(vmax)] = k_top
+    k[xhat == x.dtype.type(vmin)] = 0
+    err = xhat.astype(np.float64, copy=False)
+    err -= x64
+    np.abs(err, out=err)
     exc_idx = np.flatnonzero(err > eb_rel * r)
     bits = max(1, int(k.max()).bit_length())
     le = _TAG_TO_DTYPE[_DTYPE_TO_TAG[arr.dtype]]  # little-endian twin of arr.dtype
@@ -249,7 +279,7 @@ def _qz_decode(block: bytes, shape: tuple, tag: int) -> np.ndarray:
     if len(block) < _QZ_HEADER_SIZE:
         raise CorruptBlob("qz block shorter than its header")
     _, vmin, vmax, w, bits, n_exc = struct.unpack(_QZ_HEADER, block[:_QZ_HEADER_SIZE])
-    if bits == 0 or not np.isfinite(w) or w <= 0 or not vmin < vmax:
+    if not 0 < bits <= 64 or not np.isfinite(w) or w <= 0 or not vmin < vmax:
         raise CorruptBlob("qz block has inconsistent bins")
     pos = _QZ_HEADER_SIZE
     exc_bytes = n_exc * (4 + le.itemsize)

@@ -58,6 +58,11 @@ def clip(p: ParameterSet, clip_norm: float, kind: str = "l1") -> ParameterSet:
     """Scale ``p`` onto the norm ball of radius ``clip_norm`` if it lies outside.
 
     Inside the ball the input is returned unchanged (same object, bit-exact).
+    float64 tensors are multiplied by ``clip_norm / norm``.  float32 tensors
+    are multiplied by that scale rounded to float32, and rounding can leave
+    the result up to ~6e-8 (relative) outside the ball; the float32 scale is
+    then stepped down, one float32 ulp first and doubling the step each time,
+    until the norm, as :func:`norms` computes it, fits.
     """
     if clip_norm <= 0:
         raise ConfigError(f"clip_norm must be positive, got {clip_norm}")
@@ -65,7 +70,15 @@ def clip(p: ParameterSet, clip_norm: float, kind: str = "l1") -> ParameterSet:
     if n <= clip_norm:
         return p
     scale = clip_norm / n
-    return p.map(lambda name, a: a * a.dtype.type(scale))
+    s32 = np.float32(scale)
+    has_f32 = any(a.dtype == np.float32 for _, a in p)
+    ulps = 1
+    while True:
+        out = p.map(lambda name, a: a * (s32 if a.dtype == np.float32 else a.dtype.type(scale)))
+        if not has_f32 or s32 == 0 or _norm(out, kind) <= clip_norm:
+            return out
+        s32 = max(s32 - np.float32(ulps) * np.spacing(s32), np.float32(0))
+        ulps *= 2
 
 
 def perturb(p: ParameterSet, cfg: PrivacyConfig, rng: np.random.Generator) -> ParameterSet:

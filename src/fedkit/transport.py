@@ -13,7 +13,6 @@ connection is served by its own thread parked on a condition variable.
 from __future__ import annotations
 
 import json
-import os
 import socket
 import threading
 import time
@@ -45,10 +44,6 @@ from .wire import (
 
 TOKEN_ENV_VAR = "FEDKIT_AUTH_TOKEN"
 _POLL_INTERVAL = 0.02
-
-
-def auth_token_from_env() -> bytes:
-    return os.environ.get(TOKEN_ENV_VAR, "").encode("utf-8")
 
 
 # -- payload codecs ------------------------------------------------------------

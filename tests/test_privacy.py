@@ -127,3 +127,45 @@ def test_clipped_updates_differ_by_at_most_twice_the_clip_norm(a, b, clip_norm):
 def test_noise_scale_is_clip_norm_over_epsilon(clip_norm, epsilon):
     cfg = PrivacyConfig(enabled=True, epsilon=epsilon, clip_norm=clip_norm)
     assert cfg.noise_scale == clip_norm / epsilon
+
+
+# ---------------------------------------------------------------------------
+# float32 updates: rounding of the rescaled tensor must not leave the ball
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 80),
+    st.floats(1e-3, 1e3),
+    st.sampled_from(["l1", "l2"]),
+)
+def test_float32_clip_lands_inside_the_ball(seed, size, clip_norm, kind):
+    rng = np.random.default_rng(seed)
+    p = ParameterSet([("w", rng.normal(0.0, 3.0, size).astype(np.float32))])
+    out = clip(p, clip_norm, kind)
+    l1, l2, _ = norms(out)
+    assert (l1 if kind == "l1" else l2) <= clip_norm
+    assert out["w"].dtype == np.float32
+    cfg = PrivacyConfig(enabled=True, epsilon=1.0, clip_norm=clip_norm, clip_kind=kind)
+    apply_privacy(p, cfg, np.random.default_rng(0))  # no NotClipped
+
+
+def test_float32_clip_in_a_mixed_set_keeps_float64_scale():
+    rng = np.random.default_rng(3)
+    a64 = rng.normal(size=40)
+    a32 = rng.normal(size=50).astype(np.float32)
+    p = ParameterSet([("a", a64), ("b", a32)])
+    out = clip(p, 0.37, "l1")
+    assert norms(out)[0] <= 0.37
+    # float64 tensors are scaled exactly as before
+    scale = 0.37 / norms(p)[0]
+    assert np.array_equal(out["a"], a64 * scale)
+
+
+def test_float64_clip_is_the_plain_rescale():
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        v = rng.normal(size=30)
+        out = clip(pset(v), 0.37, "l1")
+        assert np.array_equal(out["w"], v * (0.37 / float(np.sum(np.abs(v)))))
