@@ -331,15 +331,6 @@ class FedCompassAggregator(_Strategy):
         return True
 
 
-def _placeholder(name: str, note: str):
-    class _Placeholder(_Strategy):
-        def __init__(self, *a, **kw):
-            raise NotImplementedError(f"{name} is a registry slot only: {note}")
-
-    _Placeholder.__name__ = name
-    return _Placeholder
-
-
 AGGREGATORS = {
     "FedAvgAggregator": FedAvgAggregator,
     "FedAvgMAggregator": FedAvgMAggregator,
@@ -349,11 +340,6 @@ AGGREGATORS = {
     "FedAsyncAggregator": FedAsyncAggregator,
     "FedBuffAggregator": FedBuffAggregator,
     "FedCompassAggregator": FedCompassAggregator,
-    # recognized names without an implementation in this package
-    "ICEADMMAggregator": _placeholder("ICEADMMAggregator", "consensus ADMM is out of scope"),
-    "IIADMMAggregator": _placeholder("IIADMMAggregator", "inexact ADMM is out of scope"),
-    "PLFLAggregator": _placeholder("PLFLAggregator", "personalized FL is out of scope"),
-    "AREAAggregator": _placeholder("AREAAggregator", "memory-corrected async is out of scope"),
 }
 
 

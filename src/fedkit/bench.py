@@ -6,7 +6,6 @@ meant for plotting elsewhere.
 """
 from __future__ import annotations
 
-import csv
 import statistics
 import tempfile
 import time
@@ -19,6 +18,7 @@ from .aggregators import make_aggregator
 from .compression import CodecConfig, compress_params, decompress_params
 from .config import build_scenario, load_config
 from .errors import InvalidBounds, ParseError
+from .metrics import write_table
 from .params import ModelUpdate, ParameterSet, serialized_size
 from .schedulers import make_scheduler
 from .server import ServerAgent
@@ -55,19 +55,6 @@ def synthetic_params(n_params: int, dtype=np.float32, seed: int = 0, chunk: int 
         remaining -= n
         i += 1
     return ParameterSet(arrays)
-
-
-def _write_csv(path, columns, rows) -> Optional[Path]:
-    if path is None:
-        return None
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return path
 
 
 COMM_COLUMNS = ("payload_bytes", "transport", "trials", "mean_seconds", "std_seconds")
@@ -141,7 +128,7 @@ def bench_comm(
                         "std_seconds": statistics.pstdev(samples) if len(samples) > 1 else 0.0,
                     }
                 )
-    _write_csv(out_path, COMM_COLUMNS, [[r[c] for c in COMM_COLUMNS] for r in rows])
+    write_table(out_path, COMM_COLUMNS, [[r[c] for c in COMM_COLUMNS] for r in rows])
     return rows
 
 
@@ -186,12 +173,8 @@ def bench_compress(
                     "decompress_seconds": t2 - t1,
                 }
             )
-    _write_csv(out_path, COMPRESS_COLUMNS, [[r[c] for c in COMPRESS_COLUMNS] for r in rows])
+    write_table(out_path, COMPRESS_COLUMNS, [[r[c] for c in COMPRESS_COLUMNS] for r in rows])
     return rows
-
-
-UTILIZATION_COLUMNS = ("client_id", "compute_seconds", "total_seconds", "utilization")
-GANTT_COLUMNS = ("client_id", "start", "end", "kind")
 
 
 def report_utilization(source, out_dir=None) -> UtilizationReport:
@@ -208,18 +191,5 @@ def report_utilization(source, out_dir=None) -> UtilizationReport:
     report = result.utilization
     if out_dir is None:
         out_dir = source if source.is_dir() else source.parent
-    out_dir = Path(out_dir)
-    _write_csv(
-        out_dir / "utilization.csv",
-        UTILIZATION_COLUMNS,
-        [
-            [cid, u.compute_seconds, u.total_seconds, u.utilization]
-            for cid, u in sorted(report.per_client.items())
-        ],
-    )
-    _write_csv(
-        out_dir / "gantt.csv",
-        GANTT_COLUMNS,
-        [[g.client_id, g.start, g.end, g.kind] for g in report.gantt],
-    )
+    report.write_tables(out_dir)
     return report

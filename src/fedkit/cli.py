@@ -7,13 +7,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import bench
-from .config import build_scenario, dump_resolved, load_config
+from .config import build_scenario, load_config
 from .errors import ConfigError, FedkitError
-from .metrics import export_metrics
-from .runner import run_client, run_local, run_server
+from .runner import run_client, run_local, run_server, write_run_dir
 from .sim import run_simulation
 from .transport import TOKEN_ENV_VAR
 
@@ -91,6 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config, args.client_config)
+    if args.role == "client":
+        if not args.client_id:
+            print("--client-id is required with --role client", file=sys.stderr)
+            return 2
+        rounds = run_client(cfg, args.client_id, host=args.host, port=args.port)
+        print(f"client {args.client_id} finished after {rounds} rounds")
+        return 0
     if args.role == "server":
         out = run_server(
             cfg,
@@ -99,23 +104,13 @@ def _cmd_run(args) -> int:
             timeout=args.timeout,
             metrics_format=args.metrics_format,
         )
-        print(f"run complete: epoch={out.epoch} updates={out.updates_processed}")
-        if out.run_dir:
-            print(f"outputs in {out.run_dir}")
-        return 0
-    if args.role == "client":
-        if not args.client_id:
-            print("--client-id is required with --role client", file=sys.stderr)
-            return 2
-        rounds = run_client(cfg, args.client_id, host=args.host, port=args.port)
-        print(f"client {args.client_id} finished after {rounds} rounds")
-        return 0
-    out = run_local(
-        cfg,
-        run_dir=args.run_dir,
-        timeout=args.timeout if args.timeout is not None else 300.0,
-        metrics_format=args.metrics_format,
-    )
+    else:
+        out = run_local(
+            cfg,
+            run_dir=args.run_dir,
+            timeout=args.timeout if args.timeout is not None else 300.0,
+            metrics_format=args.metrics_format,
+        )
     print(f"run complete: epoch={out.epoch} updates={out.updates_processed}")
     if out.run_dir:
         print(f"outputs in {out.run_dir}")
@@ -137,24 +132,10 @@ def _cmd_simulate(args) -> int:
     for m in tail:
         print(f"  final {m.kind}={m.value:.4f}")
     if args.run_dir:
-        run_dir = Path(args.run_dir)
-        run_dir.mkdir(parents=True, exist_ok=True)
-        dump_resolved(cfg, run_dir / "config.yaml")
-        suffix = "jsonl" if args.metrics_format == "jsonl" else "csv"
-        export_metrics(result.metrics, args.metrics_format, run_dir / f"metrics.{suffix}")
-        bench._write_csv(
-            run_dir / "utilization.csv",
-            bench.UTILIZATION_COLUMNS,
-            [
-                [cid, u.compute_seconds, u.total_seconds, u.utilization]
-                for cid, u in sorted(report.per_client.items())
-            ],
+        run_dir = write_run_dir(
+            args.run_dir, cfg, result.metrics, result.final_params, args.metrics_format
         )
-        bench._write_csv(
-            run_dir / "gantt.csv",
-            bench.GANTT_COLUMNS,
-            [[g.client_id, g.start, g.end, g.kind] for g in report.gantt],
-        )
+        report.write_tables(run_dir)
         print(f"outputs in {run_dir}")
     return 0
 

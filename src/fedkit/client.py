@@ -42,8 +42,6 @@ class TrainConfig:
     prox_mu: float = 0.0  # > 0 adds the proximal pull toward the round's base model
     send_delta: bool = False
     seed: int = 0
-    device: str = "cpu"  # accepted for config compatibility; informational only
-    logging_dir: Optional[str] = None
     checkpoint_dir: Optional[str] = None
 
     def __post_init__(self):

@@ -42,8 +42,6 @@ _TRAIN_KEYS = {
     "prox_mu": float,
     "send_delta": bool,
     "seed": int,
-    "device": str,
-    "logging_dir": str,
     "checkpoint_dir": str,
 }
 _PRIVACY_KEYS = {"enabled": bool, "epsilon": float, "clip_norm": float, "clip_kind": str}
@@ -96,9 +94,7 @@ _TOP_KEYS = {
     "client_configs": dict,
     "clients": list,
     "sim": dict,
-    "topology": dict,
 }
-_TOPOLOGY_KEYS = {"kind": str, "tree": dict, "adjacency": list, "feature_split": list}
 
 
 def _check_keys(section: dict, allowed: dict, path: str) -> None:
@@ -176,7 +172,6 @@ class ExperimentConfig:
     comm: CommSettings
     clients: list = field(default_factory=list)
     sim: dict = field(default_factory=dict)
-    topology: Optional[dict] = None
     resolved: dict = field(default_factory=dict)
 
 
@@ -356,9 +351,6 @@ def load_config(server_path, client_paths=()) -> ExperimentConfig:
 
     sim = doc.get("sim") or {}
     _check_keys(sim, _SIM_KEYS, "sim")
-    topology = doc.get("topology")
-    if topology is not None:
-        _check_keys(topology, _TOPOLOGY_KEYS, "topology")
 
     resolved = copy.deepcopy(doc)
     resolved["clients"] = [e for e, _ in entries]
@@ -374,7 +366,6 @@ def load_config(server_path, client_paths=()) -> ExperimentConfig:
         comm=comm,
         clients=plans,
         sim=copy.deepcopy(sim),
-        topology=copy.deepcopy(topology) if topology else None,
         resolved=resolved,
     )
 

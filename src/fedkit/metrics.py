@@ -1,10 +1,14 @@
-"""Metric record export/import: CSV and JSONL with a stable column order."""
+"""Metric record export/import: CSV and JSONL with a stable column order.
+
+``write_table`` writes the other CSV tables fedkit produces, with floats in
+``repr`` form so they read back exactly.
+"""
 from __future__ import annotations
 
 import csv
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError
 from .params import MetricRecord
@@ -41,6 +45,20 @@ def export_metrics(records: Sequence[MetricRecord], fmt: str, path) -> Path:
                 fh.write("\n")
     else:
         raise ParseError(f"unknown metrics format {fmt!r}; use csv or jsonl")
+    return path
+
+
+def write_table(path, columns, rows) -> Optional[Path]:
+    """Write a CSV table, replacing any file at ``path``; ``None`` writes nothing."""
+    if path is None:
+        return None
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
     return path
 
 

@@ -1,8 +1,8 @@
 """Run a validated config for real: one process per role, TCP in between.
 
-``run_server`` blocks until the configured number of global epochs (or, for
-the asynchronous scheduler, updates) has been reached, then writes the run
-directory: resolved config snapshot, metric log, and the final model.
+``run_server`` blocks until the server agent is done (``make_server_agent``
+decides when), then writes the run directory with ``write_run_dir``:
+resolved config snapshot, metric log, and the final model.
 ``run_client`` is the matching worker loop.  ``run_local`` wires both sides
 up inside a single process, which is handy for demos and for checking that
 a networked run reproduces the simulator's model.
@@ -15,32 +15,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .aggregators import make_aggregator
 from .client import ClientState, local_train
 from .config import ClientPlan, ExperimentConfig, client_dataset, dump_resolved
 from .metrics import export_metrics
-from .models import build_dataset, dataset_metrics, init_params
+from .models import build_dataset, dataset_metrics
 from .params import MetricRecord, ParameterSet, save_params
-from .schedulers import make_scheduler
-from .server import ServerAgent
+from .server import ServerAgent, make_server_agent
 from .transport import Communicator, SocketServer
 from .wire import FilesystemConnector
 
 DEFAULT_METRICS_FORMAT = "csv"
-
-
-def make_server_agent(cfg: ExperimentConfig) -> ServerAgent:
-    """Build the transport-independent server from a validated config."""
-    ids = [p.client_id for p in cfg.clients]
-    default_steps = max(p.train.local_steps for p in cfg.clients)
-    scheduler = make_scheduler(cfg.scheduler, ids, default_steps, cfg.scheduler_kwargs)
-    strategy = make_aggregator(cfg.aggregator, cfg.aggregator_kwargs)
-    init = init_params(cfg.model_spec, seed=cfg.init_seed)
-    if cfg.scheduler == "AsyncScheduler":
-        return ServerAgent(
-            init, scheduler, strategy, target_updates=cfg.num_global_epochs * len(ids)
-        )
-    return ServerAgent(init, scheduler, strategy, target_epochs=cfg.num_global_epochs)
 
 
 def make_client_state(cfg: ExperimentConfig, plan: ClientPlan) -> ClientState:
@@ -62,25 +46,38 @@ class RunOutputs:
     run_dir: Optional[Path] = None
 
 
-def _write_run_dir(cfg, agent, run_dir, metrics_format) -> Optional[Path]:
-    if run_dir is None:
-        return None
+def write_run_dir(
+    run_dir, cfg: ExperimentConfig, metrics, params: ParameterSet,
+    metrics_format: str = DEFAULT_METRICS_FORMAT,
+) -> Path:
+    """Write a run directory: config snapshot, metric file and final model.
+
+    The metric file is replaced, not appended to, so a directory that a
+    second run writes into holds that run's records only.
+    """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     dump_resolved(cfg, run_dir / "config.yaml")
+    for suffix in ("csv", "jsonl"):
+        (run_dir / f"metrics.{suffix}").unlink(missing_ok=True)
     suffix = "jsonl" if metrics_format == "jsonl" else "csv"
-    export_metrics(agent.metrics, metrics_format, run_dir / f"metrics.{suffix}")
-    save_params(agent.global_params, run_dir / "model.bin")
+    export_metrics(metrics, metrics_format, run_dir / f"metrics.{suffix}")
+    save_params(params, run_dir / "model.bin")
     return run_dir
 
 
-def _final_eval(cfg, agent, now: float) -> None:
-    if cfg.evaluation is None or cfg.model_spec is None:
-        return
-    ds = build_dataset(cfg.evaluation["dataset_name"], cfg.evaluation["dataset_kwargs"])
-    scores = dataset_metrics(cfg.model_spec, agent.global_params, ds)
-    for kind, value in sorted(scores.items()):
-        agent.metrics.append(MetricRecord(now, "server", f"val_{kind}", float(value)))
+def _finish(cfg, agent: ServerAgent, run_dir, metrics_format) -> RunOutputs:
+    """End a socket run: finalize, evaluate once, write the run directory."""
+    now = time.monotonic()
+    agent.finalize(now)
+    if cfg.evaluation is not None:
+        ds = build_dataset(cfg.evaluation["dataset_name"], cfg.evaluation["dataset_kwargs"])
+        scores = dataset_metrics(cfg.model_spec, agent.global_params, ds)
+        for kind, value in sorted(scores.items()):
+            agent.metrics.append(MetricRecord(now, "server", f"val_{kind}", float(value)))
+    if run_dir is not None:
+        run_dir = write_run_dir(run_dir, cfg, agent.metrics, agent.global_params, metrics_format)
+    return RunOutputs(agent.global_params, agent.epoch, agent.update_count, agent.metrics, run_dir)
 
 
 def serve(cfg: ExperimentConfig, port: Optional[int] = None, spool_dir=None) -> SocketServer:
@@ -112,21 +109,9 @@ def run_server(
 ) -> RunOutputs:
     """Serve until the run completes, then persist outputs."""
     with serve(cfg, port=port) as srv:
-        finished = srv.wait_done(timeout=timeout)
-        agent = srv.agent
-        if not finished:
+        if not srv.wait_done(timeout=timeout):
             raise TimeoutError(f"run did not finish within {timeout} seconds")
-        if cfg.scheduler == "AsyncScheduler":
-            agent.finalize(time.monotonic())
-        _final_eval(cfg, agent, time.monotonic())
-    out_dir = _write_run_dir(cfg, agent, run_dir, metrics_format)
-    return RunOutputs(
-        final_params=agent.global_params,
-        epoch=agent.epoch,
-        updates_processed=agent.update_count,
-        metrics=agent.metrics,
-        run_dir=out_dir,
-    )
+        return _finish(cfg, srv.agent, run_dir, metrics_format)
 
 
 def run_client(
@@ -192,15 +177,4 @@ def run_local(
         srv.wait_done(timeout=5.0)
         for t in threads:
             t.join(timeout=5.0)
-        agent = srv.agent
-        if cfg.scheduler == "AsyncScheduler":
-            agent.finalize(time.monotonic())
-        _final_eval(cfg, agent, time.monotonic())
-    out_dir = _write_run_dir(cfg, agent, run_dir, metrics_format)
-    return RunOutputs(
-        final_params=agent.global_params,
-        epoch=agent.epoch,
-        updates_processed=agent.update_count,
-        metrics=agent.metrics,
-        run_dir=out_dir,
-    )
+        return _finish(cfg, srv.agent, run_dir, metrics_format)

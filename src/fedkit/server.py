@@ -5,14 +5,17 @@ aggregation strategy.  Both the in-process simulator and the socket
 transport drive the same three entry points (``handle_model_request``,
 ``process_update``, ``check_deadlines``), which is what makes simulated
 and networked runs produce identical models for identical event orders.
+``make_server_agent`` builds one for either kind of run and fixes when the
+run ends.
 """
 from __future__ import annotations
 
 from typing import Optional
 
-from .aggregators import AggregatorState
+from .aggregators import AggregatorState, make_aggregator
+from .models import init_params
 from .params import MetricRecord, ModelUpdate, ParameterSet
-from .schedulers import Aggregate, Reply
+from .schedulers import Aggregate, Reply, make_scheduler
 
 
 class ServerAgent:
@@ -72,8 +75,8 @@ class ServerAgent:
             replies.update(self._apply(action, now))
 
     def finalize(self, now: float) -> None:
-        """Flush any partially filled aggregation buffer at end of run."""
-        if self.strategy.finalize(self.state):
+        """End the run: a run counted in updates folds a partial buffer in."""
+        if self.target_updates is not None and self.strategy.finalize(self.state):
             self.aggregation_count += 1
             self._record(now)
 
@@ -85,3 +88,23 @@ class ServerAgent:
 
     def _record(self, now: float) -> None:
         self.metrics.append(MetricRecord(now, "server", "epoch", float(self.state.epoch)))
+
+
+def make_server_agent(run, max_updates: Optional[int] = None) -> ServerAgent:
+    """Build the server for a ``SimScenario`` or an ``ExperimentConfig``.
+
+    An asynchronous run is counted in ``num_global_epochs * n_clients``
+    processed updates, so total client work stays comparable across modes;
+    ``max_updates`` overrides that count.  Every other run is counted in
+    aggregations, ``num_global_epochs`` of them.
+    """
+    ids = sorted(c.client_id for c in run.clients)
+    default_steps = max(c.train.local_steps for c in run.clients)
+    scheduler = make_scheduler(run.scheduler, ids, default_steps, run.scheduler_kwargs)
+    strategy = make_aggregator(run.aggregator, run.aggregator_kwargs)
+    init = init_params(run.model_spec, seed=run.init_seed)
+    if max_updates is None and run.scheduler == "AsyncScheduler":
+        max_updates = run.num_global_epochs * len(ids)
+    if max_updates is not None:
+        return ServerAgent(init, scheduler, strategy, target_updates=max_updates)
+    return ServerAgent(init, scheduler, strategy, target_epochs=run.num_global_epochs)

@@ -7,10 +7,9 @@ transfer costs ``fixed_latency + bytes / bandwidth``.  Events are processed
 in ``(time, kind, subject, seq)`` order, which makes runs bit-reproducible:
 the same scenario yields the same final model and the same metric stream.
 
-Termination: synchronous and grouped schedulers stop after
-``num_global_epochs`` aggregations; the asynchronous scheduler stops after
-``num_global_epochs * n_clients`` processed updates so total client work
-stays comparable across modes.
+Termination is the server's: ``server.make_server_agent`` decides whether
+the run is counted in aggregations or in processed updates, and the
+simulation stops when the agent is done.
 """
 from __future__ import annotations
 
@@ -18,19 +17,19 @@ import dataclasses
 import heapq
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .aggregators import make_aggregator
 from .client import ClientState, TrainConfig, local_train
 from .compression import CodecConfig, compress_params, decompress_params
 from .errors import InvalidBounds, NonTerminating
-from .models import Dataset, ModelSpec, dataset_metrics, init_params
+from .metrics import write_table
+from .models import Dataset, ModelSpec, dataset_metrics
 from .params import MetricRecord, ParameterSet, serialize_params, serialized_size
 from .privacy import PrivacyConfig
-from .schedulers import make_scheduler
-from .server import ServerAgent
+from .server import ServerAgent, make_server_agent
 
 _ARRIVE = 0
 _DEADLINE = 1
@@ -94,6 +93,10 @@ class ClientUtilization:
         return self.compute_seconds / self.total_seconds if self.total_seconds > 0 else 0.0
 
 
+UTILIZATION_COLUMNS = ("client_id", "compute_seconds", "total_seconds", "utilization")
+GANTT_COLUMNS = ("client_id", "start", "end", "kind")
+
+
 @dataclass
 class UtilizationReport:
     per_client: dict
@@ -104,6 +107,23 @@ class UtilizationReport:
         if not self.per_client:
             return 0.0
         return sum(u.utilization for u in self.per_client.values()) / len(self.per_client)
+
+    def write_tables(self, out_dir) -> None:
+        """Write ``utilization.csv`` and ``gantt.csv`` into ``out_dir``."""
+        out_dir = Path(out_dir)
+        write_table(
+            out_dir / "utilization.csv",
+            UTILIZATION_COLUMNS,
+            [
+                [cid, u.compute_seconds, u.total_seconds, u.utilization]
+                for cid, u in sorted(self.per_client.items())
+            ],
+        )
+        write_table(
+            out_dir / "gantt.csv",
+            GANTT_COLUMNS,
+            [[g.client_id, g.start, g.end, g.kind] for g in self.gantt],
+        )
 
 
 @dataclass
@@ -144,24 +164,13 @@ class _Sim:
             )
             for cid, c in self.clients.items()
         }
-        default_steps = max(c.train.local_steps for c in sc.clients)
-        scheduler = make_scheduler(sc.scheduler, self.ids, default_steps, sc.scheduler_kwargs)
-        strategy = make_aggregator(sc.aggregator, sc.aggregator_kwargs)
-        init = init_params(sc.model_spec, seed=sc.init_seed)
-        self.agent = ServerAgent(init, scheduler, strategy)
-        self.is_async = sc.scheduler == "AsyncScheduler"
-        if sc.max_updates is not None:
-            self.update_budget = sc.max_updates
-        elif self.is_async:
-            self.update_budget = sc.num_global_epochs * len(self.ids)
-        else:
-            self.update_budget = None
+        self.agent = make_server_agent(sc, sc.max_updates)
         self.rng = np.random.default_rng(sc.seed)
         self.heap: list = []
         self.seq = 0
         self.segments: list[tuple[str, float, float]] = []
         self.metrics: list[MetricRecord] = []
-        self.model_bytes = serialized_size(init)
+        self.model_bytes = serialized_size(self.agent.global_params)
         self._seen_aggs = 0
         self._pending_deadlines: set[float] = set()
 
@@ -213,11 +222,6 @@ class _Sim:
         for kind, value in sorted(scores.items()):
             self.metrics.append(MetricRecord(now, "server", f"val_{kind}", float(value)))
 
-    def _finished(self) -> bool:
-        if self.update_budget is not None:
-            return self.agent.update_count >= self.update_budget
-        return self.agent.epoch >= self.sc.num_global_epochs
-
     def run(self) -> SimResult:
         sc = self.sc
         for cid in self.ids:
@@ -238,19 +242,17 @@ class _Sim:
             else:
                 replies = self.agent.process_update(payload, now)
             self._evaluate(now)
-            if self._finished():
+            if self.agent.done:
                 break
             for cid, rep in sorted(replies.items()):
                 self._schedule_round(cid, rep.params, rep.epoch, rep.next_steps, now)
             self._refresh_deadline()
         else:
-            if not self._finished():
+            if not self.agent.done:
                 raise NonTerminating("event queue drained before the run completed")
 
-        if self.update_budget is not None:
-            # a leftover partial buffer still holds client work; fold it in
-            self.agent.finalize(now)
-            self._evaluate(now)
+        self.agent.finalize(now)
+        self._evaluate(now)
 
         report = self._utilization(t_end=now)
         return SimResult(

@@ -54,7 +54,6 @@ class MessageType(IntEnum):
     MODEL_REQUEST = 3
     MODEL_REPLY = 4
     UPDATE_SUBMIT = 5
-    UPDATE_ACK = 6
     SHUTDOWN = 7
     ERROR_REPLY = 8
 

@@ -259,7 +259,7 @@ def test_registry():
     with pytest.raises(UnknownStrategyName):
         A.make_aggregator("FedSGDAggregator")
     for name in ("ICEADMMAggregator", "IIADMMAggregator", "PLFLAggregator", "AREAAggregator"):
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(UnknownStrategyName):
             A.make_aggregator(name)
 
 

@@ -4,6 +4,7 @@ import yaml
 import pytest
 
 from fedkit.cli import main
+from fedkit.metrics import read_metrics
 
 
 @pytest.fixture
@@ -76,8 +77,25 @@ def test_simulate_writes_run_dir(config_path, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "mean_utilization" in out
-    for name in ("config.yaml", "metrics.csv", "utilization.csv", "gantt.csv"):
+    for name in ("config.yaml", "metrics.csv", "model.bin", "utilization.csv", "gantt.csv"):
         assert (run_dir / name).exists(), name
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["run", "--role", "local"]])
+def test_second_run_into_a_run_dir_replaces_its_records(config_path, tmp_path, command):
+    run_dir = tmp_path / "reused"
+    argv = [*command, "--config", str(config_path), "--run-dir", str(run_dir)]
+    assert main(argv) == 0
+    first = (run_dir / "metrics.csv").read_text()
+    assert main(argv) == 0
+    metrics = read_metrics(run_dir / "metrics.csv")
+    assert [m.value for m in metrics if m.kind == "epoch"] == [1.0, 2.0]
+    assert len((run_dir / "metrics.csv").read_text().splitlines()) == len(first.splitlines())
+    # a run in the other format leaves only its own metric file behind
+    assert main([*argv, "--metrics-format", "jsonl"]) == 0
+    assert not (run_dir / "metrics.csv").exists()
+    jsonl = read_metrics(run_dir / "metrics.jsonl")
+    assert [m.value for m in jsonl if m.kind == "epoch"] == [1.0, 2.0]
 
 
 def test_run_local_role(config_path, tmp_path, capsys):

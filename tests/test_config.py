@@ -194,6 +194,19 @@ class TestValidation:
         with pytest.raises(UnknownKey, match=r"train_configs\.learning_rate"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "dotted, value",
+        [
+            ("topology", {"kind": "tree"}),
+            ("client_configs.train_configs.device", "cpu"),
+            ("client_configs.train_configs.logging_dir", "logs"),
+        ],
+    )
+    def test_removed_sections_are_unknown_keys(self, tmp_path, dotted, value):
+        path = write_server(tmp_path, SERVER_DOC, **{dotted: value})
+        with pytest.raises(UnknownKey, match=dotted.rsplit(".", 1)[-1]):
+            load_config(path)
+
     def test_missing_aggregator(self, tmp_path):
         path = write_server(tmp_path, SERVER_DOC, **{"server_configs.aggregator": ...})
         with pytest.raises(MissingRequired, match="aggregator"):

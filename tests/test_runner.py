@@ -7,8 +7,9 @@ import yaml
 from fedkit.config import build_scenario, load_config
 from fedkit.errors import Unauthenticated
 from fedkit.metrics import read_metrics
-from fedkit.params import load_params, serialize_params
+from fedkit.params import ModelUpdate, load_params, serialize_params
 from fedkit.runner import run_client, run_local, serve
+from fedkit.server import make_server_agent
 from fedkit.sim import run_simulation
 
 
@@ -116,3 +117,37 @@ def test_two_clients_share_rounds(tmp_path):
         for t in threads:
             t.join(timeout=5.0)
     assert counts == {"alpha": 3, "beta": 3}
+
+
+def test_partial_buffer_is_flushed_when_an_update_counted_run_ends(tmp_path):
+    # one client, 4 updates into a buffer of 3: one full aggregation, then the
+    # end of the run folds the leftover update in as a second
+    path = write_config(tmp_path, scheduler="AsyncScheduler", epochs=4)
+    doc = yaml.safe_load(path.read_text())
+    doc["server_configs"]["aggregator"] = "FedBuffAggregator"
+    doc["server_configs"]["aggregator_kwargs"] = {"buffer_size": 3}
+    doc["clients"] = [{"client_id": "alpha"}]
+    path.write_text(yaml.safe_dump(doc))
+    cfg = load_config(path)
+    sim = run_simulation(build_scenario(cfg))
+    live = run_local(cfg)
+    assert sim.updates_processed == live.updates_processed == 4
+    assert sim.epoch == live.epoch == 2
+    assert live.final_params == sim.final_params
+
+
+@pytest.mark.parametrize("scheduler, flushed", [("SyncScheduler", False), ("AsyncScheduler", True)])
+def test_finalize_flushes_only_a_run_counted_in_updates(tmp_path, scheduler, flushed):
+    path = write_config(tmp_path, scheduler=scheduler)
+    doc = yaml.safe_load(path.read_text())
+    doc["server_configs"]["aggregator"] = "FedBuffAggregator"
+    doc["server_configs"]["aggregator_kwargs"] = {"buffer_size": 3}
+    path.write_text(yaml.safe_dump(doc))
+    agent = make_server_agent(load_config(path))
+    # two updates reach the buffer of 3 under either scheduler
+    for cid in ("alpha", "beta"):
+        params, epoch, steps = agent.handle_model_request(cid, 0.0)
+    for cid in ("alpha", "beta"):
+        agent.process_update(ModelUpdate(cid, params, False, 1, steps, epoch), 1.0)
+    agent.finalize(2.0)
+    assert agent.aggregation_count == agent.epoch == int(flushed)

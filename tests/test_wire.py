@@ -65,9 +65,11 @@ class TestFrame:
 
     def test_unknown_message_type(self):
         raw = bytearray(GOLDEN_CONFIG_REQUEST)
-        raw[5] = 99
-        with pytest.raises(ProtocolError):
-            decode_frame(bytes(raw))
+        # 6 lies between assigned types without being one
+        for raw_type in (99, 6):
+            raw[5] = raw_type
+            with pytest.raises(ProtocolError):
+                decode_frame(bytes(raw))
 
     def test_truncated_and_trailing(self):
         raw = encode_frame(MessageType.MODEL_REPLY, b"abc")
