@@ -3,6 +3,14 @@
 No autodiff: gradients are closed-form so they can be verified against
 central finite differences.  Parameters follow the naming scheme
 ``W0, b0, W1, b1, ...`` with ``W_l`` of shape (fan_in, fan_out).
+
+``backward`` also takes a stack of K models at once: features of shape
+(K, n, d_in), labels with a leading K axis, and parameters of shape
+(K, fan_in, fan_out) and (K, fan_out).  Each matrix product is then one
+``np.matmul`` over the stack, which runs the same per-matrix kernel as the
+2-D product, and every reduction runs along the same axis in the same
+order; so model k of a stack gets the gradient that a 2-D call on its own
+would give, bit for bit, as long as all K batches have the same length n.
 """
 from __future__ import annotations
 
@@ -71,7 +79,7 @@ def _act(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
 
 def _check_features(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
-    if x.ndim != 2 or x.shape[1] != spec.layer_dims[0]:
+    if x.ndim not in (2, 3) or x.shape[-1] != spec.layer_dims[0]:
         raise DimMismatch(f"features {x.shape} incompatible with input dim {spec.layer_dims[0]}")
     return x
 
@@ -79,11 +87,13 @@ def _check_features(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
 def _forward_cache(spec: ModelSpec, params, x: np.ndarray):
     """Returns (output, pre-activations per layer, post-activations incl. input)."""
     x = _check_features(spec, x)
+    stacked = x.ndim == 3
     pre, post = [], [x]
     h = x
     last = spec.n_layers - 1
     for layer in range(last + 1):
-        z = h @ params[f"W{layer}"] + params[f"b{layer}"]
+        b = params[f"b{layer}"]
+        z = h @ params[f"W{layer}"] + (b[:, None] if stacked else b)
         pre.append(z)
         h = _act(spec, z) if layer < last else z
         post.append(h)
@@ -97,34 +107,42 @@ def forward(spec: ModelSpec, params: ParameterSet, x: np.ndarray) -> np.ndarray:
 
 
 def _loss_and_grad(spec: ModelSpec, out: np.ndarray, y):
-    n = out.shape[0]
+    """(mean loss, d loss / d out); a stack of K outputs gets K losses."""
+    n = out.shape[-2]
+    stacked = out.ndim == 3
     if spec.loss == "mse":
         target = np.asarray(y, dtype=out.dtype)
-        if target.ndim == 1:
-            target = target.reshape(n, -1)
+        if target.ndim == out.ndim - 1:
+            target = target.reshape(*out.shape[:-1], -1)
         if target.shape != out.shape:
             raise DimMismatch(f"labels {target.shape} vs outputs {out.shape}")
         diff = out - target
-        loss = float(np.mean(diff * diff))
-        return loss, (2.0 / diff.size) * diff
+        if stacked:
+            loss = np.mean(diff * diff, axis=(1, 2))
+        else:
+            loss = float(np.mean(diff * diff))
+        return loss, (2.0 / (n * out.shape[-1])) * diff
     # softmax cross entropy over integer labels
     labels = np.asarray(y)
-    if labels.ndim != 1 or labels.shape[0] != n:
-        raise DimMismatch(f"labels {labels.shape} vs batch {n}")
+    if labels.shape != out.shape[:-1]:
+        raise DimMismatch(f"labels {labels.shape} vs batch {out.shape[:-1]}")
     labels = labels.astype(np.int64)
-    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= out.shape[1]:
+    if (np.minimum.reduce(labels, axis=None) < 0
+            or np.maximum.reduce(labels, axis=None) >= out.shape[-1]):
         raise DimMismatch("label out of range for output layer")
     rows = np.arange(n)
-    shifted = out - np.maximum.reduce(out, axis=1, keepdims=True)
+    # the (row, label) entry of every output; per model for a stack
+    picks = (np.arange(out.shape[0])[:, None], rows, labels) if stacked else (rows, labels)
+    shifted = out - np.maximum.reduce(out, axis=-1, keepdims=True)
     # one exp serves both the log-sum-exp of the loss and the softmax
     probs = np.exp(shifted)
-    total = np.add.reduce(probs, axis=1, keepdims=True)
+    total = np.add.reduce(probs, axis=-1, keepdims=True)
     # the sum and the division of np.mean, without its Python-level wrapper
-    loss = float(np.add.reduce(np.log(total[:, 0]) - shifted[rows, labels]) / n)
+    loss = np.add.reduce(np.log(total[..., 0]) - shifted[picks], axis=-1) / n
     probs /= total
-    probs[rows, labels] -= 1.0
+    probs[picks] -= 1.0
     probs /= n
-    return loss, probs
+    return (loss if stacked else float(loss)), probs
 
 
 def _grad_out(out, name: str, shape: tuple, dtype) -> Optional[np.ndarray]:
@@ -148,10 +166,16 @@ def _grad_out(out, name: str, shape: tuple, dtype) -> Optional[np.ndarray]:
     return arr
 
 
+def _mT(a: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes: ``a.T`` for a matrix, per matrix for a stack."""
+    return a.T if a.ndim == 2 else a.swapaxes(-1, -2)
+
+
 def _backprop(spec: ModelSpec, params, pre, post, delta: np.ndarray, out, input_grad: bool):
     """Gradients of a scalar whose d/d(output) is ``delta``, plus d/d(input) if asked.
 
-    With ``out`` (gradient name -> writable array) the gradients are written
+    Arrays may carry a leading model axis (see the module docstring).  With
+    ``out`` (gradient name -> writable array) the gradients are written
     there and ``out`` is returned; otherwise they are fresh arrays adopted
     into a set in the entry order of ``params``.
     """
@@ -167,12 +191,13 @@ def _backprop(spec: ModelSpec, params, pre, post, delta: np.ndarray, out, input_
             np.multiply(delta, pre[layer] > 0.0, out=delta)
         h = post[layer]
         w_name, b_name = f"W{layer}", f"b{layer}"
-        w_out = _grad_out(out, w_name, (h.shape[1], delta.shape[1]), np.result_type(h, delta))
-        b_out = _grad_out(out, b_name, delta.shape[1:], delta.dtype)
-        grads[w_name] = np.matmul(h.T, delta, out=w_out)
-        grads[b_name] = np.add.reduce(delta, axis=0, out=b_out)
+        w_shape = h.shape[:-2] + (h.shape[-1], delta.shape[-1])
+        w_out = _grad_out(out, w_name, w_shape, np.result_type(h, delta))
+        b_out = _grad_out(out, b_name, delta.shape[:-2] + delta.shape[-1:], delta.dtype)
+        grads[w_name] = np.matmul(_mT(h), delta, out=w_out)
+        grads[b_name] = np.add.reduce(delta, axis=-2, out=b_out)
         if layer or input_grad:
-            delta = delta @ params[w_name].T
+            delta = delta @ _mT(params[w_name])
     if out is None:
         out = ParameterSet._adopt((name, grads[name]) for name in params.keys())
     return out, delta if input_grad else None
@@ -185,13 +210,15 @@ def loss_on(spec: ModelSpec, params, x, y) -> float:
 
 
 def backward(spec: ModelSpec, params, x, y, *, out=None):
-    """(mean loss, gradients) for one batch.
+    """(mean loss, gradients) for one batch, or for a stack of K batches.
 
-    ``params`` is any name -> array mapping.  Without ``out`` the gradients
-    come back as a new :class:`ParameterSet`.  With ``out`` (name -> writable
-    array, one per gradient, of exactly its shape and dtype) they are written
-    there and ``out`` itself is returned; a missing, extra or mismatched
-    array raises :class:`ShapeMismatch`.
+    ``params`` is any name -> array mapping.  For a stack, ``x`` is
+    (K, n, d_in), the labels and every parameter carry a leading K axis, and
+    the loss is an array of K per-model losses (see the module docstring).
+    Without ``out`` the gradients come back as a new :class:`ParameterSet`.
+    With ``out`` (name -> writable array, one per gradient, of exactly its
+    shape and dtype) they are written there and ``out`` itself is returned;
+    a missing, extra or mismatched array raises :class:`ShapeMismatch`.
     """
     fwd, pre, post = _forward_cache(spec, params, x)
     loss, dout = _loss_and_grad(spec, fwd, y)

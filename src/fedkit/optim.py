@@ -5,10 +5,11 @@ and persists for as long as the caller keeps it around; federated clients
 deliberately keep theirs across rounds.
 
 The step itself is ``update(ws, gs)``: one step in place on the flat
-buffers of a :class:`~fedkit.params.FlatBuffers`, one weight vector and one
-gradient vector per dtype, and it may overwrite the gradients.  Every
-operation is elementwise, so a flat step equals the same step taken tensor by
-tensor, bit for bit.  ``step(params, grads)`` is the set-level form: it never
+buffers of one model, one weight vector and one gradient vector per dtype
+(rows of a :class:`~fedkit.params.FlatStack`), and it may overwrite the
+gradients.  Every operation is elementwise, so a flat step equals the same
+step taken tensor by tensor, bit for bit, and an SGD step on a block of rows
+equals one step per row.  ``step(params, grads)`` is the set-level form: it never
 writes to its inputs and returns a new set over views of its own copy.
 """
 from __future__ import annotations
@@ -16,15 +17,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch, UnknownStrategyName
-from .params import FlatBuffers, ParameterSet
+from .params import FlatStack, ParameterSet
 
 
 def _step(opt, params: ParameterSet, grads: ParameterSet) -> ParameterSet:
     """``opt.update`` on flat copies of ``params`` and ``grads``, as a new set."""
     params.check_structure(grads)
-    w = FlatBuffers(params)
-    opt.update(w.bufs, FlatBuffers(grads).bufs)
-    return ParameterSet._adopt_views(w.views)
+    w = FlatStack(params, 1, sources=[params])
+    g = FlatStack(grads, 1, sources=[grads])
+    opt.update([buf[0] for buf in w.bufs], [buf[0] for buf in g.bufs])
+    return ParameterSet._adopt_views(w.row(0))
 
 
 class SGD:

@@ -24,9 +24,10 @@ inputs, because those arrays belong to the caller.  Results that fedkit
 computes itself (gradients, optimizer steps, deltas, aggregates, decoded
 payloads) are fresh arrays that nothing else references; they are adopted
 and frozen in place rather than copied again.  A set's tensors may also be
-views of one private flat buffer per dtype (see :class:`FlatBuffers`), which
-nothing but those views references: training works on such buffers and the
-trained set adopts their views.
+views of one row of a private flat buffer per dtype (see :class:`FlatStack`)
+that nothing but the views of its rows references: training works on such
+buffers, one row per client, and each trained set adopts the views of its
+row.
 """
 from __future__ import annotations
 
@@ -210,36 +211,52 @@ class ParameterSet:
         return np.concatenate([a.ravel() for a in self._arrays])
 
 
-class FlatBuffers:
-    """One private flat buffer per dtype, with a named view per tensor.
+class FlatStack:
+    """``k`` models of one structure as the rows of one (k, n) buffer per dtype.
 
-    The views follow the entry order, shapes and dtypes of ``like`` (any
-    name-to-array mapping); views of one dtype tile that dtype's buffer in
-    entry order.  ``bufs`` holds the buffers in order of first appearance,
-    so a whole-model elementwise operation is one vector operation per dtype,
-    and in practice one.  With ``copy`` the buffers start as a copy of
-    ``like``; otherwise they are uninitialised.  A set takes the buffers over
-    through ``ParameterSet._adopt_views(views)``.
+    Row ``i`` of the buffer of a dtype holds that dtype's tensors of model
+    ``i`` back to back, in entry order.  ``row(i)`` maps every name to its
+    view in row ``i``, and ``stacks`` maps every name to the (k, *shape) view
+    over all rows, the form a stacked ``models.backward`` reads and writes.
+    ``bufs`` holds the (k, n) buffers in order of first appearance of their
+    dtype, so an elementwise operation on a block of rows is one operation
+    per dtype.  With ``sources`` (k sets
+    of ``like``'s structure) row ``i`` starts as a copy of ``sources[i]``;
+    otherwise the buffers are uninitialised.  A set takes row ``i`` over
+    through ``ParameterSet._adopt_views(stack.row(i))``.
     """
 
-    __slots__ = ("bufs", "views")
+    __slots__ = ("bufs", "stacks", "_spans", "_rows")
 
-    def __init__(self, like, copy: bool = True):
+    def __init__(self, like, k: int, sources=None):
         sizes: dict[np.dtype, int] = {}
         for _, a in like.items():
             sizes[a.dtype] = sizes.get(a.dtype, 0) + a.size
-        bufs = {dt: np.empty(n, dtype=dt) for dt, n in sizes.items()}
+        bufs = {dt: np.empty((k, n), dtype=dt) for dt, n in sizes.items()}
         offsets = dict.fromkeys(bufs, 0)
-        views: dict[str, np.ndarray] = {}
+        spans = []
         for name, a in like.items():
             lo = offsets[a.dtype]
             offsets[a.dtype] = hi = lo + a.size
-            view = bufs[a.dtype][lo:hi].reshape(a.shape)
-            if copy:
-                view[...] = a
-            views[name] = view
+            spans.append((name, bufs[a.dtype], lo, hi, a.shape))
         self.bufs = tuple(bufs.values())
-        self.views = views
+        self.stacks = {
+            name: buf[:, lo:hi].reshape(k, *shape) for name, buf, lo, hi, shape in spans
+        }
+        self._spans = spans
+        self._rows: list = [None] * k
+        for i, src in enumerate(sources or ()):
+            for (_, a), view in zip(src.items(), self.row(i).values()):
+                view[...] = a
+
+    def row(self, i: int) -> dict:
+        """Name -> view of row ``i``; built once per row."""
+        views = self._rows[i]
+        if views is None:
+            views = self._rows[i] = {
+                name: buf[i, lo:hi].reshape(shape) for name, buf, lo, hi, shape in self._spans
+            }
+        return views
 
 
 def zeros_like(p: ParameterSet) -> ParameterSet:

@@ -7,6 +7,19 @@ transfer costs ``fixed_latency + bytes / bandwidth``.  Events are processed
 in ``(time, kind, subject, seq)`` order, which makes runs bit-reproducible:
 the same scenario yields the same final model and the same metric stream.
 
+A round is trained when its result is first needed, not when it is
+dispatched.  Dispatch stamps the round's virtual start and end and queues it.
+With infinite bandwidth the arrival time needs no upload size, so the
+arrival is queued at once, and when the arrival of an untrained round comes
+up, every queued round trains as one cohort (``client.train_cohort``: all
+clients' steps stacked).  With finite bandwidth the upload size sets the
+arrival time, so the rounds that one event dispatched train together at the
+end of that event and their arrivals are queued then, in dispatch order.
+Either way the heap sees the same pushes in the same order as when every
+round trained alone at dispatch, and each client trains its rounds in order,
+so the results are the same bit for bit; a round the run never uses is never
+trained.
+
 Termination is the server's: ``server.make_server_agent`` decides whether
 the run is counted in aggregations or in processed updates, and the
 simulation stops when the agent is done.
@@ -22,12 +35,13 @@ from typing import Optional
 
 import numpy as np
 
-from .client import ClientState, TrainConfig, local_train
+# local_train stays bound here: perfbench's tracer wraps fedkit.sim.local_train
+from .client import ClientState, TrainConfig, local_train, train_cohort  # noqa: F401
 from .compression import CodecConfig, compress_params, decompress_params
 from .errors import InvalidBounds, NonTerminating
 from .metrics import write_table
 from .models import Dataset, ModelSpec, dataset_metrics
-from .params import MetricRecord, ParameterSet, serialize_params, serialized_size
+from .params import MetricRecord, ModelUpdate, ParameterSet, serialize_params, serialized_size
 from .privacy import PrivacyConfig
 from .server import ServerAgent, make_server_agent
 
@@ -152,6 +166,20 @@ def draw_batch_times(n: int, fastest: float = 0.2, spread: float = 10.0, seed: i
     return [float(s) for s in scaled]
 
 
+@dataclass
+class _Job:
+    """One dispatched round: what to train, and when it runs in virtual time."""
+
+    cid: str
+    base: ParameterSet
+    epoch: int
+    steps: int
+    start: float
+    end: float
+    update: Optional[ModelUpdate] = None  # set once trained
+    nbytes: int = 0  # upload size of ``update``
+
+
 class _Sim:
     def __init__(self, sc: SimScenario):
         self.sc = sc
@@ -168,6 +196,7 @@ class _Sim:
         self.rng = np.random.default_rng(sc.seed)
         self.heap: list = []
         self.seq = 0
+        self.pending: list[_Job] = []  # dispatched rounds not trained yet
         self.segments: list[tuple[str, float, float]] = []
         self.metrics: list[MetricRecord] = []
         self.model_bytes = serialized_size(self.agent.global_params)
@@ -184,22 +213,46 @@ class _Sim:
         return self.sc.fixed_latency + nbytes / self.sc.bandwidth
 
     def _schedule_round(self, cid: str, params: ParameterSet, epoch: int, steps: int, now: float):
-        """Train eagerly, stamp virtual times, enqueue the arrival event."""
+        """Stamp a round's virtual times and queue its job; training waits.
+
+        With infinite bandwidth the arrival time needs no payload size, so the
+        arrival is pushed now and the job trains when it pops.  Otherwise the
+        caller trains the pending jobs at the end of the event and pushes
+        their arrivals then, in dispatch order.
+        """
         start = now + self._transfer(self.model_bytes)
         duration = steps * self.clients[cid].mean_batch_time
         if self.sc.jitter > 0.0:
             duration *= float(self.rng.uniform(1.0 - self.sc.jitter, 1.0 + self.sc.jitter))
         end = start + duration
-        update = local_train(self.states[cid], params, steps=steps, base_epoch=epoch)
-        update = dataclasses.replace(update, wall_meta=(start, end))
-        if self.sc.codec is not None:
-            blob = compress_params(update.params, self.sc.codec)
-            update = dataclasses.replace(update, params=decompress_params(blob))
-            update_bytes = len(blob)
-        else:
-            update_bytes = serialized_size(update.params)
+        job = _Job(cid, params, epoch, steps, start, end)
         self.segments.append((cid, start, end))
-        self._push(end + self._transfer(update_bytes), _ARRIVE, cid, update)
+        self.pending.append(job)
+        if math.isinf(self.sc.bandwidth):
+            self._push(end + self._transfer(0), _ARRIVE, cid, job)
+
+    def _train_pending(self) -> list:
+        """Train every pending job as one cohort; returns those jobs."""
+        jobs, self.pending = self.pending, []
+        updates = train_cohort(
+            [(self.states[j.cid], j.base, j.steps, j.epoch) for j in jobs]
+        )
+        for job, update in zip(jobs, updates):
+            update = dataclasses.replace(update, wall_meta=(job.start, job.end))
+            if self.sc.codec is not None:
+                blob = compress_params(update.params, self.sc.codec)
+                update = dataclasses.replace(update, params=decompress_params(blob))
+                job.nbytes = len(blob)
+            else:
+                job.nbytes = serialized_size(update.params)
+            job.update = update
+        return jobs
+
+    def _push_trained(self) -> None:
+        """With finite bandwidth: train what this event dispatched, push arrivals."""
+        if self.pending and not math.isinf(self.sc.bandwidth):
+            for job in self._train_pending():
+                self._push(job.end + self._transfer(job.nbytes), _ARRIVE, job.cid, job)
 
     def _refresh_deadline(self) -> None:
         nxt = self.agent.scheduler.next_deadline()
@@ -227,6 +280,7 @@ class _Sim:
         for cid in self.ids:
             params, epoch, steps = self.agent.handle_model_request(cid, 0.0)
             self._schedule_round(cid, params, epoch, steps, 0.0)
+        self._push_trained()
         self._refresh_deadline()
 
         now = 0.0
@@ -240,12 +294,15 @@ class _Sim:
                 self._pending_deadlines.discard(now)
                 replies = self.agent.check_deadlines(now)
             else:
-                replies = self.agent.process_update(payload, now)
+                if payload.update is None:
+                    self._train_pending()
+                replies = self.agent.process_update(payload.update, now)
             self._evaluate(now)
             if self.agent.done:
                 break
             for cid, rep in sorted(replies.items()):
                 self._schedule_round(cid, rep.params, rep.epoch, rep.next_steps, now)
+            self._push_trained()
             self._refresh_deadline()
         else:
             if not self.agent.done:

@@ -301,18 +301,25 @@ class SocketServer:
         update = decode_update(payload, self.connectors)
         cid = update.client_id
         with self._cond:
-            replies = self.agent.process_update(update, time.monotonic())
-            if replies:
-                self._ready.update(replies)
-                self._cond.notify_all()
-            while cid not in self._ready:
-                if self._stopping:
-                    raise ProtocolError("server shutting down")
-                self._cond.wait(timeout=_POLL_INTERVAL)
-            mine = self._ready.pop(cid)
             done = self.agent.done
+            if done:
+                # the run ended while this update was in flight: it is not
+                # aggregated, and the client learns that the run is over
+                params, epoch, steps = self.agent.global_params, self.agent.epoch, 0
+            else:
+                replies = self.agent.process_update(update, time.monotonic())
+                if replies:
+                    self._ready.update(replies)
+                    self._cond.notify_all()
+                while cid not in self._ready:
+                    if self._stopping:
+                        raise ProtocolError("server shutting down")
+                    self._cond.wait(timeout=_POLL_INTERVAL)
+                mine = self._ready.pop(cid)
+                params, epoch, steps = mine.params, mine.epoch, mine.next_steps
+                done = self.agent.done
         reply = encode_model_reply(
-            mine.params, mine.epoch, mine.next_steps, done, self.send_connector, self.inline_limit
+            params, epoch, steps, done, self.send_connector, self.inline_limit
         )
         return encode_frame(MessageType.MODEL_REPLY, reply)
 

@@ -1,11 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fedkit.client import ClientState, TrainConfig, evaluate, local_train, save_checkpoint
+from fedkit import client as client_module
+from fedkit.client import (
+    ClientState,
+    TrainConfig,
+    evaluate,
+    local_train,
+    save_checkpoint,
+    train_cohort,
+)
 from fedkit.errors import ConfigError, ShapeMismatch, UnknownStrategyName
-from fedkit.models import ModelSpec, backward, init_params, make_blobs
+from fedkit.models import Dataset, ModelSpec, backward, init_params, make_blobs
 from fedkit.optim import Adam
 from fedkit.params import ParameterSet, norms
 from fedkit.privacy import PrivacyConfig
@@ -342,3 +351,159 @@ def test_mismatched_out_raises_shape_mismatch(breakage):
         out["b0"] = np.zeros((2, 8))
     with pytest.raises(ShapeMismatch):
         backward(SPEC, params, x, y, out=out)
+
+
+# ---------------------------------------------------------------------------
+# cohort training: bit-identity with one local_train call per client
+
+# batch 16: at step 3 only client 1 has a partial batch, so the full-length
+# group {0, 2, 3} is not a block of rows; at step 4 client 3 is partial and
+# {0, 1, 2} is a leading block; step 0 stacks all four
+COHORT_ROWS = (80, 60, 100, 70)
+
+
+# one output unit: the bias gradient reduces a (batch, 1) array
+REGRESSION = ModelSpec((4, 6, 6, 1), loss="mse")
+
+
+def cohort_states(dtype=np.float64, configs=None, spec=SPEC, **cfg_kw):
+    """Two identical sets of four clients: one for the cohort, one for the oracle."""
+    pairs = []
+    for i, rows in enumerate(COHORT_ROWS):
+        ds = make_blobs(classes=3, dim=4, per_class=40, seed=20 + i, dtype=dtype).subset(
+            np.arange(rows)
+        )
+        if spec.loss == "mse":
+            ds = Dataset(ds.features, ds.features.sum(axis=1) + ds.labels, "regression")
+        kw = dict(lr=0.05, batch_size=16, seed=30 + i)
+        kw.update(configs[i] if configs else cfg_kw)
+        cfg = TrainConfig(**kw)
+        pairs.append(tuple(ClientState(f"c{i}", ds, spec, cfg) for _ in range(2)))
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
+def assert_cohort_equals_local_train(cohort, alone, steps, dtype=np.float64, rounds=2):
+    spec = cohort[0].model_spec
+    bases = [init_params(spec, seed=40 + i, dtype=dtype) for i in range(len(cohort))]
+    for rnd in range(rounds):
+        got = train_cohort([(st, base, n, rnd) for st, base, n in zip(cohort, bases, steps)])
+        for st, ref, base, n, update in zip(cohort, alone, bases, steps, got):
+            want = local_train(ref, base, steps=n, base_epoch=rnd)
+            assert update.params == want.params, (st.client_id, rnd)
+            assert (update.client_id, update.is_delta, update.sample_count, update.local_steps,
+                    update.base_epoch) == (want.client_id, want.is_delta, want.sample_count,
+                                           want.local_steps, want.base_epoch)
+            assert st.steps_taken == ref.steps_taken
+        # the next round starts each client from its own trained full weights
+        bases = [
+            ParameterSet((k, b + u.params[k]) for k, b in base.items()) if u.is_delta
+            else u.params
+            for base, u in zip(bases, got)
+        ]
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+@pytest.mark.parametrize("send_delta", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("steps", [0, 1, 7])
+def test_cohort_equals_local_train(optimizer, mu, send_delta, dtype, steps):
+    cohort, alone = cohort_states(dtype, optimizer=optimizer, prox_mu=mu, send_delta=send_delta)
+    assert_cohort_equals_local_train(cohort, alone, [steps] * 4, dtype)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cohort_equals_local_train_on_regression(optimizer, dtype):
+    cohort, alone = cohort_states(dtype, spec=REGRESSION, optimizer=optimizer, lr=0.01,
+                                  prox_mu=0.5)
+    assert_cohort_equals_local_train(cohort, alone, [7, 7, 7, 7], dtype)
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_cohort_with_unequal_step_budgets(optimizer):
+    # the budgets of a Compass group: some clients stop early, one never starts
+    cohort, alone = cohort_states(optimizer=optimizer, prox_mu=0.5, send_delta=True)
+    assert_cohort_equals_local_train(cohort, alone, [7, 3, 0, 5])
+
+
+@pytest.mark.parametrize("configs", [
+    [dict(lr=0.05), dict(lr=0.02), dict(lr=0.05), dict(lr=0.05)],
+    [dict(prox_mu=0.5), dict(prox_mu=0.0), dict(prox_mu=0.5), dict(prox_mu=0.25)],
+    [
+        dict(optimizer="sgd", lr=0.05, prox_mu=0.5),
+        dict(optimizer="sgd", lr=0.02, prox_mu=0.5),
+        dict(optimizer="adam", lr=0.01),
+        dict(optimizer="sgd", lr=0.05, prox_mu=0.0, send_delta=True),
+    ],
+], ids=["lr", "prox_mu", "mixed"])
+def test_cohort_of_clients_with_their_own_settings(configs):
+    # no shared SGD step: every client steps on its own optimizer and prox_mu
+    cohort, alone = cohort_states(configs=configs)
+    assert_cohort_equals_local_train(cohort, alone, [7, 7, 6, 7])
+
+
+def test_cohort_stacks_equal_batches_into_one_backward(monkeypatch):
+    calls = []
+    real = client_module.backward
+    monkeypatch.setattr(client_module, "backward", lambda spec, p, x, y, out: (
+        calls.append(np.shape(x)), real(spec, p, x, y, out=out))[1])
+    cohort, _ = cohort_states()
+    base = init_params(SPEC, seed=0)
+    train_cohort([(st, base, 5, 0) for st in cohort])
+    # steps 0-2 stack all four clients; step 3 splits {0, 2, 3} from the
+    # partial {1}; step 4 splits {0, 1, 2} from the partial {3}
+    assert calls == [(4, 16, 4)] * 3 + [(3, 16, 4), (12, 4), (3, 16, 4), (6, 4)]
+
+
+def test_cohort_rejects_a_client_twice():
+    st = make_state()
+    base = init_params(SPEC, seed=0)
+    with pytest.raises(ConfigError):
+        train_cohort([(st, base, 1, 0), (st, base, 1, 0)])
+
+
+def test_cohort_float32_model_on_float64_features_raises_shape_mismatch():
+    cohort, _ = cohort_states()  # float64 features
+    base = init_params(SPEC, seed=0, dtype=np.float32)
+    with pytest.raises(ShapeMismatch):
+        train_cohort([(st, base, 1, 0) for st in cohort])
+
+
+def test_mixed_dtype_model_in_a_cohort():
+    # float64 first layer, float32 output layer: the float32 weights get
+    # float64 gradients, which no float32 buffer can hold
+    base = init_params(SPEC, seed=0)
+    base = ParameterSet(
+        (k, a.astype(np.float32) if k.endswith("1") else a) for k, a in base.items()
+    )
+    cohort, alone = cohort_states()
+    got = train_cohort([(st, base, 0, 0) for st in cohort])
+    assert all(u.params == local_train(st, base, steps=0).params for u, st in zip(got, alone))
+    for train in (lambda: local_train(alone[0], base, steps=1),
+                  lambda: train_cohort([(st, base, 1, 0) for st in cohort])):
+        with pytest.raises(ShapeMismatch):
+            train()
+
+
+def test_cohort_memory_stays_near_one_client():
+    # a ~1M-parameter float64 model is over the stack budget, so the cohort
+    # trains one client at a time: beyond the eight results it holds about
+    # the gradient, prox base and scratch of one client, not eight of each
+    spec = ModelSpec((1024, 1000, 10))
+    rng = np.random.default_rng(0)
+    base = init_params(spec, seed=0)
+    row_bytes = sum(a.nbytes for _, a in base.items())
+    jobs = []
+    for i in range(8):
+        ds = Dataset(rng.normal(size=(4, 1024)), rng.integers(0, 10, 4))
+        cfg = TrainConfig(lr=0.01, batch_size=4, prox_mu=0.5, seed=i)
+        jobs.append((ClientState(f"c{i}", ds, spec, cfg), base, 1, 0))
+    tracemalloc.start()
+    try:
+        updates = train_cohort(jobs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(updates) == 8
+    assert peak < (8 + 4) * row_bytes

@@ -76,8 +76,9 @@ def test_run_dir_outputs(tmp_path):
 def test_async_local_run_completes(tmp_path):
     cfg = load_config(write_config(tmp_path, scheduler="AsyncScheduler", epochs=2))
     out = run_local(cfg)
-    assert out.updates_processed >= 4
-    assert out.epoch >= 1
+    # 2 clients x 2 epochs; an update in flight when the run ends is not counted
+    assert out.updates_processed == 4
+    assert out.epoch == 4
 
 
 def test_wrong_token_is_rejected(tmp_path):

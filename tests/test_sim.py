@@ -1,17 +1,21 @@
 """Simulator tests: exact utilization laws, conservation, determinism."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fedkit.client import TrainConfig
-from fedkit.compression import CodecConfig
+from fedkit.client import TrainConfig, local_train
+from fedkit.compression import CodecConfig, compress_params, decompress_params
 from fedkit.errors import InvalidBounds, NonTerminating
 from fedkit.models import ModelSpec, make_blobs
-from fedkit.params import serialize_params
+from fedkit.params import serialize_params, serialized_size
 from fedkit.sim import (
+    _ARRIVE,
     SimClient,
     SimScenario,
+    _Job,
+    _Sim,
     draw_batch_times,
     run_simulation,
 )
@@ -199,3 +203,110 @@ class TestBatchTimeDraws:
 
     def test_single_client_gets_fastest(self):
         assert draw_batch_times(1, fastest=0.7) == [0.7]
+
+
+# ---------------------------------------------------------------------------
+# lazy cohort training against the eager, one-client-at-a-time simulator
+
+
+class EagerSim(_Sim):
+    """The simulator before cohorts: each round trains alone, at dispatch."""
+
+    def __init__(self, sc):
+        super().__init__(sc)
+        self.trained = 0
+
+    def _schedule_round(self, cid, params, epoch, steps, now):
+        start = now + self._transfer(self.model_bytes)
+        duration = steps * self.clients[cid].mean_batch_time
+        if self.sc.jitter > 0.0:
+            duration *= float(self.rng.uniform(1.0 - self.sc.jitter, 1.0 + self.sc.jitter))
+        end = start + duration
+        update = local_train(self.states[cid], params, steps=steps, base_epoch=epoch)
+        update = dataclasses.replace(update, wall_meta=(start, end))
+        if self.sc.codec is not None:
+            blob = compress_params(update.params, self.sc.codec)
+            update = dataclasses.replace(update, params=decompress_params(blob))
+            update_bytes = len(blob)
+        else:
+            update_bytes = serialized_size(update.params)
+        self.segments.append((cid, start, end))
+        self.trained += 1
+        job = _Job(cid, params, epoch, steps, start, end, update, update_bytes)
+        self._push(end + self._transfer(update_bytes), _ARRIVE, cid, job)
+
+
+def oracle_scenario(scheduler, aggregator, codec, bandwidth, jitter, configs=None):
+    # 37, 50 and 23 rows in batches of 8: every client has partial last batches
+    rows = (37, 50, 23)
+    # the deadline slack exceeds the jitter: a group whose deadline passes
+    # before any member arrives makes the simulator re-fire that deadline
+    # without end (NonTerminating), with or without cohorts
+    compass = {"qmin": 2, "qmax": 9, "latitude": 0.5} if scheduler == "CompassScheduler" else None
+    clients = []
+    for i, n in enumerate(rows):
+        ds = make_blobs(classes=3, dim=5, per_class=20, seed=60 + i).subset(np.arange(n))
+        kw = dict(optimizer="sgd", lr=0.05, batch_size=8, local_steps=9, seed=70 + i,
+                  prox_mu=0.5, send_delta=aggregator == "FedBuffAggregator")
+        kw.update(configs[i] if configs else {})
+        speed = (1.0, 1.7, 2.9)[i]
+        clients.append(SimClient(f"c{i}", ds, TrainConfig(**kw), mean_batch_time=speed))
+    return SimScenario(
+        model_spec=SPEC, clients=clients, num_global_epochs=3 if compass is None else 6,
+        scheduler=scheduler, aggregator=aggregator, scheduler_kwargs=compass or {},
+        aggregator_kwargs={"buffer_size": 2} if aggregator == "FedBuffAggregator" else {},
+        eval_dataset=shard(7), fixed_latency=0.25, bandwidth=bandwidth, jitter=jitter, seed=3,
+        codec=codec, max_updates=8 if scheduler == "AsyncScheduler" else None,
+    )
+
+
+def assert_same_run(lazy, eager):
+    assert lazy.final_params == eager.final_params
+    assert lazy.metrics == eager.metrics
+    assert lazy.virtual_time == eager.virtual_time
+    assert lazy.utilization.gantt == eager.utilization.gantt
+    assert (lazy.epoch, lazy.aggregations, lazy.updates_processed) == (
+        eager.epoch, eager.aggregations, eager.updates_processed)
+
+
+ORACLE_MODES = [
+    ("SyncScheduler", "FedAvgAggregator"),
+    ("AsyncScheduler", "FedAsyncAggregator"),
+    ("CompassScheduler", "FedCompassAggregator"),
+    ("AsyncScheduler", "FedBuffAggregator"),
+]
+
+
+QZ = CodecConfig(lossy="qz", eb_rel=0.01, small_tensor_threshold=0)
+
+
+@pytest.mark.parametrize("scheduler,aggregator", ORACLE_MODES)
+@pytest.mark.parametrize("codec", [None, QZ], ids=["raw", "qz"])
+@pytest.mark.parametrize("bandwidth", [math.inf, 1e4])
+@pytest.mark.parametrize("jitter", [0.0, 0.3])
+def test_cohort_simulator_equals_eager_simulator(scheduler, aggregator, codec, bandwidth, jitter):
+    sc = oracle_scenario(scheduler, aggregator, codec, bandwidth, jitter)
+    eager = EagerSim(sc)
+    assert_same_run(run_simulation(sc), eager.run())
+
+
+@pytest.mark.parametrize("scheduler,aggregator", ORACLE_MODES)
+def test_cohort_simulator_with_per_client_settings(scheduler, aggregator):
+    configs = [dict(optimizer="adam", lr=0.01), dict(lr=0.02, prox_mu=0.0), {}]
+    sc = oracle_scenario(scheduler, aggregator, None, math.inf, 0.3, configs)
+    assert_same_run(run_simulation(sc), EagerSim(sc).run())
+
+
+def test_rounds_the_run_never_uses_are_not_trained(monkeypatch):
+    import fedkit.sim as sim_module
+
+    trained = []
+    real = sim_module.train_cohort
+    monkeypatch.setattr(sim_module, "train_cohort", lambda jobs: (
+        trained.append(len(jobs)), real(jobs))[1])
+    sc = oracle_scenario("AsyncScheduler", "FedAsyncAggregator", None, math.inf, 0.0)
+    res = run_simulation(sc)
+    eager = EagerSim(sc)
+    eager.run()
+    # eager training also trained the rounds still in flight at the end
+    assert res.updates_processed <= sum(trained) < eager.trained

@@ -206,6 +206,29 @@ class TestSocketRuns:
                 assert p2.same_structure(params)
         assert len(store) >= 3  # model reply, update, final reply all spilled
 
+    def test_update_arriving_after_the_run_ended_is_not_aggregated(self):
+        # async, one update ends the run; the other client's update is in flight
+        spec = ModelSpec((5, 8, 3), "relu", "softmax_cross_entropy")
+        agent = ServerAgent(
+            init_params(spec, seed=42), AsyncScheduler(["c0", "c1"], 5), FedAvgAggregator(),
+            target_updates=1,
+        )
+        _, clients = make_setup()
+        with SocketServer(agent) as srv:
+            with Communicator(srv.host, srv.port) as a, Communicator(srv.host, srv.port) as b:
+                fetched = {cid: com.fetch_model(cid) for cid, com in (("c0", a), ("c1", b))}
+                updates = {
+                    cid: local_train(clients[cid], p, steps=s, base_epoch=e)
+                    for cid, (p, e, s, _) in fetched.items()
+                }
+                _, epoch, _, done = a.submit_update(updates["c0"])
+                assert (epoch, done) == (1, True)
+                final = agent.global_params
+                params, epoch, steps, done = b.submit_update(updates["c1"])
+        assert agent.update_count == agent.dispatch_count == 1
+        assert (epoch, steps, done) == (1, 0, True)
+        assert params == final and agent.global_params is final
+
     def test_config_request_roundtrip(self):
         agent, _ = make_setup()
         provider = lambda cid: {"client_id": cid, "lr": 0.01}
