@@ -131,8 +131,8 @@ def train_cohort(jobs, clock=time.monotonic) -> list[ModelUpdate]:
     Each job is ``(state, base, steps, base_epoch)`` as the arguments of
     :func:`local_train`, for distinct clients of one model spec and one
     parameter structure.  The updates equal those of one ``local_train``
-    call per job, bit for bit and in any order of calls.  ``wall_meta`` is
-    the interval of the whole cohort.
+    call per job, bit for bit and in any order of calls.  ``wall_meta`` runs
+    from the start of the cohort to the end of the client's training.
     """
     jobs = [
         (st, base, st.cfg.local_steps if steps is None else steps, epoch)
@@ -141,31 +141,41 @@ def train_cohort(jobs, clock=time.monotonic) -> list[ModelUpdate]:
     if len({id(st) for st, _, _, _ in jobs}) != len(jobs):
         raise ConfigError("a client can train only once per cohort")
     start = clock()
-    trained = [base for _, base, _, _ in jobs]
-    busy = [i for i, (_, _, steps, _) in enumerate(jobs) if steps > 0]
+    updates: list = [None] * len(jobs)
+    busy = []
+    for i, job in enumerate(jobs):
+        if job[2] > 0:
+            busy.append(i)
+        else:
+            updates[i] = _package(job, job[1], start, clock())
     if busy:
         # consecutive slices, each with transient stacks of at most _STACK_BYTES
         row_bytes = sum(a.nbytes for _, a in jobs[busy[0]][1].items())
         size = max(1, _STACK_BYTES // max(row_bytes, 1))
         for lo in range(0, len(busy), size):
             part = busy[lo : lo + size]
-            for i, params in zip(part, _train_rows([jobs[i] for i in part])):
-                trained[i] = params
-    end = clock()
-    updates = []
-    for (st, base, steps, epoch), params in zip(jobs, trained):
-        payload = _transmitted(params, base, st.cfg.send_delta)
-        payload = apply_privacy(payload, st.privacy, st.privacy_rng)
-        updates.append(ModelUpdate(
-            client_id=st.client_id,
-            params=payload,
-            is_delta=st.cfg.send_delta,
-            sample_count=len(st.dataset),
-            local_steps=steps,
-            base_epoch=epoch,
-            wall_meta=(start, end),
-        ))
+            trained = _train_rows([jobs[i] for i in part])
+            end = clock()
+            # packaged at once, while a large model's weights are still in cache
+            for i, params in zip(part, trained):
+                updates[i] = _package(jobs[i], params, start, end)
     return updates
+
+
+def _package(job, params: ParameterSet, start: float, end: float) -> ModelUpdate:
+    """The update of a trained job: its payload after ``send_delta`` and privacy."""
+    st, base, steps, epoch = job
+    payload = _transmitted(params, base, st.cfg.send_delta)
+    payload = apply_privacy(payload, st.privacy, st.privacy_rng)
+    return ModelUpdate(
+        client_id=st.client_id,
+        params=payload,
+        is_delta=st.cfg.send_delta,
+        sample_count=len(st.dataset),
+        local_steps=steps,
+        base_epoch=epoch,
+        wall_meta=(start, end),
+    )
 
 
 def _train_rows(jobs) -> list[ParameterSet]:
@@ -173,7 +183,7 @@ def _train_rows(jobs) -> list[ParameterSet]:
 
     Row ``r`` of the weight stack ``w`` starts as a copy of job ``r``'s base.
     At each step every client that still has steps draws its own batch;
-    clients whose batches have one length form a group, and the group runs
+    clients whose batches have one length and dtype form a group, which runs
     one ``backward`` on its rows, which writes into the same rows of the
     gradient stack ``g``.  A group of one runs the 2-D path on its rows.  A
     group that is not a contiguous block of rows works on a gathered copy of
@@ -214,10 +224,10 @@ def _train_rows(jobs) -> list[ParameterSet]:
             while budgets[active - 1] <= step:
                 active -= 1
             steppers = _steppers(opts, mus, block, (w, g, b, t), active)
-        groups: dict[int, list] = {}
+        groups: dict[tuple, list] = {}
         for r in range(active):
             x, y = states[r].next_batch()
-            groups.setdefault(len(x), []).append((r, x, y))
+            groups.setdefault((len(x), x.dtype), []).append((r, x, y))
         for members in groups.values():
             rows = [r for r, _, _ in members]
             m = len(rows)
