@@ -183,8 +183,8 @@ def _train_rows(jobs) -> list[ParameterSet]:
 
     Row ``r`` of the weight stack ``w`` starts as a copy of job ``r``'s base.
     At each step every client that still has steps draws its own batch;
-    clients whose batches have one length and dtype form a group, which runs
-    one ``backward`` on its rows, which writes into the same rows of the
+    clients whose batches have one length and dtype form a group, and one
+    ``backward`` call on the group's rows writes into the same rows of the
     gradient stack ``g``.  A group of one runs the 2-D path on its rows.  A
     group that is not a contiguous block of rows works on a gathered copy of
     its weights and scatters its gradients back.  No row is ever masked or

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fedkit import sim as sim_module
 from fedkit.client import TrainConfig, local_train
 from fedkit.compression import CodecConfig, compress_params, decompress_params
 from fedkit.errors import InvalidBounds, NonTerminating
@@ -298,12 +299,14 @@ def test_cohort_simulator_with_per_client_settings(scheduler, aggregator):
 
 
 def test_rounds_the_run_never_uses_are_not_trained(monkeypatch):
-    import fedkit.sim as sim_module
-
     trained = []
     real = sim_module.train_cohort
-    monkeypatch.setattr(sim_module, "train_cohort", lambda jobs: (
-        trained.append(len(jobs)), real(jobs))[1])
+
+    def counting(jobs):
+        trained.append(len(jobs))
+        return real(jobs)
+
+    monkeypatch.setattr(sim_module, "train_cohort", counting)
     sc = oracle_scenario("AsyncScheduler", "FedAsyncAggregator", None, math.inf, 0.0)
     res = run_simulation(sc)
     eager = EagerSim(sc)
