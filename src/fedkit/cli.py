@@ -35,7 +35,7 @@ def _add_run_dir_args(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedkit",
-        description="Federated learning orchestration: simulate, run, and benchmark.",
+        description="Federated learning orchestration: simulate, run, and report.",
         epilog=f"Auth tokens come from the config or the {TOKEN_ENV_VAR} environment variable.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -53,31 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p)
     _add_run_dir_args(p)
 
-    p = sub.add_parser("bench-comm", help="round-trip timing for inline vs out-of-band payloads")
-    p.add_argument(
-        "--sizes",
-        default="1024,65536,1048576",
-        help="comma-separated payload sizes in bytes",
+    p = sub.add_parser(
+        "report-utilization",
+        help="utilization and Gantt CSVs from re-simulating a run's config "
+        "(for a socket run: the simulated schedule, not a measured one)",
     )
-    p.add_argument("--transports", default="inline,dataref")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--out", required=True, help="output CSV path")
-
-    p = sub.add_parser("bench-compress", help="codec ratio and timing table")
-    p.add_argument(
-        "--params",
-        default=None,
-        help="comma-separated name=param_count pairs (default: built-in ladder)",
-    )
-    p.add_argument(
-        "--codecs",
-        default=None,
-        help=f"comma-separated codec names from: {','.join(bench.DEFAULT_BENCH_CODECS)}",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, help="output CSV path")
-
-    p = sub.add_parser("report-utilization", help="utilization and Gantt CSVs for a run")
     p.add_argument("--run-dir", help="run directory holding config.yaml")
     p.add_argument("--config", help="config file (alternative to --run-dir)")
     p.add_argument("--out-dir", help="where to write the CSVs (default: next to the source)")
@@ -140,79 +120,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_sizes(text: str) -> list[int]:
-    try:
-        return [int(s) for s in text.split(",") if s.strip()]
-    except ValueError:
-        raise ConfigError(f"bad size list {text!r}; expected comma-separated integers") from None
-
-
-def _cmd_bench_comm(args) -> int:
-    rows = bench.bench_comm(
-        sizes=_parse_sizes(args.sizes),
-        transports=tuple(t.strip() for t in args.transports.split(",") if t.strip()),
-        trials=args.trials,
-        out_path=args.out,
-    )
-    for r in rows:
-        print(
-            f"{r['payload_bytes']:>12} B  {r['transport']:<8} "
-            f"mean={r['mean_seconds'] * 1e3:.3f} ms  std={r['std_seconds'] * 1e3:.3f} ms"
-        )
-    print(f"wrote {args.out}")
-    return 0
-
-
-def _parse_param_counts(text):
-    if text is None:
-        return None
-    out = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if "=" in piece:
-            name, _, count = piece.partition("=")
-        else:
-            name, count = piece, piece
-        try:
-            out[name] = int(count)
-        except ValueError:
-            raise ConfigError(f"bad param count {piece!r}; use name=count") from None
-    return out or None
-
-
-def _parse_codecs(text):
-    if text is None:
-        return None
-    out = {}
-    for name in (s.strip() for s in text.split(",")):
-        if not name:
-            continue
-        if name not in bench.DEFAULT_BENCH_CODECS:
-            raise ConfigError(
-                f"unknown codec {name!r}; known: {sorted(bench.DEFAULT_BENCH_CODECS)}"
-            )
-        out[name] = bench.DEFAULT_BENCH_CODECS[name]
-    return out or None
-
-
-def _cmd_bench_compress(args) -> int:
-    rows = bench.bench_compress(
-        param_counts=_parse_param_counts(args.params),
-        codecs=_parse_codecs(args.codecs),
-        out_path=args.out,
-        seed=args.seed,
-    )
-    for r in rows:
-        print(
-            f"{r['model']:<10} {r['codec']:<12} {r['original_bytes']:>12} -> "
-            f"{r['compressed_bytes']:>12} B  ratio={r['ratio']:.2f}"
-        )
-    print(f"wrote {args.out}")
-    return 0
-
-
 def _cmd_report_utilization(args) -> int:
     if bool(args.run_dir) == bool(args.config):
         print("give exactly one of --run-dir or --config", file=sys.stderr)
@@ -245,8 +152,6 @@ def _cmd_validate_config(args) -> int:
 _COMMANDS = {
     "run": _cmd_run,
     "simulate": _cmd_simulate,
-    "bench-comm": _cmd_bench_comm,
-    "bench-compress": _cmd_bench_compress,
     "report-utilization": _cmd_report_utilization,
     "validate-config": _cmd_validate_config,
 }

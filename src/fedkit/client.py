@@ -24,25 +24,21 @@ adopt; nothing is kept per client besides the optimizer state.
 """
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, UnknownStrategyName
+from .errors import ConfigError
 from .models import Dataset, ModelSpec, backward, dataset_metrics
 from .optim import SGD, make_optimizer
-from .params import FlatStack, ModelUpdate, ParameterSet, save_params
+from .params import FlatStack, ModelUpdate, ParameterSet
 from .privacy import PrivacyConfig, apply_privacy
-
-TRAINERS = ("VanillaTrainer",)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    trainer: str = "VanillaTrainer"
     optimizer: str = "sgd"  # sgd | adam
     lr: float = 0.01
     batch_size: int = 32
@@ -50,11 +46,8 @@ class TrainConfig:
     prox_mu: float = 0.0  # > 0 adds the proximal pull toward the round's base model
     send_delta: bool = False
     seed: int = 0
-    checkpoint_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.trainer not in TRAINERS:
-            raise UnknownStrategyName(f"unknown trainer {self.trainer!r}; known: {TRAINERS}")
         if self.lr < 0:
             raise ConfigError(f"lr must be non-negative, got {self.lr}")
         if self.batch_size < 1:
@@ -312,13 +305,3 @@ def evaluate(state: ClientState, params: ParameterSet) -> dict:
     """Loss plus accuracy/mse on the evaluation split (train shard if absent)."""
     ds = state.eval_dataset if state.eval_dataset is not None else state.dataset
     return dataset_metrics(state.model_spec, params, ds)
-
-
-def save_checkpoint(state: ClientState, params: ParameterSet, tag: str) -> Optional[str]:
-    """Write a ``.apfm`` checkpoint if the config names a directory."""
-    if not state.cfg.checkpoint_dir:
-        return None
-    os.makedirs(state.cfg.checkpoint_dir, exist_ok=True)
-    path = os.path.join(state.cfg.checkpoint_dir, f"{state.client_id}_{tag}.apfm")
-    save_params(params, path)
-    return path

@@ -23,7 +23,7 @@ from typing import Optional
 import yaml
 
 from .aggregators import AGGREGATORS
-from .client import TRAINERS, TrainConfig
+from .client import TrainConfig
 from .compression import CodecConfig
 from .errors import ConfigError, MissingRequired, ParseError, UnknownKey, UnknownStrategyName
 from .models import DATASETS, ModelSpec, build_dataset
@@ -34,7 +34,6 @@ from .transport import TOKEN_ENV_VAR
 from .wire import DEFAULT_INLINE_LIMIT, MAX_PAYLOAD
 
 _TRAIN_KEYS = {
-    "trainer": str,
     "optimizer": str,
     "lr": float,
     "batch_size": int,
@@ -42,7 +41,6 @@ _TRAIN_KEYS = {
     "prox_mu": float,
     "send_delta": bool,
     "seed": int,
-    "checkpoint_dir": str,
 }
 _PRIVACY_KEYS = {"enabled": bool, "epsilon": float, "clip_norm": float, "clip_kind": str}
 _COMPRESSOR_KEYS = {
@@ -196,9 +194,6 @@ def _parse_train(merged: dict, path: str) -> TrainConfig:
     for key in ("lr", "prox_mu"):
         if key in kwargs:
             kwargs[key] = float(kwargs[key])
-    trainer = kwargs.get("trainer", "VanillaTrainer")
-    if trainer not in TRAINERS:
-        raise UnknownStrategyName(f"{path}.trainer: {trainer!r} (known: {sorted(TRAINERS)})")
     try:
         return TrainConfig(**kwargs)
     except TypeError as e:

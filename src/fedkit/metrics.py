@@ -8,7 +8,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ParseError
 from .params import MetricRecord
@@ -48,10 +48,8 @@ def export_metrics(records: Sequence[MetricRecord], fmt: str, path) -> Path:
     return path
 
 
-def write_table(path, columns, rows) -> Optional[Path]:
-    """Write a CSV table, replacing any file at ``path``; ``None`` writes nothing."""
-    if path is None:
-        return None
+def write_table(path, columns, rows) -> Path:
+    """Write a CSV table, replacing any file at ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:

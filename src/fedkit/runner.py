@@ -17,12 +17,12 @@ from typing import Optional
 
 from .client import ClientState, local_train
 from .config import ClientPlan, ExperimentConfig, client_dataset, dump_resolved
+from .errors import ConfigError
 from .metrics import export_metrics
 from .models import build_dataset, dataset_metrics
 from .params import MetricRecord, ParameterSet, save_params
 from .server import ServerAgent, make_server_agent
 from .transport import Communicator, SocketServer
-from .wire import FilesystemConnector
 
 DEFAULT_METRICS_FORMAT = "csv"
 
@@ -80,21 +80,13 @@ def _finish(cfg, agent: ServerAgent, run_dir, metrics_format) -> RunOutputs:
     return RunOutputs(agent.global_params, agent.epoch, agent.update_count, agent.metrics, run_dir)
 
 
-def serve(cfg: ExperimentConfig, port: Optional[int] = None, spool_dir=None) -> SocketServer:
+def serve(cfg: ExperimentConfig, port: Optional[int] = None) -> SocketServer:
     """Start (but do not block on) the TCP server for a config."""
-    agent = make_server_agent(cfg)
-    connectors = {}
-    send = None
-    if spool_dir is not None:
-        send = FilesystemConnector(spool_dir)
-        connectors[send.connector_id] = send
     return SocketServer(
-        agent,
+        make_server_agent(cfg),
         host=cfg.comm.bind_host,
         port=cfg.comm.bind_port if port is None else port,
         token=cfg.comm.resolve_token(),
-        connectors=connectors,
-        send_connector=send,
         inline_limit=cfg.comm.inline_limit,
         max_payload=cfg.comm.max_payload,
     )
@@ -125,6 +117,8 @@ def run_client(
     Returns the number of rounds this client contributed.
     """
     plans = {p.client_id: p for p in cfg.clients}
+    if client_id not in plans:
+        raise ConfigError(f"unknown client {client_id!r}; known: {sorted(plans)}")
     plan = plans[client_id]
     state = make_client_state(cfg, plan)
     rounds = 0

@@ -279,10 +279,16 @@ class CompassScheduler:
         return None
 
     def next_deadline(self) -> Optional[float]:
+        """Earliest deadline of an open group that has at least one arrival.
+
+        A group with no arrival has nothing to aggregate when its deadline
+        passes; it aggregates at the first deadline check after a member
+        arrives, however late.
+        """
         times = [
             g.t_arrival * (1.0 + self.latitude)
             for g in self.groups.values()
-            if not g.closed and g.t_arrival is not None
+            if not g.closed and g.t_arrival is not None and g.arrived
         ]
         return min(times) if times else None
 

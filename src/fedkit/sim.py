@@ -254,12 +254,13 @@ class _Sim:
             for job in self._train_pending():
                 self._push(job.end + self._transfer(job.nbytes), _ARRIVE, job.cid, job)
 
-    def _refresh_deadline(self) -> None:
+    def _refresh_deadline(self, now: float) -> None:
         nxt = self.agent.scheduler.next_deadline()
         if nxt is None:
             return
-        # strict inequality in the deadline check needs a nudge past it
-        t = math.nextafter(nxt, math.inf)
+        # strict inequality in the deadline check needs a nudge past it; a
+        # deadline that passed before its group's first arrival fires now
+        t = max(math.nextafter(nxt, math.inf), now)
         if t not in self._pending_deadlines:
             self._pending_deadlines.add(t)
             self._push(t, _DEADLINE, "", None)
@@ -281,7 +282,7 @@ class _Sim:
             params, epoch, steps = self.agent.handle_model_request(cid, 0.0)
             self._schedule_round(cid, params, epoch, steps, 0.0)
         self._push_trained()
-        self._refresh_deadline()
+        self._refresh_deadline(0.0)
 
         now = 0.0
         events = 0
@@ -303,7 +304,7 @@ class _Sim:
             for cid, rep in sorted(replies.items()):
                 self._schedule_round(cid, rep.params, rep.epoch, rep.next_steps, now)
             self._push_trained()
-            self._refresh_deadline()
+            self._refresh_deadline(now)
         else:
             if not self.agent.done:
                 raise NonTerminating("event queue drained before the run completed")

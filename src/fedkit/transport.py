@@ -12,7 +12,6 @@ connection is served by its own thread parked on a condition variable.
 """
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import time
@@ -156,7 +155,6 @@ class SocketServer:
         send_connector=None,
         inline_limit: int = DEFAULT_INLINE_LIMIT,
         max_payload: int = MAX_PAYLOAD,
-        config_provider=None,
     ):
         self.agent = agent
         self.auth = StaticTokenAuthenticator(token)
@@ -164,7 +162,6 @@ class SocketServer:
         self.send_connector = send_connector
         self.inline_limit = inline_limit
         self.max_payload = max_payload
-        self.config_provider = config_provider or (lambda cid: {})
         self.unauthorized_count = 0
         self._cond = threading.Condition()
         self._ready: dict[str, Reply] = {}
@@ -269,7 +266,6 @@ class SocketServer:
                 self.unauthorized_count += 1
                 raise Unauthenticated("bad or missing auth token")
             handler = {
-                MessageType.CONFIG_REQUEST: self._on_config_request,
                 MessageType.MODEL_REQUEST: self._on_model_request,
                 MessageType.UPDATE_SUBMIT: self._on_update_submit,
             }.get(frame.msg_type)
@@ -278,12 +274,6 @@ class SocketServer:
             return handler(frame.payload)
         except FedkitError as e:
             return encode_frame(MessageType.ERROR_REPLY, _error_payload(e))
-
-    def _on_config_request(self, payload: bytes) -> bytes:
-        env = decode_envelope(payload)
-        cid = env.meta.get("client_id", "")
-        body = json.dumps(self.config_provider(cid), sort_keys=True).encode("utf-8")
-        return encode_frame(MessageType.CONFIG_REPLY, stage_body({}, body))
 
     def _on_model_request(self, payload: bytes) -> bytes:
         env = decode_envelope(payload)
@@ -413,12 +403,6 @@ class Communicator:
         raise ProtocolError(f"request failed after {self.max_retries + 1} attempts: {last}")
 
     # convenience wrappers ------------------------------------------------
-
-    def fetch_config(self, client_id: str) -> dict:
-        payload = stage_body({"client_id": client_id}, b"")
-        frame = self.request(MessageType.CONFIG_REQUEST, payload)
-        env = decode_envelope(frame.payload)
-        return json.loads(fetch_body(env, self.connectors).decode("utf-8"))
 
     def fetch_model(self, client_id: str):
         payload = stage_body({"client_id": client_id}, b"")

@@ -1,19 +1,11 @@
-"""Benchmark helpers produce sane tables against real transports."""
+"""Benchmark helpers: synthetic models and the utilization report."""
 import csv
 
 import numpy as np
 import pytest
 import yaml
 
-from fedkit.bench import (
-    COMM_COLUMNS,
-    COMPRESS_COLUMNS,
-    bench_comm,
-    bench_compress,
-    report_utilization,
-    synthetic_params,
-)
-from fedkit.compression import CodecConfig
+from fedkit.bench import report_utilization, synthetic_params
 from fedkit.errors import InvalidBounds, ParseError
 
 
@@ -31,55 +23,6 @@ class TestSyntheticParams:
     def test_rejects_empty(self):
         with pytest.raises(InvalidBounds):
             synthetic_params(0)
-
-
-class TestBenchComm:
-    def test_rows_and_csv(self, tmp_path):
-        out = tmp_path / "comm.csv"
-        rows = bench_comm(sizes=(2048, 16384), trials=3, out_path=out)
-        assert len(rows) == 4
-        combos = {(r["payload_bytes"], r["transport"]) for r in rows}
-        assert len(combos) == 4
-        for r in rows:
-            assert r["trials"] == 3
-            assert r["mean_seconds"] > 0
-            assert r["std_seconds"] >= 0
-        with out.open(newline="") as fh:
-            table = list(csv.reader(fh))
-        assert tuple(table[0]) == COMM_COLUMNS
-        assert len(table) == 5
-
-    def test_unknown_transport(self):
-        with pytest.raises(ParseError, match="carrier-pigeon"):
-            bench_comm(sizes=(256,), transports=("carrier-pigeon",), trials=1)
-
-    def test_trials_must_be_positive(self):
-        with pytest.raises(InvalidBounds):
-            bench_comm(sizes=(256,), trials=0)
-
-
-class TestBenchCompress:
-    def test_quantized_gaussian_ratio(self, tmp_path):
-        out = tmp_path / "comp.csv"
-        rows = bench_compress(
-            {"gauss": 200_000},
-            {"qz+deflate": CodecConfig(), "none": CodecConfig(lossy="none", lossless="none")},
-            out_path=out,
-        )
-        by_codec = {r["codec"]: r for r in rows}
-        assert by_codec["qz+deflate"]["ratio"] >= 3.0
-        assert by_codec["none"]["ratio"] == pytest.approx(1.0, abs=0.01)
-        for r in rows:
-            assert r["compress_seconds"] > 0
-            assert r["decompress_seconds"] > 0
-            assert r["original_bytes"] >= 200_000 * 4
-        with out.open(newline="") as fh:
-            header = next(csv.reader(fh))
-        assert tuple(header) == COMPRESS_COLUMNS
-
-    def test_default_tables_cover_all_pairs(self):
-        rows = bench_compress({"a": 10, "b": 2000})
-        assert len(rows) == 6  # 2 models x 3 default codecs
 
 
 UTIL_DOC = {

@@ -1,10 +1,16 @@
 """CLI surface: subcommands, exit codes, file outputs."""
+import re
+from pathlib import Path
+
 import yaml
 
 import pytest
 
 from fedkit.cli import main
+from fedkit.config import build_scenario, load_config
 from fedkit.metrics import read_metrics
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -62,6 +68,26 @@ def test_validate_config_bad_strategy_exits_2(config_path, tmp_path, capsys):
     bad.write_text(yaml.safe_dump(doc))
     assert main(["validate-config", "--config", str(bad)]) == 2
     assert "FedMagic" in capsys.readouterr().err
+
+
+def test_readme_example_config_validates_and_builds(tmp_path, capsys):
+    text = README.read_text()
+    block = re.search(r"A complete working example:\n\n```yaml\n(.*?)```", text, re.S)
+    assert block is not None
+    path = tmp_path / "example.yaml"
+    path.write_text(block.group(1))
+    assert main(["validate-config", "--config", str(path)]) == 0
+    assert "config OK" in capsys.readouterr().out
+    scenario = build_scenario(load_config(path))
+    assert [c.client_id for c in scenario.clients] == ["alpha", "beta"]
+
+
+@pytest.mark.parametrize("command", ["bench-comm", "bench-compress"])
+def test_removed_subcommands_exit_2(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_validate_config_missing_file_exits_2(tmp_path, capsys):
@@ -122,6 +148,25 @@ def test_run_client_requires_client_id(config_path, capsys):
     assert "--client-id" in capsys.readouterr().err
 
 
+def test_run_client_unknown_client_id_exits_2(config_path, capsys):
+    rc = main(
+        [
+            "run",
+            "--config",
+            str(config_path),
+            "--role",
+            "client",
+            "--client-id",
+            "gamma",
+            "--port",
+            "1",  # reserved port nothing listens on
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'gamma'" in err and "'alpha'" in err and "'beta'" in err
+
+
 def test_run_client_connection_refused_exits_1(config_path, capsys):
     rc = main(
         [
@@ -138,39 +183,6 @@ def test_run_client_connection_refused_exits_1(config_path, capsys):
     )
     assert rc == 1
     assert "ConnectionRefused" in capsys.readouterr().err
-
-
-def test_bench_comm_cli(tmp_path, capsys):
-    out = tmp_path / "comm.csv"
-    rc = main(["bench-comm", "--sizes", "2048", "--trials", "2", "--out", str(out)])
-    assert rc == 0
-    assert out.exists()
-    assert "inline" in capsys.readouterr().out
-
-
-def test_bench_compress_cli(tmp_path, capsys):
-    out = tmp_path / "comp.csv"
-    rc = main(
-        [
-            "bench-compress",
-            "--params",
-            "toy=50000",
-            "--codecs",
-            "qz+deflate",
-            "--out",
-            str(out),
-        ]
-    )
-    assert rc == 0
-    assert "toy" in capsys.readouterr().out
-
-
-def test_bench_compress_unknown_codec_exits_2(tmp_path, capsys):
-    rc = main(
-        ["bench-compress", "--codecs", "middle-out", "--out", str(tmp_path / "x.csv")]
-    )
-    assert rc == 2
-    assert "middle-out" in capsys.readouterr().err
 
 
 def test_report_utilization_needs_exactly_one_source(config_path, capsys):

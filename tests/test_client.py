@@ -10,10 +10,9 @@ from fedkit.client import (
     TrainConfig,
     evaluate,
     local_train,
-    save_checkpoint,
     train_cohort,
 )
-from fedkit.errors import ConfigError, ShapeMismatch, UnknownStrategyName
+from fedkit.errors import ConfigError, ShapeMismatch
 from fedkit.models import Dataset, ModelSpec, backward, init_params, make_blobs
 from fedkit.optim import Adam
 from fedkit.params import ParameterSet, norms
@@ -69,8 +68,8 @@ def test_training_reduces_loss():
 
 def test_prox_zero_is_bit_identical_to_vanilla():
     base = init_params(SPEC, seed=3)
-    u_plain = local_train(make_state(prox_mu=0.0), base, steps=6)
-    u_prox = local_train(make_state(prox_mu=0.0, trainer="VanillaTrainer"), base, steps=6)
+    u_plain = local_train(make_state(), base, steps=6)
+    u_prox = local_train(make_state(prox_mu=0.0), base, steps=6)
     assert u_plain.params == u_prox.params
 
 
@@ -147,25 +146,12 @@ def test_privacy_clips_transmitted_delta():
 
 
 def test_config_validation():
-    with pytest.raises(UnknownStrategyName):
-        TrainConfig(trainer="TorchTrainer")
     with pytest.raises(ConfigError):
         TrainConfig(lr=-0.1)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(prox_mu=-1.0)
-
-
-def test_checkpoint_written_when_configured(tmp_path):
-    st = make_state(checkpoint_dir=str(tmp_path / "ck"))
-    base = init_params(SPEC, seed=0)
-    path = save_checkpoint(st, base, "final")
-    assert path is not None and path.endswith("c0_final.apfm")
-    from fedkit.params import load_params
-
-    assert load_params(path) == base
-    assert save_checkpoint(make_state(), base, "x") is None
 
 
 def test_evaluate_uses_eval_split_when_present():

@@ -32,7 +32,6 @@ SERVER_DOC = {
     },
     "client_configs": {
         "train_configs": {
-            "trainer": "VanillaTrainer",
             "optimizer": "sgd",
             "lr": 0.05,
             "batch_size": 16,
@@ -172,7 +171,7 @@ class TestValidation:
         path = write_server(
             tmp_path, SERVER_DOC, **{"client_configs.train_configs.trainer": "DIYTrainer"}
         )
-        with pytest.raises(UnknownStrategyName, match="DIYTrainer"):
+        with pytest.raises(UnknownKey, match=r"train_configs\.trainer"):
             load_config(path)
 
     def test_unknown_dataset(self, tmp_path):
@@ -200,6 +199,7 @@ class TestValidation:
             ("topology", {"kind": "tree"}),
             ("client_configs.train_configs.device", "cpu"),
             ("client_configs.train_configs.logging_dir", "logs"),
+            ("client_configs.train_configs.checkpoint_dir", "ck"),
         ],
     )
     def test_removed_sections_are_unknown_keys(self, tmp_path, dotted, value):

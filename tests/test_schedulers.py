@@ -268,6 +268,7 @@ class TestCompassScheduler:
         s.initial_assignment("a", 0.0)
         drive(s, "a", 0.0, 200, 1.0)
         s.replies(pset(), 1, 200.0)  # group with t_arrival=400, nobody arrived
+        assert s.next_deadline() is None
         assert s.check_deadline(1e9) is None
 
     def test_update_without_assignment_rejected(self):

@@ -9,7 +9,7 @@ from fedkit import sim as sim_module
 from fedkit.client import TrainConfig, local_train
 from fedkit.compression import CodecConfig, compress_params, decompress_params
 from fedkit.errors import InvalidBounds, NonTerminating
-from fedkit.models import ModelSpec, make_blobs
+from fedkit.models import ModelSpec, PartitionSpec, make_blobs, partition
 from fedkit.params import serialize_params, serialized_size
 from fedkit.sim import (
     _ARRIVE,
@@ -240,9 +240,6 @@ class EagerSim(_Sim):
 def oracle_scenario(scheduler, aggregator, codec, bandwidth, jitter, configs=None):
     # 37, 50 and 23 rows in batches of 8: every client has partial last batches
     rows = (37, 50, 23)
-    # the deadline slack exceeds the jitter: a group whose deadline passes
-    # before any member arrives makes the simulator re-fire that deadline
-    # without end (NonTerminating), with or without cohorts
     compass = {"qmin": 2, "qmax": 9, "latitude": 0.5} if scheduler == "CompassScheduler" else None
     clients = []
     for i, n in enumerate(rows):
@@ -313,3 +310,56 @@ def test_rounds_the_run_never_uses_are_not_trained(monkeypatch):
     eager.run()
     # eager training also trained the rounds still in flight at the end
     assert res.updates_processed <= sum(trained) < eager.trained
+
+
+def unreached_group_scenario(seed, latitude=0.2):
+    # with jitter above the deadline latitude, some seeds give a Compass group
+    # whose deadline passes before any member arrives
+    spec = ModelSpec((5, 8, 3), "relu", "softmax_cross_entropy")
+    shards = partition(make_blobs(classes=3, dim=5, per_class=30, seed=1), PartitionSpec("iid", 3, seed=3))
+    train = TrainConfig(optimizer="sgd", lr=0.05, batch_size=8, local_steps=9)
+    clients = [
+        SimClient(f"c{i}", shards[i], train, mean_batch_time=speed)
+        for i, speed in enumerate((1.0, 1.7, 2.9))
+    ]
+    return SimScenario(
+        model_spec=spec, clients=clients, num_global_epochs=40, scheduler="CompassScheduler",
+        scheduler_kwargs={"qmin": 2, "qmax": 9, "latitude": latitude}, jitter=0.3, seed=seed,
+        max_events=5000,
+    )
+
+
+def run_recording_late_arrivals(sc):
+    """Run ``sc``; returns the result and, for each arrival into an open group
+    past its deadline, the group, the time and how many members were still out."""
+    sim = _Sim(sc)
+    scheduler, process = sim.agent.scheduler, sim.agent.process_update
+    late = []
+
+    def recording_process(update, now):
+        group = scheduler.groups[scheduler.assignment[update.client_id]]
+        if not group.closed and group.t_arrival is not None:
+            if now > group.t_arrival * (1.0 + scheduler.latitude):
+                late.append((group, now, len(group.members) - len(group.arrived)))
+        return process(update, now)
+
+    sim.agent.process_update = recording_process
+    res = sim.run()
+    assert (res.epoch, res.aggregations) == (40, 40)
+    stamps = [m.timestamp for m in res.metrics if m.kind == "epoch"]
+    assert stamps == sorted(stamps)
+    # the group aggregates at its first late arrival
+    for group, now, _ in late:
+        assert group.closed and now in stamps
+    assert_same_run(res, EagerSim(sc).run())
+    return late
+
+
+@pytest.mark.parametrize("seed", [25, 27, 34, 35, 44, 53])
+def test_compass_group_unreached_by_its_deadline_aggregates_at_first_late_arrival(seed):
+    assert run_recording_late_arrivals(unreached_group_scenario(seed))
+
+
+def test_compass_late_arrival_closes_its_group_while_other_members_are_out():
+    late = run_recording_late_arrivals(unreached_group_scenario(0, latitude=0.0))
+    assert max(out for _, _, out in late) > 1

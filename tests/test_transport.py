@@ -230,9 +230,13 @@ class TestSocketRuns:
         assert params == final and agent.global_params is final
 
     def test_config_request_roundtrip(self):
+        # the server hands out no configs: the request gets an error reply,
+        # and the connection stays usable
         agent, _ = make_setup()
-        provider = lambda cid: {"client_id": cid, "lr": 0.01}
-        with SocketServer(agent, config_provider=provider) as srv:
+        with SocketServer(agent) as srv:
             with Communicator(srv.host, srv.port) as com:
-                cfg = com.fetch_config("c7")
-                assert cfg == {"client_id": "c7", "lr": 0.01}
+                payload = stage_body({"client_id": "c0"}, b"")
+                with pytest.raises(ProtocolError, match="unexpected message type CONFIG_REQUEST"):
+                    com.request(MessageType.CONFIG_REQUEST, payload)
+                _, epoch, _, _ = com.fetch_model("c0")
+                assert epoch == 0
