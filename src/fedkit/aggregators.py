@@ -21,7 +21,7 @@ Per-coordinate formulas, with ``dbar`` the sample-weighted mean delta:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

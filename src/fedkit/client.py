@@ -25,7 +25,7 @@ adopt; nothing is kept per client besides the optimizer state.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -14,7 +14,7 @@ would give, bit for bit, as long as all K batches have the same length n.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 

@@ -27,10 +27,18 @@ and frozen in place rather than copied again.  A set's tensors may also be
 views of one row of a private flat buffer per dtype (see :class:`FlatStack`)
 that nothing but the views of its rows references: training works on such
 buffers, one row per client, and each trained set adopts the views of its
-row.
+row.  Serialized bytes follow the same rule, so a transfer copies each
+tensor once, on receive.  :func:`serialize_pieces` hands out byte views of a
+set's own read-only arrays, so a body is hashed, staged or sent without a
+copy; :func:`serialize_params` joins those views for callers that need one
+bytes object.  :func:`deserialize_params` reads each tensor's bytes straight
+into a fresh native-order array that the decoded set adopts, from a buffer
+or from a :class:`ByteStream` that hashes them as they land.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
@@ -359,8 +367,42 @@ def serialized_size(p: ParameterSet) -> int:
     return total
 
 
+class Pieces:
+    """A byte string held as the buffers it is made of, in order.
+
+    ``len()`` is the total byte count and ``bytes()`` joins the buffers.  A
+    consumer that takes the buffers one by one (a hash's ``update``, a
+    file's or socket's ``writelines``) never builds the joined string.
+    """
+
+    __slots__ = ("parts", "_nbytes")
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+        self._nbytes = sum(map(len, self.parts))
+
+    def __len__(self) -> int:
+        return self._nbytes
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.parts)
+
+
+def serialize_pieces(p: ParameterSet) -> Pieces:
+    """The bytes of :func:`serialize_params` as small headers plus a view of each tensor.
+
+    Nothing is copied: each tensor's piece is a byte view of the set's own
+    (read-only) array, so the pieces are valid as long as the set is.
+    """
+    return Pieces(_serial_parts(p))
+
+
 def serialize_params(p: ParameterSet) -> bytes:
-    chunks = [struct.pack(">I", len(p))]
+    return b"".join(_serial_parts(p))
+
+
+def _serial_parts(p: ParameterSet) -> list:
+    parts = [struct.pack(">I", len(p))]
     for name, arr in p:
         raw_name = name.encode("utf-8")
         if len(raw_name) > MAX_NAME_BYTES:
@@ -368,15 +410,23 @@ def serialize_params(p: ParameterSet) -> bytes:
         if arr.ndim > 0xFF:
             raise ShapeMismatch(f"tensor {name!r} has {arr.ndim} dims (max 255)")
         tag = _DTYPE_TO_TAG[arr.dtype]
-        header = struct.pack(">H", len(raw_name)) + raw_name + struct.pack(">BB", tag, arr.ndim)
-        dims = b"".join(struct.pack(">I", d) for d in arr.shape)
-        body = arr.astype(_TAG_TO_DTYPE[tag], copy=False).tobytes(order="C")
-        chunks.append(header + dims + body)
-    return b"".join(chunks)
+        parts.append(
+            struct.pack(">H", len(raw_name))
+            + raw_name
+            + struct.pack(f">BB{arr.ndim}I", tag, arr.ndim, *arr.shape)
+        )
+        # a no-op on little-endian hosts; elsewhere a swapped copy
+        parts.append(_byte_view(arr.astype(_TAG_TO_DTYPE[tag], copy=False)))
+    return parts
 
 
-class _Reader:
-    """Cursor over a byte buffer; ``take`` returns zero-copy memoryview slices."""
+def _byte_view(arr: np.ndarray) -> memoryview:
+    """The bytes of a C-contiguous array as a flat, uncopied ``B`` view."""
+    return memoryview(arr.reshape(-1)).cast("B")
+
+
+class _BufferStream:
+    """``read``/``readinto`` over a bytes-like buffer; ``read`` returns zero-copy slices."""
 
     __slots__ = ("buf", "pos")
 
@@ -384,59 +434,110 @@ class _Reader:
         self.buf = memoryview(buf).cast("B")
         self.pos = 0
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.buf):
-            raise Truncated(
-                f"need {n} bytes at offset {self.pos}, only {len(self.buf) - self.pos} left"
-            )
+    def read(self, n: int) -> memoryview:
         out = self.buf[self.pos : self.pos + n]
-        self.pos += n
+        self.pos += len(out)
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
+    def readinto(self, out) -> int:
+        src = self.read(len(out))
+        out[: len(src)] = src
+        return len(src)
 
 
-def deserialize_params(buf: bytes) -> ParameterSet:
-    """Inverse of :func:`serialize_params`; rejects trailing bytes."""
-    r = _Reader(buf)
-    count = r.u32()
+class ByteStream:
+    """Reads at most ``size`` bytes of ``raw`` front to back, feeding each to ``hasher``.
+
+    ``raw`` is anything with ``read(n)`` and ``readinto(buffer)``, such as an
+    open binary file; :meth:`over` wraps a bytes-like buffer.  ``left``
+    counts the bytes not yet read.  A read that asks for more than ``left``
+    raises :class:`Truncated` before anything is read or allocated, so
+    ``read`` and ``readinto`` return exactly what was asked for or raise.
+    With a ``hasher`` (``hashlib.sha256()``, say) every byte is hashed as it
+    is read, in the buffer it was read into.
+    """
+
+    __slots__ = ("raw", "left", "hasher")
+
+    def __init__(self, raw, size: int, hasher=None):
+        self.raw = raw
+        self.left = size
+        self.hasher = hasher
+
+    @classmethod
+    def over(cls, buf, hasher=None) -> "ByteStream":
+        raw = _BufferStream(buf)
+        return cls(raw, len(raw.buf), hasher)
+
+    def read(self, n: int):
+        """The next ``n`` bytes (bytes-like); a small read, such as a header."""
+        if n > self.left:
+            raise Truncated(f"need {n} bytes, only {self.left} left")
+        self.left -= n
+        out = self.raw.read(n)
+        if len(out) != n:
+            raise Truncated(f"stream ended {n - len(out)} bytes short")
+        if self.hasher is not None:
+            self.hasher.update(out)
+        return out
+
+    def readinto(self, out) -> None:
+        """Fill ``out``, a writable byte view, with the next ``len(out)`` bytes."""
+        n = len(out)
+        if n > self.left:
+            raise Truncated(f"need {n} bytes, only {self.left} left")
+        self.left -= n
+        got = self.raw.readinto(out)
+        while got < n:
+            more = self.raw.readinto(out[got:])
+            if not more:
+                raise Truncated(f"stream ended {n - got} bytes short")
+            got += more
+        if self.hasher is not None:
+            self.hasher.update(out)
+
+
+def deserialize_params(data) -> ParameterSet:
+    """Inverse of :func:`serialize_params`; rejects trailing bytes.
+
+    ``data`` is a bytes-like buffer or a :class:`ByteStream`.  Each tensor
+    is a fresh native-order array that the stream's bytes are read into
+    once; its length is checked against the bytes left before the array is
+    allocated.
+    """
+    src = data if isinstance(data, ByteStream) else ByteStream.over(data)
+    (count,) = struct.unpack(">I", src.read(4))
     entries = []
     for _ in range(count):
-        name_len = r.u16()
-        name = str(r.take(name_len), "utf-8")
-        tag = r.u8()
+        (name_len,) = struct.unpack(">H", src.read(2))
+        head = src.read(name_len + 2)  # name, dtype tag, ndim
+        name = str(head[:name_len], "utf-8")
+        tag, ndim = head[name_len], head[name_len + 1]
         if tag not in _TAG_TO_DTYPE:
             raise BadDtypeTag(f"dtype tag {tag} in entry {name!r}")
-        ndim = r.u8()
-        shape = tuple(r.u32() for _ in range(ndim))
-        n_elem = 1
-        for d in shape:
-            n_elem *= d
+        shape = struct.unpack(f">{ndim}I", src.read(4 * ndim))
         dt = _TAG_TO_DTYPE[tag]
-        raw = r.take(n_elem * dt.itemsize)
-        # the one copy: astype out of the caller's buffer into an array we own
-        arr = np.frombuffer(raw, dtype=dt).reshape(shape).astype(dt.newbyteorder("="))
+        nbytes = dt.itemsize * math.prod(shape)
+        if nbytes > src.left:
+            raise Truncated(f"tensor {name!r} needs {nbytes} bytes, only {src.left} left")
+        arr = np.empty(shape, dtype=dt)
+        src.readinto(_byte_view(arr))
+        if not dt.isnative:
+            arr = arr.astype(dt.newbyteorder("="))
         entries.append((name, arr))
-    if r.pos != len(r.buf):
-        raise TrailingBytes(f"{len(r.buf) - r.pos} bytes left after last entry")
+    if src.left:
+        raise TrailingBytes(f"{src.left} bytes left after last entry")
     return ParameterSet._adopt(entries)
 
 
 def save_params(p: ParameterSet, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(serialize_params(p))
+        fh.writelines(serialize_pieces(p).parts)
 
 
 def load_params(path) -> ParameterSet:
     with open(path, "rb") as fh:
-        return deserialize_params(fh.read())
+        return deserialize_params(ByteStream(fh, os.fstat(fh.fileno()).st_size))
 
 
 # ---------------------------------------------------------------------------

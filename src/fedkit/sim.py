@@ -41,7 +41,7 @@ from .compression import CodecConfig, compress_params, decompress_params
 from .errors import InvalidBounds, NonTerminating
 from .metrics import write_table
 from .models import Dataset, ModelSpec, dataset_metrics
-from .params import MetricRecord, ModelUpdate, ParameterSet, serialize_params, serialized_size
+from .params import MetricRecord, ModelUpdate, ParameterSet, serialized_size
 from .privacy import PrivacyConfig
 from .server import ServerAgent, make_server_agent
 

@@ -24,7 +24,8 @@ from .params import (
     ModelUpdate,
     ParameterSet,
     deserialize_params,
-    serialize_params,
+    serialize_params,  # noqa: F401  (perfbench/tracer.py wraps it on this module)
+    serialize_pieces,
 )
 from .schedulers import Reply
 from .server import ServerAgent
@@ -38,6 +39,7 @@ from .wire import (
     encode_frame,
     fetch_body,
     read_frame,
+    send_frame,
     stage_body,
 )
 
@@ -53,7 +55,7 @@ def encode_update(
     codec: Optional[CodecConfig] = None,
     connector=None,
     inline_limit: int = DEFAULT_INLINE_LIMIT,
-) -> bytes:
+):
     meta = {
         "client_id": update.client_id,
         "samples": str(update.sample_count),
@@ -69,19 +71,21 @@ def encode_update(
         body = compress_params(update.params, codec)
     else:
         meta["enc"] = "raw"
-        body = serialize_params(update.params)
+        body = serialize_pieces(update.params)
     return stage_body(meta, body, connector, inline_limit)
 
 
 def decode_update(payload: bytes, connectors: Optional[dict] = None) -> ModelUpdate:
     env = decode_envelope(payload)
-    body = fetch_body(env, connectors)
     meta = env.meta
     enc = meta.get("enc", "raw")
     if enc not in ("raw", "qz"):
         raise ProtocolError(f"unknown update encoding {enc!r}")
     try:
-        params = decompress_params(body) if enc == "qz" else deserialize_params(body)
+        if enc == "qz":
+            params = decompress_params(fetch_body(env, connectors))
+        else:
+            params = fetch_body(env, connectors, deserialize_params)
         wall = None
         if "wall_start" in meta and "wall_end" in meta:
             wall = (float(meta["wall_start"]), float(meta["wall_end"]))
@@ -105,17 +109,16 @@ def encode_model_reply(
     done: bool,
     connector=None,
     inline_limit: int = DEFAULT_INLINE_LIMIT,
-) -> bytes:
+):
     meta = {"epoch": str(epoch), "steps": str(steps), "done": "1" if done else "0"}
-    return stage_body(meta, serialize_params(params), connector, inline_limit)
+    return stage_body(meta, serialize_pieces(params), connector, inline_limit)
 
 
 def decode_model_reply(payload: bytes, connectors: Optional[dict] = None):
     env = decode_envelope(payload)
-    body = fetch_body(env, connectors)
     try:
         return (
-            deserialize_params(body),
+            fetch_body(env, connectors, deserialize_params),
             int(env.meta["epoch"]),
             int(env.meta["steps"]),
             env.meta.get("done") == "1",
@@ -244,13 +247,11 @@ class SocketServer:
                 try:
                     frame = read_frame(stream, self.max_payload)
                 except FedkitError as e:
-                    stream.write(encode_frame(MessageType.ERROR_REPLY, _error_payload(e)))
-                    stream.flush()
+                    send_frame(stream, encode_frame(MessageType.ERROR_REPLY, _error_payload(e)))
                     return
                 if frame is None or frame.msg_type == MessageType.SHUTDOWN:
                     return
-                stream.write(self._handle(frame))
-                stream.flush()
+                send_frame(stream, self._handle(frame))
         except (OSError, ValueError):
             pass  # peer went away mid-write
         finally:
@@ -260,7 +261,7 @@ class SocketServer:
                 pass
             conn.close()
 
-    def _handle(self, frame) -> bytes:
+    def _handle(self, frame):
         try:
             if not self.auth.verify(frame.token):
                 self.unauthorized_count += 1
@@ -275,7 +276,7 @@ class SocketServer:
         except FedkitError as e:
             return encode_frame(MessageType.ERROR_REPLY, _error_payload(e))
 
-    def _on_model_request(self, payload: bytes) -> bytes:
+    def _on_model_request(self, payload: bytes):
         env = decode_envelope(payload)
         cid = env.meta.get("client_id")
         if not cid:
@@ -287,7 +288,7 @@ class SocketServer:
         )
         return encode_frame(MessageType.MODEL_REPLY, reply)
 
-    def _on_update_submit(self, payload: bytes) -> bytes:
+    def _on_update_submit(self, payload: bytes):
         update = decode_update(payload, self.connectors)
         cid = update.client_id
         with self._cond:
@@ -351,8 +352,7 @@ class Communicator:
     def close(self) -> None:
         if self._stream is not None:
             try:
-                self._stream.write(encode_frame(MessageType.SHUTDOWN, token=self.token))
-                self._stream.flush()
+                send_frame(self._stream, encode_frame(MessageType.SHUTDOWN, token=self.token))
             except (OSError, ValueError):
                 pass
             try:
@@ -385,8 +385,7 @@ class Communicator:
         for attempt in range(self.max_retries + 1):
             try:
                 self._connect()
-                self._stream.write(encode_frame(msg_type, payload, token=self.token))
-                self._stream.flush()
+                send_frame(self._stream, encode_frame(msg_type, payload, token=self.token))
                 frame = read_frame(self._stream, self.max_payload)
                 if frame is None:
                     raise ConnectionError("server closed the connection")

@@ -17,11 +17,26 @@ that is either inline bytes or a :class:`DataRef` pointing into a connector
 ``DEFAULT_INLINE_LIMIT`` are staged through a connector so the frame itself
 stays small; the reference carries size and SHA-256 so the receiver can
 verify what it fetches.
+
+Copies.  On send there are none: a parameter set leaves as headers plus a
+byte view of each of its arrays (:func:`fedkit.params.serialize_pieces`).  A
+staged body is hashed and written to its connector view by view, and an
+inline body of 64 KiB or more goes out by ``writelines`` on the socket stream
+(:func:`send_frame`); neither is joined into one bytes object.  On receive
+there is one: each tensor's bytes are read into a fresh array
+(:func:`fedkit.params.deserialize_params`), straight from the staged file or
+from the frame's payload, which :func:`decode_frame` and
+:func:`decode_envelope` slice as memoryviews.  A staged body is hashed as it
+is read into the arrays, and its size and SHA-256 are checked before the set
+is returned, so the bytes verified are the bytes used.  A
+:class:`FilesystemConnector` opens only the keys it issues.
 """
 from __future__ import annotations
 
 import hashlib
 import hmac
+import os
+import re
 import struct
 import uuid
 from dataclasses import dataclass
@@ -32,6 +47,7 @@ from typing import Optional, Union
 from .errors import (
     BadMagic,
     ChecksumMismatch,
+    FedkitError,
     LengthMismatch,
     MissingKey,
     OversizedPayload,
@@ -40,12 +56,18 @@ from .errors import (
     UnknownConnector,
     UnsupportedVersion,
 )
+from .params import ByteStream, Pieces
 
 MAGIC = b"APFL"
 PROTOCOL_VERSION = 1
 MAX_PAYLOAD = 64 * 2**20
 DEFAULT_INLINE_LIMIT = 10 * 2**20
 _SHA256_LEN = 32
+# an inline body in pieces shorter than this is joined into its envelope:
+# for a small frame, one write costs less than a write per piece
+_JOIN_BELOW = 1 << 16
+# bytes hashed per read when a rejected staged payload is hashed to its end
+_DRAIN_CHUNK = 1 << 20
 
 
 class MessageType(IntEnum):
@@ -60,6 +82,8 @@ class MessageType(IntEnum):
 
 @dataclass(frozen=True)
 class Frame:
+    """A decoded frame; ``token`` and ``payload`` are bytes-like."""
+
     version: int
     msg_type: MessageType
     token: bytes
@@ -68,33 +92,50 @@ class Frame:
 
 def encode_frame(
     msg_type: Union[MessageType, int],
-    payload: bytes = b"",
+    payload: Union[bytes, Pieces] = b"",
     token: bytes = b"",
     version: int = PROTOCOL_VERSION,
-) -> bytes:
+) -> Union[bytes, Pieces]:
+    """The frame's bytes; a payload in :class:`Pieces` gives a frame in pieces."""
     msg_type = MessageType(msg_type)
     if len(token) > 0xFFFF:
         raise LengthMismatch(f"token too long: {len(token)} > 65535")
     if len(payload) > MAX_PAYLOAD:
         raise OversizedPayload(f"payload {len(payload)} exceeds {MAX_PAYLOAD}")
-    return b"".join(
+    head = b"".join(
         [
             MAGIC,
-            struct.pack(">BB", version, int(msg_type)),
-            struct.pack(">H", len(token)),
+            struct.pack(">BBH", version, int(msg_type), len(token)),
             token,
             struct.pack(">I", len(payload)),
-            payload,
         ]
     )
+    if isinstance(payload, Pieces):
+        return Pieces((head, *payload.parts))
+    return head + payload
+
+
+def send_frame(stream, frame: Union[bytes, Pieces]) -> None:
+    """Write an encoded frame to a binary stream and flush it; pieces are never joined."""
+    if isinstance(frame, Pieces):
+        stream.writelines(frame.parts)
+    else:
+        stream.write(frame)
+    stream.flush()
 
 
 class _Cursor:
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    """Cursor over a buffer; ``take`` returns zero-copy memoryview slices.
+
+    :class:`Pieces` (an encoded payload handed straight back, in-process)
+    are joined first.
+    """
+
+    def __init__(self, buf):
+        self.buf = memoryview(bytes(buf) if isinstance(buf, Pieces) else buf).cast("B")
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise Truncated(f"need {n} bytes at offset {self.pos}, have {len(self.buf) - self.pos}")
         out = self.buf[self.pos : self.pos + n]
@@ -128,7 +169,7 @@ def decode_frame(buf: bytes, max_payload: int = MAX_PAYLOAD) -> Frame:
     payload = cur.take(payload_len)
     if cur.remaining:
         raise LengthMismatch(f"{cur.remaining} trailing bytes after frame")
-    return Frame(version, msg_type, bytes(token), bytes(payload))
+    return Frame(version, msg_type, token, payload)
 
 
 def read_frame(stream, max_payload: int = MAX_PAYLOAD) -> Optional[Frame]:
@@ -189,6 +230,10 @@ class DataRef:
             raise LengthMismatch(f"sha256 must be {_SHA256_LEN} bytes, got {len(self.sha256)}")
 
 
+def _parts(data) -> tuple:
+    return data.parts if isinstance(data, Pieces) else (data,)
+
+
 class MemoryConnector:
     """In-process staging table; fine for tests and single-host runs."""
 
@@ -196,17 +241,19 @@ class MemoryConnector:
         self.connector_id = connector_id
         self._table: dict[str, bytes] = {}
 
-    def put(self, data: bytes) -> DataRef:
+    def put(self, data: Union[bytes, Pieces]) -> DataRef:
         key = uuid.uuid4().hex
-        self._table[key] = bytes(data)
-        return DataRef(self.connector_id, key, len(data), hashlib.sha256(data).digest())
+        self._table[key] = stored = bytes(data)
+        return DataRef(self.connector_id, key, len(stored), hashlib.sha256(stored).digest())
 
-    def get(self, ref: DataRef) -> bytes:
+    def get(self, ref: DataRef, read=None):
+        """The staged payload, verified against ``ref``; see :func:`_read_verified`."""
         if ref.key not in self._table:
             raise MissingKey(f"no staged payload under key {ref.key!r}")
         data = self._table[ref.key]
-        _verify_ref(ref, data)
-        return data
+        if len(data) != ref.size:
+            raise ChecksumMismatch(f"staged payload is {len(data)} bytes, reference says {ref.size}")
+        return _read_verified(ByteStream.over(data, hashlib.sha256()), ref, read)
 
     def delete(self, key: str) -> None:
         self._table.pop(key, None)
@@ -215,39 +262,86 @@ class MemoryConnector:
         return len(self._table)
 
 
+# the keys FilesystemConnector.put issues; no other name is ever joined to the root
+_FS_KEY = re.compile(r"[0-9a-f]{32}")
+
+
 class FilesystemConnector:
-    """Stages payloads as files under a shared directory."""
+    """Stages payloads as files under a shared directory.
+
+    Keys are the 32 hex digits of a random UUID.  Any other key, such as a
+    path from the wire, raises :class:`ProtocolError` before a file is
+    opened, so a reference can never name a file outside ``root``.
+    """
 
     def __init__(self, root, connector_id: str = "fs"):
         self.connector_id = connector_id
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def put(self, data: bytes) -> DataRef:
-        key = uuid.uuid4().hex
-        (self.root / key).write_bytes(data)
-        return DataRef(self.connector_id, key, len(data), hashlib.sha256(data).digest())
+    def _path(self, key: str) -> Path:
+        if not isinstance(key, str) or not _FS_KEY.fullmatch(key):
+            raise ProtocolError(f"{key!r} is not a staged payload key")
+        return self.root / key
 
-    def get(self, ref: DataRef) -> bytes:
-        path = self.root / ref.key
-        if not path.is_file():
-            raise MissingKey(f"no staged payload at {path}")
-        data = path.read_bytes()
-        _verify_ref(ref, data)
-        return data
+    def put(self, data: Union[bytes, Pieces]) -> DataRef:
+        """Write ``data`` to a new file, hashing each piece as it is written."""
+        key = uuid.uuid4().hex
+        digest = hashlib.sha256()
+        with open(self._path(key), "wb") as fh:
+            for part in _parts(data):
+                digest.update(part)
+                fh.write(part)
+        return DataRef(self.connector_id, key, len(data), digest.digest())
+
+    def get(self, ref: DataRef, read=None):
+        """The staged file, verified against ``ref``; see :func:`_read_verified`.
+
+        A file whose size differs from ``ref.size`` is rejected before it is
+        read.
+        """
+        path = self._path(ref.key)
+        try:
+            fh = open(path, "rb")
+        except (FileNotFoundError, IsADirectoryError):
+            raise MissingKey(f"no staged payload at {path}") from None
+        with fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != ref.size:
+                raise ChecksumMismatch(f"staged payload is {size} bytes, reference says {ref.size}")
+            return _read_verified(ByteStream(fh, size, hashlib.sha256()), ref, read)
 
     def delete(self, key: str) -> None:
-        path = self.root / key
+        path = self._path(key)
         if path.is_file():
             path.unlink()
 
 
-def _verify_ref(ref: DataRef, data: bytes) -> None:
-    if len(data) != ref.size:
-        raise ChecksumMismatch(f"staged payload is {len(data)} bytes, reference says {ref.size}")
-    digest = hashlib.sha256(data).digest()
-    if digest != ref.sha256:
+def _read_verified(stream: ByteStream, ref: DataRef, read):
+    """Read a staged payload of ``ref.size`` bytes and check it against ``ref``.
+
+    Without ``read`` the result is the payload's bytes (bytes-like); with
+    it, the result of ``read(stream)``, which must consume the stream to its
+    end (as ``deserialize_params`` does).  Every byte is hashed as it is read, and
+    nothing is returned unless the bytes read were exactly ``ref.size``
+    bytes with digest ``ref.sha256``: the bytes verified are the bytes used.
+    When ``read`` rejects the payload, the rest of it is hashed too, so
+    damaged bytes raise :class:`ChecksumMismatch` wherever they are.
+    """
+    try:
+        out = stream.read(stream.left) if read is None else read(stream)
+    except (FedkitError, ValueError) as e:  # ValueError: a name that is not UTF-8
+        try:
+            while stream.left:
+                stream.read(min(stream.left, _DRAIN_CHUNK))
+        except FedkitError:
+            pass
+        if stream.left or stream.hasher.digest() != ref.sha256:
+            raise ChecksumMismatch("staged payload fails SHA-256 verification") from e
+        raise
+    if stream.left or stream.hasher.digest() != ref.sha256:
         raise ChecksumMismatch("staged payload fails SHA-256 verification")
+    return out
 
 
 # -- envelopes -----------------------------------------------------------------
@@ -257,6 +351,8 @@ _FLAG_REF = 0x01
 
 @dataclass(frozen=True)
 class Envelope:
+    """Metadata plus either an inline ``body`` (bytes-like or :class:`Pieces`) or a ``ref``."""
+
     meta: dict
     body: Optional[bytes] = None
     ref: Optional[DataRef] = None
@@ -266,7 +362,8 @@ class Envelope:
             raise ProtocolError("envelope needs exactly one of body or ref")
 
 
-def encode_envelope(env: Envelope) -> bytes:
+def encode_envelope(env: Envelope) -> Union[bytes, Pieces]:
+    """The envelope's bytes; a body in :class:`Pieces` of 64 KiB or more stays in pieces."""
     parts = [struct.pack(">BH", _FLAG_REF if env.ref is not None else 0, len(env.meta))]
     for key in sorted(env.meta):
         kb = key.encode("utf-8")
@@ -282,8 +379,10 @@ def encode_envelope(env: Envelope) -> bytes:
         parts.append(struct.pack(">H", len(keyb)) + keyb)
         parts.append(struct.pack(">Q", env.ref.size))
         parts.append(env.ref.sha256)
+    elif isinstance(env.body, Pieces) and len(env.body) >= _JOIN_BELOW:
+        return Pieces((b"".join(parts), *env.body.parts))
     else:
-        parts.append(env.body)
+        parts.extend(_parts(env.body))
     return b"".join(parts)
 
 
@@ -295,45 +394,51 @@ def decode_envelope(buf: bytes) -> Envelope:
     meta = {}
     for _ in range(n_meta):
         (klen,) = cur.unpack(">H")
-        key = cur.take(klen).decode("utf-8", errors="strict")
+        key = str(cur.take(klen), "utf-8")
         (vlen,) = cur.unpack(">I")
-        val = cur.take(vlen).decode("utf-8", errors="strict")
+        val = str(cur.take(vlen), "utf-8")
         if key in meta:
             raise ProtocolError(f"duplicate meta key {key!r}")
         meta[key] = val
     if flags & _FLAG_REF:
         (clen,) = cur.unpack(">H")
-        connector_id = cur.take(clen).decode("utf-8")
+        connector_id = str(cur.take(clen), "utf-8")
         (klen,) = cur.unpack(">H")
-        key = cur.take(klen).decode("utf-8")
+        key = str(cur.take(klen), "utf-8")
         (size,) = cur.unpack(">Q")
         sha = cur.take(_SHA256_LEN)
         if cur.remaining:
             raise LengthMismatch(f"{cur.remaining} trailing bytes after data reference")
         return Envelope(meta, ref=DataRef(connector_id, key, size, bytes(sha)))
-    return Envelope(meta, body=bytes(cur.take(cur.remaining)))
+    return Envelope(meta, body=cur.take(cur.remaining))
 
 
 def stage_body(
     meta: dict,
-    body: bytes,
+    body: Union[bytes, Pieces],
     connector=None,
     inline_limit: int = DEFAULT_INLINE_LIMIT,
-) -> bytes:
+) -> Union[bytes, Pieces]:
     """Encode an envelope, spilling large bodies through the connector."""
     if connector is not None and len(body) > inline_limit:
         return encode_envelope(Envelope(meta, ref=connector.put(body)))
     return encode_envelope(Envelope(meta, body=body))
 
 
-def fetch_body(env: Envelope, connectors: Optional[dict] = None) -> bytes:
-    """Materialize an envelope's body, resolving a data reference if needed."""
+def fetch_body(env: Envelope, connectors: Optional[dict] = None, read=None):
+    """An envelope's body, resolving a data reference if needed.
+
+    Without ``read`` the result is the body's bytes.  With it, the result is
+    ``read(stream)`` over a :class:`~fedkit.params.ByteStream` of the body,
+    and a staged body is verified as ``read`` consumes it (see
+    ``FilesystemConnector.get``), so it is never held as one bytes object.
+    """
     if env.body is not None:
-        return env.body
+        return env.body if read is None else read(ByteStream.over(env.body))
     connectors = connectors or {}
     if env.ref.connector_id not in connectors:
         raise UnknownConnector(f"no connector registered as {env.ref.connector_id!r}")
-    return connectors[env.ref.connector_id].get(env.ref)
+    return connectors[env.ref.connector_id].get(env.ref, read)
 
 
 class StaticTokenAuthenticator:

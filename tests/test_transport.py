@@ -7,7 +7,13 @@ import pytest
 from fedkit.aggregators import FedAvgAggregator
 from fedkit.client import ClientState, TrainConfig, local_train
 from fedkit.compression import CodecConfig
-from fedkit.errors import OversizedPayload, ProtocolError, Unauthenticated, UnknownClient
+from fedkit.errors import (
+    ChecksumMismatch,
+    OversizedPayload,
+    ProtocolError,
+    Unauthenticated,
+    UnknownClient,
+)
 from fedkit.models import ModelSpec, PartitionSpec, init_params, make_blobs, partition
 from fedkit.params import ModelUpdate, ParameterSet, serialize_params
 from fedkit.schedulers import AsyncScheduler, SyncScheduler
@@ -15,10 +21,20 @@ from fedkit.server import ServerAgent
 from fedkit.transport import (
     Communicator,
     SocketServer,
+    decode_model_reply,
     decode_update,
+    encode_model_reply,
     encode_update,
 )
-from fedkit.wire import MemoryConnector, MessageType, encode_frame, read_frame, stage_body
+from fedkit.wire import (
+    DEFAULT_INLINE_LIMIT,
+    FilesystemConnector,
+    MemoryConnector,
+    MessageType,
+    encode_frame,
+    read_frame,
+    stage_body,
+)
 
 
 def toy_update(n=16, delta=False, wall=(1.5, 3.25)):
@@ -205,6 +221,50 @@ class TestSocketRuns:
                 assert epoch2 == 1 and done2
                 assert p2.same_structure(params)
         assert len(store) >= 3  # model reply, update, final reply all spilled
+
+    @pytest.mark.parametrize("staged", [False, True], ids=["inline", "staged"])
+    def test_large_bodies_come_back_bit_exact(self, tmp_path, staged):
+        # FedAvg over one full-model update returns it: every reply must equal
+        # the submitted tensors bit for bit, whether the 160 KB bodies go out
+        # inline in pieces or through a spool directory
+        rng = np.random.default_rng(3)
+        sets = [
+            ParameterSet([("w", rng.standard_normal(40_000).astype(np.float32)),
+                          ("b", rng.standard_normal(7))])
+            for _ in range(2)
+        ]
+        spool = FilesystemConnector(tmp_path / "spool")
+        limit = 1000 if staged else DEFAULT_INLINE_LIMIT
+        agent = ServerAgent(sets[0], AsyncScheduler(["c0"], 1), FedAvgAggregator())
+        with SocketServer(
+            agent, connectors={"fs": spool}, send_connector=spool, inline_limit=limit
+        ) as srv:
+            with Communicator(srv.host, srv.port, connectors={"fs": spool}) as com:
+                params, epoch, _, _ = com.fetch_model("c0")
+                assert params == sets[0]
+                for i in range(4):
+                    sent = sets[(i + 1) % 2]
+                    update = ModelUpdate("c0", sent, False, 1, 1, epoch)
+                    params, epoch, _, _ = com.submit_update(
+                        update, connector=spool, inline_limit=limit
+                    )
+                    assert params == sent
+                    assert all(a.dtype.isnative for _, a in params.items())
+        assert len(list((tmp_path / "spool").iterdir())) == (9 if staged else 0)
+
+    def test_tampered_staged_reply_produces_no_set(self, tmp_path):
+        spool = FilesystemConnector(tmp_path / "spool")
+        p = ParameterSet([("w", np.arange(1000, dtype=np.float32))])
+        payload = encode_model_reply(p, 3, 1, False, spool, inline_limit=100)
+        (path,) = (tmp_path / "spool").iterdir()
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0x80
+        path.write_bytes(data)
+        with pytest.raises(ChecksumMismatch):
+            decode_model_reply(payload, {"fs": spool})
+        path.write_bytes(data[:-1])
+        with pytest.raises(ChecksumMismatch):
+            decode_model_reply(payload, {"fs": spool})
 
     def test_update_arriving_after_the_run_ended_is_not_aggregated(self):
         # async, one update ends the run; the other client's update is in flight

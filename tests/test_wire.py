@@ -1,11 +1,13 @@
 import hashlib
 import io
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedkit import wire
 from fedkit.errors import (
     BadMagic,
     ChecksumMismatch,
@@ -14,9 +16,16 @@ from fedkit.errors import (
     MissingKey,
     OversizedPayload,
     ProtocolError,
+    TrailingBytes,
     Truncated,
     UnknownConnector,
     UnsupportedVersion,
+)
+from fedkit.params import (
+    ParameterSet,
+    deserialize_params,
+    serialize_params,
+    serialize_pieces,
 )
 from fedkit.wire import (
     DataRef,
@@ -31,6 +40,7 @@ from fedkit.wire import (
     encode_frame,
     fetch_body,
     read_frame,
+    send_frame,
     stage_body,
 )
 
@@ -234,6 +244,230 @@ class TestConnectors:
     def test_dataref_sha_length_checked(self):
         with pytest.raises(LengthMismatch):
             DataRef("m", "k", 1, b"short")
+
+
+def _sample_set():
+    rng = np.random.default_rng(11)
+    return ParameterSet(
+        [
+            ("W0", rng.standard_normal((64, 48)).astype(np.float32)),
+            ("b0", rng.standard_normal(48)),
+            ("s", np.float64(2.5)),
+            ("empty", np.zeros((0, 3), dtype=np.float32)),
+        ]
+    )
+
+
+def _connector(kind, tmp_path):
+    return FilesystemConnector(tmp_path / "spool") if kind == "fs" else MemoryConnector()
+
+
+def _stored(conn, key) -> bytes:
+    if isinstance(conn, MemoryConnector):
+        return conn._table[key]
+    return (conn.root / key).read_bytes()
+
+
+def _overwrite(conn, key, data) -> None:
+    if isinstance(conn, MemoryConnector):
+        conn._table[key] = bytes(data)
+    else:
+        (conn.root / key).write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("kind", ["fs", "mem"])
+class TestStreamedReceive:
+    """``get(ref, deserialize_params)`` reads, hashes and checks in one pass."""
+
+    def test_roundtrip_into_fresh_native_arrays(self, kind, tmp_path, check_owned):
+        p = _sample_set()
+        conn = _connector(kind, tmp_path)
+        ref = conn.put(serialize_pieces(p))
+        q = check_owned(lambda: conn.get(ref, deserialize_params), p)
+        assert q == p
+        for _, a in q.items():
+            assert a.dtype.isnative and a.flags.owndata
+
+    def test_every_flipped_byte_raises_checksum_mismatch(self, kind, tmp_path):
+        p = ParameterSet([("w", np.arange(3, dtype=np.float32)), ("b", np.ones(2))])
+        conn = _connector(kind, tmp_path)
+        ref = conn.put(serialize_pieces(p))
+        good = _stored(conn, ref.key)
+        # header bytes too: a parser error on damaged bytes still reports the damage
+        for pos in range(len(good)):
+            bad = bytearray(good)
+            bad[pos] ^= 0x01
+            _overwrite(conn, ref.key, bad)
+            got = []
+            with pytest.raises(ChecksumMismatch):
+                got.append(conn.get(ref, deserialize_params))
+            assert got == []
+        _overwrite(conn, ref.key, good)
+        assert conn.get(ref, deserialize_params) == p
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_wrong_size_rejected(self, kind, tmp_path, change):
+        p = _sample_set()
+        conn = _connector(kind, tmp_path)
+        ref = conn.put(serialize_pieces(p))
+        data = _stored(conn, ref.key)
+        _overwrite(conn, ref.key, data[:-1] if change < 0 else data + b"\x00")
+        # rejected on its size, before a byte is read
+        with pytest.raises(ChecksumMismatch, match="reference says"):
+            conn.get(ref, deserialize_params)
+        with pytest.raises(ChecksumMismatch, match="reference says"):
+            conn.get(ref)
+
+    def test_claim_beyond_the_reference_is_truncated_before_allocation(self, kind, tmp_path):
+        # one float64 tensor of 2**32-1 x 2**32-1 elements and no element bytes:
+        # allocating it would fail with ValueError or MemoryError, not Truncated
+        body = struct.pack(">IH", 1, 1) + b"w" + struct.pack(">BBII", 1, 2, 2**32 - 1, 2**32 - 1)
+        conn = _connector(kind, tmp_path)
+        ref = conn.put(body)
+        with pytest.raises(Truncated):
+            conn.get(ref, deserialize_params)
+        with pytest.raises(Truncated):
+            deserialize_params(body)
+
+    def test_trailing_bytes(self, kind, tmp_path):
+        conn = _connector(kind, tmp_path)
+        ref = conn.put(serialize_params(_sample_set()) + b"\x00")
+        with pytest.raises(TrailingBytes):
+            conn.get(ref, deserialize_params)
+
+    def test_fetch_body_reads_inline_and_staged_bodies_alike(self, kind, tmp_path):
+        p = _sample_set()
+        conn = _connector(kind, tmp_path)
+        for limit in (1 << 30, 100):
+            env = decode_envelope(stage_body({"k": "v"}, serialize_pieces(p), conn, limit))
+            assert (env.ref is None) == (limit > 100)
+            assert fetch_body(env, {conn.connector_id: conn}, deserialize_params) == p
+            assert bytes(fetch_body(env, {conn.connector_id: conn})) == serialize_params(p)
+
+
+class TestStagedKeys:
+    BAD_KEYS = [
+        "/etc/hostname",
+        "../outside",
+        "..",
+        "",
+        "0" * 31,
+        "0" * 33,
+        "A" * 32,
+        "0" * 32 + "/x",
+        "0" * 31 + "\n",
+    ]
+
+    @pytest.mark.parametrize("key", BAD_KEYS)
+    def test_keys_outside_the_spool_rejected_before_any_file_is_opened(
+        self, tmp_path, monkeypatch, key
+    ):
+        outside = tmp_path / "outside"
+        outside.write_bytes(b"secret")
+        conn = FilesystemConnector(tmp_path / "spool")
+
+        def no_open(*args, **kwargs):
+            raise AssertionError("a file was opened")
+
+        monkeypatch.setattr(wire, "open", no_open, raising=False)
+        ref = DataRef("fs", key, 6, hashlib.sha256(b"secret").digest())
+        with pytest.raises(ProtocolError):
+            conn.get(ref)
+        with pytest.raises(ProtocolError):
+            conn.get(ref, deserialize_params)
+        with pytest.raises(ProtocolError):
+            conn.delete(key)
+        assert outside.read_bytes() == b"secret"
+
+    def test_absolute_path_key_never_reads_the_file(self, tmp_path):
+        outside = tmp_path / "outside"
+        outside.write_bytes(b"secret")
+        conn = FilesystemConnector(tmp_path / "spool")
+        ref = DataRef("fs", str(outside), 6, hashlib.sha256(b"secret").digest())
+        with pytest.raises(ProtocolError):
+            fetch_body(Envelope({}, ref=ref), {"fs": conn})
+
+    def test_issued_keys_work(self, tmp_path):
+        conn = FilesystemConnector(tmp_path / "spool")
+        ref = conn.put(b"abc")
+        assert len(ref.key) == 32
+        assert conn.get(ref) == b"abc"
+        conn.delete(ref.key)
+        assert not any((tmp_path / "spool").iterdir())
+        with pytest.raises(MissingKey):
+            conn.get(ref)
+
+
+class TestSendPieces:
+    """Pieces reach their destination unjoined and make the old bytes."""
+
+    def test_staged_file_equals_serialize_params(self, tmp_path):
+        p = _sample_set()
+        conn = FilesystemConnector(tmp_path / "spool")
+        pieces = serialize_pieces(p)
+        assert len(pieces) == len(serialize_params(p))
+        ref = conn.put(pieces)
+        old = serialize_params(p)
+        assert (conn.root / ref.key).read_bytes() == old
+        assert ref.size == len(old)
+        assert ref.sha256 == hashlib.sha256(old).digest()
+
+    def test_tensor_pieces_are_views_of_the_sets_arrays(self):
+        p = _sample_set()
+        views = [np.frombuffer(part, dtype=np.uint8) for part in serialize_pieces(p).parts[2::2]]
+        for (_, a), v in zip(p.items(), views):
+            assert v.nbytes == a.nbytes
+            if a.nbytes:
+                assert np.shares_memory(v, a)
+
+    @pytest.mark.parametrize("n", [16, 40_000])
+    def test_inline_frame_written_in_pieces_equals_the_joined_frame(self, n):
+        p = ParameterSet([("w", np.arange(n, dtype=np.float32))])
+        payload = stage_body({"k": "v"}, serialize_pieces(p))
+        old_payload = encode_envelope(Envelope({"k": "v"}, body=serialize_params(p)))
+        # only a body of 64 KiB or more stays in pieces
+        assert isinstance(payload, wire.Pieces) == (n * 4 >= 1 << 16)
+        assert bytes(payload) == old_payload
+        frame = encode_frame(MessageType.UPDATE_SUBMIT, payload, token=b"tok")
+        old_frame = encode_frame(MessageType.UPDATE_SUBMIT, old_payload, token=b"tok")
+        assert len(frame) == len(old_frame)
+        out = io.BytesIO()
+        send_frame(out, frame)
+        assert out.getvalue() == old_frame
+        got = read_frame(io.BytesIO(out.getvalue()))
+        assert fetch_body(decode_envelope(got.payload), None, deserialize_params) == p
+
+    def test_staged_frame_equals_the_old_frame(self):
+        p = ParameterSet([("w", np.arange(40_000, dtype=np.float32))])
+        conn = MemoryConnector("mem")
+        payload = stage_body({"k": "v"}, serialize_pieces(p), conn, inline_limit=1000)
+        ref = decode_envelope(payload).ref
+        assert conn._table[ref.key] == serialize_params(p)
+        old_payload = encode_envelope(
+            Envelope(
+                {"k": "v"},
+                ref=DataRef(
+                    "mem", ref.key, len(serialize_params(p)),
+                    hashlib.sha256(serialize_params(p)).digest(),
+                ),
+            )
+        )
+        assert payload == old_payload
+        out = io.BytesIO()
+        send_frame(out, encode_frame(MessageType.MODEL_REPLY, payload))
+        assert out.getvalue() == encode_frame(MessageType.MODEL_REPLY, old_payload)
+
+    def test_decoded_frames_and_envelopes_slice_without_copying(self):
+        raw = encode_frame(
+            MessageType.UPDATE_SUBMIT,
+            encode_envelope(Envelope({"a": "1"}, body=b"body bytes")),
+            token=b"tok",
+        )
+        f = decode_frame(raw)
+        assert isinstance(f.payload, memoryview) and f.payload.obj is raw
+        env = decode_envelope(f.payload)
+        assert isinstance(env.body, memoryview) and env.body.obj is raw
+        assert env.body == b"body bytes"
 
 
 class TestAuth:
