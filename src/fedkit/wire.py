@@ -21,7 +21,7 @@ verify what it fetches.
 Copies.  On send there are none: a parameter set leaves as headers plus a
 byte view of each of its arrays (:func:`fedkit.params.serialize_pieces`).  A
 staged body is hashed and written to its connector view by view, and an
-inline body of 64 KiB or more goes out by ``writelines`` on the socket stream
+inline body goes out by ``writelines`` on the socket stream
 (:func:`send_frame`); neither is joined into one bytes object.  On receive
 there is one: each tensor's bytes are read into a fresh array
 (:func:`fedkit.params.deserialize_params`), straight from the staged file or
@@ -63,9 +63,6 @@ PROTOCOL_VERSION = 1
 MAX_PAYLOAD = 64 * 2**20
 DEFAULT_INLINE_LIMIT = 10 * 2**20
 _SHA256_LEN = 32
-# an inline body in pieces shorter than this is joined into its envelope:
-# for a small frame, one write costs less than a write per piece
-_JOIN_BELOW = 1 << 16
 # bytes hashed per read when a rejected staged payload is hashed to its end
 _DRAIN_CHUNK = 1 << 20
 
@@ -125,14 +122,10 @@ def send_frame(stream, frame: Union[bytes, Pieces]) -> None:
 
 
 class _Cursor:
-    """Cursor over a buffer; ``take`` returns zero-copy memoryview slices.
-
-    :class:`Pieces` (an encoded payload handed straight back, in-process)
-    are joined first.
-    """
+    """Cursor over a bytes-like buffer; ``take`` returns zero-copy memoryview slices."""
 
     def __init__(self, buf):
-        self.buf = memoryview(bytes(buf) if isinstance(buf, Pieces) else buf).cast("B")
+        self.buf = memoryview(buf).cast("B")
         self.pos = 0
 
     def take(self, n: int) -> memoryview:
@@ -363,7 +356,7 @@ class Envelope:
 
 
 def encode_envelope(env: Envelope) -> Union[bytes, Pieces]:
-    """The envelope's bytes; a body in :class:`Pieces` of 64 KiB or more stays in pieces."""
+    """The envelope's bytes; a body in :class:`Pieces` gives an envelope in pieces."""
     parts = [struct.pack(">BH", _FLAG_REF if env.ref is not None else 0, len(env.meta))]
     for key in sorted(env.meta):
         kb = key.encode("utf-8")
@@ -379,10 +372,10 @@ def encode_envelope(env: Envelope) -> Union[bytes, Pieces]:
         parts.append(struct.pack(">H", len(keyb)) + keyb)
         parts.append(struct.pack(">Q", env.ref.size))
         parts.append(env.ref.sha256)
-    elif isinstance(env.body, Pieces) and len(env.body) >= _JOIN_BELOW:
+    elif isinstance(env.body, Pieces):
         return Pieces((b"".join(parts), *env.body.parts))
     else:
-        parts.extend(_parts(env.body))
+        parts.append(env.body)
     return b"".join(parts)
 
 

@@ -53,7 +53,7 @@ def toy_update(n=16, delta=False, wall=(1.5, 3.25)):
 class TestUpdateCodec:
     def test_raw_roundtrip(self):
         u = toy_update()
-        out = decode_update(encode_update(u))
+        out = decode_update(bytes(encode_update(u)))
         assert out.client_id == u.client_id
         assert out.params == u.params
         assert out.sample_count == 100
@@ -64,7 +64,7 @@ class TestUpdateCodec:
 
     def test_wall_meta_optional(self):
         u = toy_update(wall=None)
-        assert decode_update(encode_update(u)).wall_meta is None
+        assert decode_update(bytes(encode_update(u))).wall_meta is None
 
     def test_compressed_roundtrip_respects_bound(self):
         rng = np.random.default_rng(0)
@@ -250,7 +250,7 @@ class TestSocketRuns:
                     )
                     assert params == sent
                     assert all(a.dtype.isnative for _, a in params.items())
-        assert len(list((tmp_path / "spool").iterdir())) == (9 if staged else 0)
+        assert any((tmp_path / "spool").iterdir()) == staged
 
     def test_tampered_staged_reply_produces_no_set(self, tmp_path):
         spool = FilesystemConnector(tmp_path / "spool")
