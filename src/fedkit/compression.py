@@ -12,7 +12,14 @@ significant bit first, and the stream is ``ceil(count * bits / 8)`` bytes,
 zero-padded in its last byte.  The handful of elements a dtype rounding step would push past
 that bound are stored verbatim in an exception list, which makes the bound
 unconditional and re-encoding a fixed point (compressing a decompressed
-set reproduces the blob byte for byte).
+set reproduces the blob byte for byte).  A qz block is exactly its header,
+its exception list and its index stream; any other length is corrupt.
+
+Encode and decode walk a tensor in fixed blocks of ``_QZ_BLOCK`` elements,
+so their float64 temporaries stay in cache and transient memory is
+O(block), not O(tensor).  Every step is elementwise, so the blocks give the
+bytes a pass over the whole tensor would.  The ``deflate`` stage is zlib at
+level 6.
 
 Tensors with fewer than ``small_tensor_threshold`` parameters, and tensors
 whose dtype cannot resolve the bin width, take the lossless path instead.
@@ -173,41 +180,103 @@ def _index_dtype(bits: int) -> np.dtype:
     return np.min_scalar_type((1 << bits) - 1)
 
 
-def _pack_indices(k: np.ndarray, bits: int) -> bytes:
-    # bit j of row i is bit (bits-1-j) of k[i]: value-major, MSB first
-    kk = k.astype(_index_dtype(bits), copy=False)
+# Elements per block of the qz kernels. A block's float64 temporaries stay in
+# cache, and no temporary outgrows a block. It is a multiple of 8, so each
+# block's indices start on a byte of the index stream.
+_QZ_BLOCK = 1 << 15
+
+# Indices of up to 8 bits are packed 8 to a big-endian u64 word, one index per
+# byte lane.  Each step folds the high half of every 2*unit-bit field down onto
+# its low half; after the 8-, 16- and 32-bit steps the word holds the 8
+# indices' ``8*bits``-bit stream, right-aligned.  Each mask picks the high
+# halves.
+_WORD_STEPS = tuple(
+    (unit, np.uint64(sum(((1 << unit) - 1) << (2 * unit * j + unit) for j in range(32 // unit))))
+    for unit in (8, 16, 32)
+)
+
+
+def _pack_bitplanes(kk: np.ndarray, bits: int) -> bytes:
+    # bit j of row i is bit (bits-1-j) of kk[i]: value-major, MSB first
     m = np.empty((kk.size, bits), dtype=np.uint8)
     for j in range(bits):
         plane = m[:, j]
         np.right_shift(kk, bits - 1 - j, out=plane, casting="unsafe")
         np.bitwise_and(plane, 1, out=plane)
-    # drop each buffer once read, so the peak stays near count*(bits+1) bytes
-    del kk
-    packed = np.packbits(m)
-    del m
-    return packed.tobytes()
+    return np.packbits(m).tobytes()
+
+
+def _pack_indices(k: np.ndarray, bits: int) -> bytes:
+    kk = k.astype(_index_dtype(bits), copy=False)
+    if bits > 8:
+        return b"".join(
+            _pack_bitplanes(kk[i : i + _QZ_BLOCK], bits) for i in range(0, kk.size, _QZ_BLOCK)
+        )
+    # 8 indices of ``bits`` bits fill exactly ``bits`` bytes
+    count = kk.size
+    full = count - count % 8
+    words = np.empty(-(-count // 8), dtype=np.uint64)
+    words[: full // 8] = np.ascontiguousarray(kk[:full]).view(">u8")
+    if full < count:
+        last = np.zeros(8, dtype=np.uint8)
+        last[: count - full] = kk[full:]
+        words[-1] = last.view(">u8")[0]
+    hi = np.empty_like(words)
+    for unit, hi_mask in _WORD_STEPS:
+        np.bitwise_and(words, hi_mask, out=hi)
+        words ^= hi
+        hi >>= np.uint64(unit * (8 - bits) // 8)
+        words |= hi
+    del hi
+    # each word's last ``bits`` bytes, big-endian, are its share of the stream
+    packed = words.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - bits :].tobytes()
+    need = -(-count * bits // 8)
+    return packed if len(packed) == need else packed[:need]
 
 
 def _unpack_indices(buf, count: int, bits: int) -> np.ndarray:
-    need = count * bits
+    need = -(-count * bits // 8)
     raw = np.frombuffer(buf, dtype=np.uint8)
-    if raw.size * 8 < need:
+    if raw.size < need:
         raise CorruptBlob("packed index stream shorter than declared element count")
-    m = np.unpackbits(raw, count=need).reshape(count, bits)
-    k = np.zeros(count, dtype=_index_dtype(bits))
-    for j in range(bits):
-        k <<= 1
-        k |= m[:, j]
-    return k
+    if bits > 8:
+        m = np.unpackbits(raw, count=count * bits).reshape(count, bits)
+        k = np.zeros(count, dtype=_index_dtype(bits))
+        for j in range(bits):
+            k <<= 1
+            k |= m[:, j]
+        return k
+    # each group's ``bits`` bytes, right-aligned in a big-endian u64 word,
+    # unfold into one index per byte lane: the packing steps in reverse
+    full = count // 8
+    grouped = np.zeros((-(-count // 8), 8), dtype=np.uint8)
+    grouped[:full, 8 - bits :] = raw[: full * bits].reshape(full, bits)
+    rest = raw[full * bits : need]
+    grouped[full:, 8 - bits : 8 - bits + rest.size] = rest
+    words = grouped.reshape(-1).view(">u8").astype(np.uint64)
+    del grouped
+    hi = np.empty_like(words)
+    for unit, hi_mask in reversed(_WORD_STEPS):
+        shift = np.uint64(unit * (8 - bits) // 8)
+        np.left_shift(words, shift, out=hi)
+        hi &= hi_mask
+        words &= ~(hi_mask >> shift)
+        words |= hi
+    del hi
+    return words.astype(">u8").view(np.uint8)[:count]
 
 
-def _reconstruct(k: np.ndarray, vmin: float, vmax: float, w: float, dtype) -> np.ndarray:
-    # min + k*w in float64, clamped: addition commutes in IEEE arithmetic,
-    # so adding min in place gives the same bits
-    recon = np.multiply(k, w, dtype=np.float64)
+def _reconstruct_into(out: np.ndarray, k: np.ndarray, vmin: float, vmax: float, w: float) -> np.ndarray:
+    """Write ``clip(min + k*w, min, max)``, computed in float64, into ``out``
+    and return ``out``.  Addition commutes in IEEE arithmetic, so adding min
+    in place gives the same bits as ``min + k*w``."""
+    recon = out if out.dtype == np.float64 else np.empty(out.shape, dtype=np.float64)
+    np.multiply(k, w, out=recon, dtype=np.float64)
     recon += vmin
     np.clip(recon, vmin, vmax, out=recon)
-    return recon.astype(dtype, copy=False)
+    if recon is not out:
+        out[...] = recon
+    return out
 
 
 _QZ_CONSTANT = 1
@@ -219,11 +288,22 @@ _QZ_HEADER_SIZE = struct.calcsize(_QZ_HEADER)
 
 def _qz_encode(arr: np.ndarray, eb_rel: float):
     """Quantize one tensor; returns the qz block, or None when the dtype grid
-    is too coarse for the requested bound and the tensor must stay lossless."""
+    is too coarse for the requested bound and the tensor must stay lossless.
+
+    The tensor is walked in blocks of ``_QZ_BLOCK`` elements.  Every step is
+    elementwise, so each block's indices and exceptions are the ones a pass
+    over the whole tensor would give."""
     x = arr.ravel()
-    x64 = x.astype(np.float64, copy=False)
-    vmin = float(x64.min())
-    vmax = float(x64.max())
+    dtype = x.dtype
+    # extrema of the dtype's values equal those of their float64 twins, up
+    # to the sign of a zero, which the two reductions may pick differently
+    vmin = float(x.min())
+    vmax = float(x.max())
+    if dtype != np.float64 and (vmin == 0.0 or vmax == 0.0):
+        x64 = x.astype(np.float64)
+        vmin = float(x64.min())
+        vmax = float(x64.max())
+        del x64
     if vmin == vmax:
         return struct.pack(">Bd", _QZ_CONSTANT, vmin)
     if x.size >= 2**32:
@@ -234,25 +314,36 @@ def _qz_encode(arr: np.ndarray, eb_rel: float):
         return None
     # if one dtype ulp is comparable to a bin, quantizing cannot help and
     # index stability under re-encoding is lost: refuse and fall back
-    if float(np.spacing(np.dtype(arr.dtype).type(max(abs(vmin), abs(vmax))))) > w / 4.0:
+    if float(np.spacing(dtype.type(max(abs(vmin), abs(vmax))))) > w / 4.0:
         return None
     k_top = int(np.ceil(r / w)) + 2
-    # indices live in one float64 vector: its values are whole numbers
-    # in [0, k_top], which every later step reads exactly
-    k = np.subtract(x64, vmin)
-    k /= w
-    np.rint(k, out=k)
-    np.clip(k, 0, k_top, out=k)
-    k[x64 == vmax] = k_top
-    k[x64 == vmin] = 0
-    xhat = _reconstruct(k, vmin, vmax, w, arr.dtype)
-    # canonical index for anything that lands on an endpoint after rounding
-    k[xhat == x.dtype.type(vmax)] = k_top
-    k[xhat == x.dtype.type(vmin)] = 0
-    err = xhat.astype(np.float64, copy=False)
-    err -= x64
-    np.abs(err, out=err)
-    exc_idx = np.flatnonzero(err > eb_rel * r)
+    bound = eb_rel * r
+    top_d, bottom_d = dtype.type(vmax), dtype.type(vmin)
+    k = np.empty(x.size, dtype=_index_dtype(k_top.bit_length()))
+    exc_idx = []
+    for s in range(0, x.size, _QZ_BLOCK):
+        xb = x[s : s + _QZ_BLOCK]
+        xb64 = xb.astype(np.float64, copy=False)
+        # indices as float64 whole numbers in [0, k_top], read exactly later
+        kb = np.subtract(xb64, vmin)
+        kb /= w
+        np.rint(kb, out=kb)
+        np.clip(kb, 0, k_top, out=kb)
+        kb[xb64 == vmax] = k_top
+        kb[xb64 == vmin] = 0
+        xhat = _reconstruct_into(np.empty(xb.size, dtype), kb, vmin, vmax, w)
+        kn = k[s : s + _QZ_BLOCK]
+        kn[...] = kb
+        # canonical index for anything that lands on an endpoint after rounding
+        kn[xhat == top_d] = k_top
+        kn[xhat == bottom_d] = 0
+        err = xhat.astype(np.float64, copy=False)
+        err -= xb64
+        np.abs(err, out=err)
+        far = np.flatnonzero(err > bound)
+        if far.size:
+            exc_idx.append(far + s)
+    exc_idx = np.concatenate(exc_idx) if exc_idx else np.zeros(0, dtype=np.intp)
     bits = max(1, int(k.max()).bit_length())
     le = _TAG_TO_DTYPE[_DTYPE_TO_TAG[arr.dtype]]  # little-endian twin of arr.dtype
     exc = b""
@@ -285,12 +376,20 @@ def _qz_decode(block: bytes, shape: tuple, tag: int) -> np.ndarray:
     exc_bytes = n_exc * (4 + le.itemsize)
     if len(block) < pos + exc_bytes:
         raise CorruptBlob("qz exception list truncated")
+    if len(block) != pos + exc_bytes + -(-count * bits // 8):
+        raise CorruptBlob("qz index stream length disagrees with element count")
     exc_idx = np.frombuffer(block[pos : pos + 4 * n_exc], dtype=">u4").astype(np.int64)
     pos += 4 * n_exc
     exc_val = np.frombuffer(block[pos : pos + le.itemsize * n_exc], dtype=le).astype(dtype)
     pos += le.itemsize * n_exc
-    k = _unpack_indices(block[pos:], count, bits)
-    out = _reconstruct(k.reshape(shape), vmin, vmax, w, dtype)
+    stream = memoryview(block)[pos:]
+    # the result owns its buffer, so a parameter set can adopt it uncopied
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for s in range(0, count, _QZ_BLOCK):
+        n = min(_QZ_BLOCK, count - s)
+        kb = _unpack_indices(stream[s * bits // 8 : -(-(s + n) * bits // 8)], n, bits)
+        _reconstruct_into(flat[s : s + n], kb, vmin, vmax, w)
     if n_exc:
         if exc_idx.max(initial=-1) >= count:
             raise CorruptBlob("qz exception index out of range")

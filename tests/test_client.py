@@ -67,10 +67,19 @@ def test_training_reduces_loss():
 
 
 def test_prox_zero_is_bit_identical_to_vanilla():
+    # prox_mu=0 is plain SGD: w - lr*g, with g from backward, over the same batches
     base = init_params(SPEC, seed=3)
-    u_plain = local_train(make_state(), base, steps=6)
-    u_prox = local_train(make_state(prox_mu=0.0), base, steps=6)
-    assert u_plain.params == u_prox.params
+    state, shadow = make_state(prox_mu=0.0), make_state(prox_mu=0.0)
+    w = dict(base.items())
+    for _ in range(6):
+        x, y = shadow.next_batch()
+        _, g = backward(SPEC, w, x, y)
+        w = {n: w[n] - shadow.cfg.lr * g[n] for n in w}
+    u = local_train(state, base, steps=6)
+    assert u.params.names == base.names
+    for n in base.names:
+        assert u.params[n].dtype == w[n].dtype
+        assert u.params[n].tobytes() == w[n].tobytes()
 
 
 def test_prox_first_step_matches_vanilla():

@@ -1,6 +1,8 @@
 import hashlib
+import math
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fedkit import compression as C
 from fedkit.errors import ChecksumMismatch, CorruptBlob, NonFiniteValue, UnknownStrategyName
+from fedkit.models import ModelSpec, init_params
 from fedkit.params import ParameterSet, serialize_params
 
 
@@ -352,6 +355,190 @@ def test_pack_indices_memory_stays_near_its_output():
 def test_unpack_rejects_short_stream():
     with pytest.raises(CorruptBlob):
         C._unpack_indices(b"\x00" * 3, 5, 6)
+
+
+# ---------------------------------------------------------------------------
+# the blocked qz kernels against the whole-tensor code they replaced
+
+
+def _oracle_reconstruct(k, vmin, vmax, w, dtype):
+    recon = np.multiply(k, w, dtype=np.float64)
+    recon += vmin
+    np.clip(recon, vmin, vmax, out=recon)
+    return recon.astype(dtype, copy=False)
+
+
+def _oracle_qz_encode(arr, eb_rel):
+    """One pass over the whole tensor, every temporary as large as it."""
+    x = arr.ravel()
+    x64 = x.astype(np.float64, copy=False)
+    vmin = float(x64.min())
+    vmax = float(x64.max())
+    if vmin == vmax:
+        return struct.pack(">Bd", C._QZ_CONSTANT, vmin)
+    r = vmax - vmin
+    w = 2.0 * eb_rel * r
+    if not np.isfinite(w) or w <= 0.0:
+        return None
+    if float(np.spacing(np.dtype(arr.dtype).type(max(abs(vmin), abs(vmax))))) > w / 4.0:
+        return None
+    k_top = int(np.ceil(r / w)) + 2
+    k = np.subtract(x64, vmin)
+    k /= w
+    np.rint(k, out=k)
+    np.clip(k, 0, k_top, out=k)
+    k[x64 == vmax] = k_top
+    k[x64 == vmin] = 0
+    xhat = _oracle_reconstruct(k, vmin, vmax, w, arr.dtype)
+    k[xhat == x.dtype.type(vmax)] = k_top
+    k[xhat == x.dtype.type(vmin)] = 0
+    err = xhat.astype(np.float64, copy=False)
+    err -= x64
+    np.abs(err, out=err)
+    exc_idx = np.flatnonzero(err > eb_rel * r)
+    bits = max(1, int(k.max()).bit_length())
+    le = x.dtype.newbyteorder("<")
+    exc = b""
+    if len(exc_idx):
+        exc = exc_idx.astype(">u4").tobytes() + x[exc_idx].astype(le).tobytes()
+    header = struct.pack(C._QZ_HEADER, 0, vmin, vmax, w, bits, len(exc_idx))
+    return header + exc + _oracle_pack(k.astype(np.int64), bits)
+
+
+def _oracle_qz_decode(block, shape, tag):
+    dtype = np.dtype(np.float32 if tag == 0 else np.float64)
+    if block[0] == C._QZ_CONSTANT:
+        return np.full(shape, struct.unpack(">d", block[1:9])[0], dtype=dtype)
+    _, vmin, vmax, w, bits, n_exc = struct.unpack(C._QZ_HEADER, block[: C._QZ_HEADER_SIZE])
+    pos = C._QZ_HEADER_SIZE
+    exc_idx = np.frombuffer(block[pos : pos + 4 * n_exc], dtype=">u4").astype(np.int64)
+    pos += 4 * n_exc
+    exc_val = np.frombuffer(block[pos : pos + dtype.itemsize * n_exc], dtype=dtype.newbyteorder("<"))
+    pos += dtype.itemsize * n_exc
+    k = _oracle_unpack(block[pos:], int(np.prod(shape)), bits)
+    out = _oracle_reconstruct(k.reshape(shape), vmin, vmax, w, dtype)
+    np.put(out, exc_idx, exc_val.astype(dtype))
+    return out
+
+
+def _multi_block_tensor(dtype, eb, seed=0):
+    """Three blocks and a remainder. The minimum sits in the second block and
+    the maximum in the third, each repeated in the last.  The offset makes one
+    ulp about an eighth of a bin, so dtype rounding pushes elements of every
+    full block past the bound and into the exception list."""
+    b = C._QZ_BLOCK
+    rng = np.random.default_rng(seed)
+    offset = 2.0 ** (np.finfo(dtype).nmant - math.ceil(-math.log2(eb)))
+    arr = (offset + rng.normal(size=3 * b + 123)).astype(dtype)
+    lo, hi = arr.min() - dtype(1), arr.max() + dtype(1)
+    arr[[b + 17, 3 * b + 5]] = lo
+    arr[[2 * b + 3, 3 * b + 100]] = hi
+    return arr
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("eb", [0.01, 1e-3, 1e-6])
+def test_blocked_qz_equals_the_whole_tensor_oracle(dtype, eb):
+    b = C._QZ_BLOCK
+    arr = _multi_block_tensor(dtype, eb)
+    tag = 0 if dtype == np.float32 else 1
+    block = C._qz_encode(arr, eb)
+    assert block is not None
+    assert block == _oracle_qz_encode(arr, eb)
+    n_exc = struct.unpack(C._QZ_HEADER, block[: C._QZ_HEADER_SIZE])[-1]
+    exc_idx = np.frombuffer(block[C._QZ_HEADER_SIZE :][: 4 * n_exc], dtype=">u4")
+    assert {0, 1, 2} <= set((exc_idx // b).tolist())  # every full block, offsets applied
+    got = C._qz_decode(block, arr.shape, tag)
+    assert got.dtype == dtype
+    assert got.tobytes() == _oracle_qz_decode(block, arr.shape, tag).tobytes()
+    # the endpoints, wherever they sit, decode exactly
+    assert got[b + 17] == got[3 * b + 5] == arr[b + 17]
+    assert got[2 * b + 3] == got[3 * b + 100] == arr[2 * b + 3]
+
+
+def test_blocked_qz_covers_widths_on_both_sides_of_a_byte():
+    widths = {
+        struct.unpack(C._QZ_HEADER, C._qz_encode(_multi_block_tensor(dtype, eb), eb)[: C._QZ_HEADER_SIZE])[4]
+        for dtype in (np.float32, np.float64)
+        for eb in (0.01, 1e-3, 1e-6)
+    }
+    assert min(widths) <= 8 < max(widths)
+
+
+def test_blocked_qz_decodes_oracle_blocks_of_any_length():
+    # block-sized, one short of it, and not a multiple of 8 either
+    rng = np.random.default_rng(5)
+    for n in (C._QZ_BLOCK, C._QZ_BLOCK - 1, 2 * C._QZ_BLOCK + 7, 8, 1):
+        arr = rng.normal(size=n)
+        arr[-1] = 10.0
+        arr[0] = -10.0
+        block = _oracle_qz_encode(arr, 0.01)
+        assert C._qz_encode(arr, 0.01) == block
+        assert C._qz_decode(block, (n,), 1).tobytes() == _oracle_qz_decode(block, (n,), 1).tobytes()
+
+
+def test_float32_zero_extremum_keeps_the_float64_sign():
+    # float32 and float64 reductions may pick different zeros for an extremum
+    # that is 0.0 and -0.0 both; the header stores the float64 one
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        arr = np.abs(rng.normal(size=3000)).astype(np.float32)
+        arr[rng.choice(3000, 40, replace=False)] = 0.0
+        arr[rng.choice(3000, 40, replace=False)] = -0.0
+        for a in (arr, -arr):
+            assert C._qz_encode(a, 0.01) == _oracle_qz_encode(a, 0.01)
+        zeros = np.where(rng.random(3000) < 0.5, np.float32(0.0), np.float32(-0.0))
+        assert C._qz_encode(zeros, 0.01) == _oracle_qz_encode(zeros, 0.01)
+
+
+def test_wide_model_blob_equals_the_oracle(monkeypatch):
+    # the 1.2M-parameter float64 MLP of the loopback workloads, at init
+    p = init_params(ModelSpec((784, 1024, 384, 10)), seed=5)
+    blob = C.compress_params(p, CFG)
+    decoded = C.decompress_params(blob)
+    with monkeypatch.context() as m:
+        m.setattr(C, "_qz_encode", _oracle_qz_encode)
+        m.setattr(C, "_qz_decode", _oracle_qz_decode)
+        assert blob == C.compress_params(p, CFG)
+        assert serialize_params(decoded) == serialize_params(C.decompress_params(blob))
+
+
+def test_qz_block_with_trailing_bytes_is_rejected():
+    arr = np.random.default_rng(12).normal(size=3000)
+    block = C._qz_encode(arr, 0.01)
+    assert block[0] == 0
+    for bad in (block + b"\x00\x07garbage", block + b"\x00", block[:-1]):
+        with pytest.raises(CorruptBlob):
+            C._qz_decode(bad, arr.shape, 1)
+    # and inside a blob, where the crc covers the padded payload
+    blob = C.compress_params(pset(t=arr), C.CodecConfig(lossless="none"))
+    (plen,) = struct.unpack(">I", blob[-len(block) - 8 : -len(block) - 4])
+    assert plen == len(block)
+    payload = block + b"\x00\x07garbage"
+    head = blob[: -len(block) - 8] + struct.pack(">II", len(payload), zlib.crc32(payload))
+    with pytest.raises(CorruptBlob):
+        C.decompress_params(head + payload)
+
+
+def _peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_codec_transient_memory_stays_near_one_block(dtype):
+    arr = np.random.default_rng(0).normal(size=1 << 20).astype(dtype)
+    p = pset(t=arr)
+    # the whole-tensor codec peaked here at 23.5 and 35.5 MiB to encode and
+    # at 9.8 and 13.7 MiB to decode (float64, float32)
+    assert _peak(C.compress_params, p, CFG) <= 8 << 20
+    blob = C.compress_params(p, CFG)
+    limit = {np.float32: 13.0, np.float64: 9.1}[dtype]
+    assert _peak(C.decompress_params, blob) <= limit * (1 << 20)
 
 
 # ---------------------------------------------------------------------------
