@@ -33,7 +33,7 @@ set's own read-only arrays, so a body is hashed, staged or sent without a
 copy; :func:`serialize_params` joins those views for callers that need one
 bytes object.  :func:`deserialize_params` reads each tensor's bytes straight
 into a fresh native-order array that the decoded set adopts, from a buffer
-or from a :class:`ByteStream` that hashes them as they land.
+or from a :class:`ByteStream` that hands them to a hasher as they land.
 """
 from __future__ import annotations
 
@@ -281,21 +281,24 @@ def _weighted_accumulate(like: ParameterSet, terms) -> list[tuple[str, np.ndarra
 
     Each term is ``(w, x, op, base)``: its tensors are those of the set
     ``x``, or ``op(x, base)`` when ``op`` is given (``np.add`` for
-    delta-to-full, ``np.subtract`` for full-to-delta).  Terms must share
-    ``like``'s structure.  Every step goes through one small scratch buffer,
-    so the only model-sized allocation is the result: fresh arrays the caller
-    may finish in place and then adopt.  Each element sees exactly
-    ``acc = acc + w * x`` in term order, starting from ``+0.0`` (which turns
-    a leading ``-0.0`` term into ``+0.0``), so results are bit-identical to
-    summing whole sets one term at a time.
+    delta-to-full, ``np.subtract`` for full-to-delta).  There is at least one
+    term, and terms must share ``like``'s structure.  The result is never
+    zero-filled: the first term is written straight into it, and every later
+    step goes through one small scratch buffer, so the only model-sized
+    allocation is the result: fresh arrays the caller may finish in place
+    and then adopt.  Each element sees exactly ``acc = acc + w * x`` in term
+    order from ``+0.0``: the first step is ``w0 * x0 + 0.0``, which IEEE
+    addition makes equal to ``0.0 + w0 * x0`` (a lone ``-0.0`` becomes
+    ``+0.0``, a NaN stays that NaN), so results are bit-identical to summing
+    whole sets one term at a time.
     """
     scratch = np.empty(_ACC_BLOCK * 8, dtype=np.uint8)  # fits any float dtype
     out = []
     for k, (name, ref) in enumerate(like):
-        acc = np.zeros_like(ref)
+        acc = np.empty_like(ref)
         flat = acc.reshape(-1)
         tmp = scratch.view(ref.dtype)
-        xs = [
+        (w0, x0, op0, b0), *rest = [
             (acc.dtype.type(w), x._arrays[k].reshape(-1), op,
              None if op is None else base._arrays[k].reshape(-1))
             for w, x, op, base in terms
@@ -304,7 +307,10 @@ def _weighted_accumulate(like: ParameterSet, terms) -> list[tuple[str, np.ndarra
             hi = lo + _ACC_BLOCK
             a = flat[lo:hi]
             t = tmp[: a.size]
-            for w, x, op, b in xs:
+            term = x0[lo:hi] if op0 is None else op0(x0[lo:hi], b0[lo:hi], out=a)
+            np.multiply(term, w0, out=a)
+            a += 0.0
+            for w, x, op, b in rest:
                 term = x[lo:hi] if op is None else op(x[lo:hi], b[lo:hi], out=t)
                 np.multiply(term, w, out=t)
                 a += t
@@ -445,6 +451,10 @@ class _BufferStream:
         return len(src)
 
 
+# bytes a hashing ByteStream reads into an array before it hands them to its hasher
+_HASHED_READ = 1 << 20
+
+
 class ByteStream:
     """Reads at most ``size`` bytes of ``raw`` front to back, feeding each to ``hasher``.
 
@@ -453,8 +463,9 @@ class ByteStream:
     counts the bytes not yet read.  A read that asks for more than ``left``
     raises :class:`Truncated` before anything is read or allocated, so
     ``read`` and ``readinto`` return exactly what was asked for or raise.
-    With a ``hasher`` (``hashlib.sha256()``, say) every byte is hashed as it
-    is read, in the buffer it was read into.
+    With a ``hasher`` (anything with ``update``, such as
+    ``hashlib.sha256()``) every byte read is passed to it in the buffer it
+    was read into.
     """
 
     __slots__ = ("raw", "left", "hasher")
@@ -465,9 +476,9 @@ class ByteStream:
         self.hasher = hasher
 
     @classmethod
-    def over(cls, buf, hasher=None) -> "ByteStream":
+    def over(cls, buf) -> "ByteStream":
         raw = _BufferStream(buf)
-        return cls(raw, len(raw.buf), hasher)
+        return cls(raw, len(raw.buf))
 
     def read(self, n: int):
         """The next ``n`` bytes (bytes-like); a small read, such as a header."""
@@ -482,19 +493,26 @@ class ByteStream:
         return out
 
     def readinto(self, out) -> None:
-        """Fill ``out``, a writable byte view, with the next ``len(out)`` bytes."""
+        """Fill ``out``, a writable byte view, with the next ``len(out)`` bytes.
+
+        With a hasher the bytes are read and handed to it 1 MiB at a time, so
+        a hasher that works beside the reader (as :mod:`fedkit.wire` uses)
+        hashes one piece while the next is read.
+        """
         n = len(out)
         if n > self.left:
             raise Truncated(f"need {n} bytes, only {self.left} left")
         self.left -= n
-        got = self.raw.readinto(out)
+        step = n if self.hasher is None else _HASHED_READ
+        got = 0
         while got < n:
-            more = self.raw.readinto(out[got:])
+            piece = out[got : got + step]
+            more = self.raw.readinto(piece)
             if not more:
                 raise Truncated(f"stream ended {n - got} bytes short")
+            if self.hasher is not None:
+                self.hasher.update(piece[:more])
             got += more
-        if self.hasher is not None:
-            self.hasher.update(out)
 
 
 def deserialize_params(data) -> ParameterSet:

@@ -20,24 +20,32 @@ verify what it fetches.
 
 Copies.  On send there are none: a parameter set leaves as headers plus a
 byte view of each of its arrays (:func:`fedkit.params.serialize_pieces`).  A
-staged body is hashed and written to its connector view by view, and an
-inline body goes out by ``writelines`` on the socket stream
-(:func:`send_frame`); neither is joined into one bytes object.  On receive
-there is one: each tensor's bytes are read into a fresh array
+staged body is written to its connector view by view, and an inline body
+goes out by ``writelines`` on the socket stream (:func:`send_frame`);
+neither is joined into one bytes object.  On receive there is one: each
+tensor's bytes are read into a fresh array
 (:func:`fedkit.params.deserialize_params`), straight from the staged file or
 from the frame's payload, which :func:`decode_frame` and
-:func:`decode_envelope` slice as memoryviews.  A staged body is hashed as it
-is read into the arrays, and its size and SHA-256 are checked before the set
-is returned, so the bytes verified are the bytes used.  A
-:class:`FilesystemConnector` opens only the keys it issues.
+:func:`decode_envelope` slice as memoryviews.
+
+Hashing.  A staged body's SHA-256 is computed on one helper thread while the
+caller writes the body (``put``) or reads it into the arrays (``get``); the
+helper hashes the same buffers, in order, so the cost of a staged transfer
+is close to that of its hashing alone.  On receive, the size and the digest
+are checked before the set is returned, so the bytes verified are the bytes
+used.  Inline bodies are never hashed.  A :class:`FilesystemConnector` opens
+only the keys it issues, and removes the file of a ``put`` that fails.
 """
 from __future__ import annotations
 
 import hashlib
 import hmac
+import io
 import os
+import queue
 import re
 import struct
+import threading
 import uuid
 from dataclasses import dataclass
 from enum import IntEnum
@@ -227,6 +235,62 @@ def _parts(data) -> tuple:
     return data.parts if isinstance(data, Pieces) else (data,)
 
 
+class _HashThread:
+    """SHA-256 of the buffers given to :meth:`update`, hashed on one helper thread.
+
+    ``update`` only queues a buffer, so the caller writes or reads the next
+    one while the helper hashes them in the order given (hashlib releases
+    the GIL over large buffers).  A queued buffer must not change until
+    :meth:`digest` returns.  ``digest`` waits for the helper and returns the
+    digest of every queued byte, or raises what the helper raised.  Used as
+    a context manager, the helper has ended when the block is left, however
+    it is left.
+    """
+
+    def __init__(self):
+        self._queue = queue.SimpleQueue()
+        self._hash = hashlib.sha256()
+        self._error: Optional[BaseException] = None
+        self._thread = threading.Thread(target=self._run, name="fedkit-sha256", daemon=True)
+        self._thread.start()
+
+    def _run(self) -> None:
+        try:
+            while (buf := self._queue.get()) is not None:
+                self._hash.update(buf)
+        except BaseException as e:  # raised again by digest(), in the caller
+            self._error = e
+
+    def update(self, buf) -> None:
+        self._queue.put(buf)
+
+    def close(self) -> None:
+        """End the helper once it has hashed what is queued; safe to repeat."""
+        self._queue.put(None)
+        self._thread.join()
+
+    def digest(self) -> bytes:
+        self.close()
+        if self._error is not None:
+            raise self._error
+        return self._hash.digest()
+
+    def __enter__(self) -> "_HashThread":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _write_hashed(data: Union[bytes, Pieces], fh) -> bytes:
+    """Write ``data`` to ``fh`` piece by piece; the SHA-256 is computed beside the writes."""
+    with _HashThread() as hasher:
+        for part in _parts(data):
+            hasher.update(part)
+            fh.write(part)
+        return hasher.digest()
+
+
 class MemoryConnector:
     """In-process staging table; fine for tests and single-host runs."""
 
@@ -236,8 +300,10 @@ class MemoryConnector:
 
     def put(self, data: Union[bytes, Pieces]) -> DataRef:
         key = uuid.uuid4().hex
-        self._table[key] = stored = bytes(data)
-        return DataRef(self.connector_id, key, len(stored), hashlib.sha256(stored).digest())
+        buf = io.BytesIO()
+        digest = _write_hashed(data, buf)
+        self._table[key] = stored = buf.getvalue()
+        return DataRef(self.connector_id, key, len(stored), digest)
 
     def get(self, ref: DataRef, read=None):
         """The staged payload, verified against ``ref``; see :func:`_read_verified`."""
@@ -246,7 +312,7 @@ class MemoryConnector:
         data = self._table[ref.key]
         if len(data) != ref.size:
             raise ChecksumMismatch(f"staged payload is {len(data)} bytes, reference says {ref.size}")
-        return _read_verified(ByteStream.over(data, hashlib.sha256()), ref, read)
+        return _read_verified(io.BytesIO(data), ref, read)
 
     def delete(self, key: str) -> None:
         self._table.pop(key, None)
@@ -278,14 +344,20 @@ class FilesystemConnector:
         return self.root / key
 
     def put(self, data: Union[bytes, Pieces]) -> DataRef:
-        """Write ``data`` to a new file, hashing each piece as it is written."""
+        """Write ``data`` to a new file while a helper thread hashes it.
+
+        If the write fails, the file is removed and the helper has ended
+        before the error is raised.
+        """
         key = uuid.uuid4().hex
-        digest = hashlib.sha256()
-        with open(self._path(key), "wb") as fh:
-            for part in _parts(data):
-                digest.update(part)
-                fh.write(part)
-        return DataRef(self.connector_id, key, len(data), digest.digest())
+        path = self._path(key)
+        try:
+            with open(path, "wb") as fh:
+                digest = _write_hashed(data, fh)
+        except BaseException:
+            path.unlink(missing_ok=True)
+            raise
+        return DataRef(self.connector_id, key, len(data), digest)
 
     def get(self, ref: DataRef, read=None):
         """The staged file, verified against ``ref``; see :func:`_read_verified`.
@@ -302,7 +374,7 @@ class FilesystemConnector:
             size = os.fstat(fh.fileno()).st_size
             if size != ref.size:
                 raise ChecksumMismatch(f"staged payload is {size} bytes, reference says {ref.size}")
-            return _read_verified(ByteStream(fh, size, hashlib.sha256()), ref, read)
+            return _read_verified(fh, ref, read)
 
     def delete(self, key: str) -> None:
         path = self._path(key)
@@ -310,31 +382,37 @@ class FilesystemConnector:
             path.unlink()
 
 
-def _read_verified(stream: ByteStream, ref: DataRef, read):
-    """Read a staged payload of ``ref.size`` bytes and check it against ``ref``.
+def _read_verified(raw, ref: DataRef, read):
+    """Read a staged payload of ``ref.size`` bytes from ``raw`` and check it against ``ref``.
 
-    Without ``read`` the result is the payload's bytes (bytes-like); with
-    it, the result of ``read(stream)``, which must consume the stream to its
-    end (as ``deserialize_params`` does).  Every byte is hashed as it is read, and
-    nothing is returned unless the bytes read were exactly ``ref.size``
-    bytes with digest ``ref.sha256``: the bytes verified are the bytes used.
-    When ``read`` rejects the payload, the rest of it is hashed too, so
-    damaged bytes raise :class:`ChecksumMismatch` wherever they are.
+    ``raw`` is an open binary file or file-like object.  Without ``read``
+    the result is the payload's bytes; with it, the result of
+    ``read(stream)`` over a :class:`~fedkit.params.ByteStream` of the
+    payload, which must consume the stream to its end (as
+    ``deserialize_params`` does).  Every byte read is hashed on a helper
+    thread while the next is read, and nothing is returned until the helper
+    is done and the bytes read were exactly ``ref.size`` bytes with digest
+    ``ref.sha256``: the bytes verified are the bytes used.  When ``read``
+    rejects the payload, the rest of it is hashed too, so damaged bytes
+    raise :class:`ChecksumMismatch` wherever they are.  The helper has
+    ended when this returns or raises.
     """
-    try:
-        out = stream.read(stream.left) if read is None else read(stream)
-    except (FedkitError, ValueError) as e:  # ValueError: a name that is not UTF-8
+    with _HashThread() as hasher:
+        stream = ByteStream(raw, ref.size, hasher)
         try:
-            while stream.left:
-                stream.read(min(stream.left, _DRAIN_CHUNK))
-        except FedkitError:
-            pass
-        if stream.left or stream.hasher.digest() != ref.sha256:
-            raise ChecksumMismatch("staged payload fails SHA-256 verification") from e
-        raise
-    if stream.left or stream.hasher.digest() != ref.sha256:
-        raise ChecksumMismatch("staged payload fails SHA-256 verification")
-    return out
+            out = stream.read(stream.left) if read is None else read(stream)
+        except (FedkitError, ValueError) as e:  # ValueError: a name that is not UTF-8
+            try:
+                while stream.left:
+                    stream.read(min(stream.left, _DRAIN_CHUNK))
+            except FedkitError:
+                pass
+            if stream.left or hasher.digest() != ref.sha256:
+                raise ChecksumMismatch("staged payload fails SHA-256 verification") from e
+            raise
+        if stream.left or hasher.digest() != ref.sha256:
+            raise ChecksumMismatch("staged payload fails SHA-256 verification")
+        return out
 
 
 # -- envelopes -----------------------------------------------------------------

@@ -205,6 +205,83 @@ def test_weighted_sum_preserves_dtype():
         P.weighted_sum([x, x.astype(np.float64)], [0.5, 0.5])
 
 
+def zero_start_accumulate(like, terms):
+    """The accumulation kernel as it was before it started from its first term.
+
+    Every block of the result starts as zeros and takes ``acc += w * x`` for
+    every term in order, through the scratch buffer.
+    """
+    scratch = np.empty(P._ACC_BLOCK * 8, dtype=np.uint8)
+    out = []
+    for k, (name, ref) in enumerate(like):
+        acc = np.zeros_like(ref)
+        flat = acc.reshape(-1)
+        tmp = scratch.view(ref.dtype)
+        xs = [
+            (acc.dtype.type(w), x._arrays[k].reshape(-1), op,
+             None if op is None else base._arrays[k].reshape(-1))
+            for w, x, op, base in terms
+        ]
+        for lo in range(0, flat.size, P._ACC_BLOCK):
+            hi = lo + P._ACC_BLOCK
+            a = flat[lo:hi]
+            t = tmp[: a.size]
+            for w, x, op, b in xs:
+                term = x[lo:hi] if op is None else op(x[lo:hi], b[lo:hi], out=t)
+                np.multiply(term, w, out=t)
+                a += t
+        out.append((name, acc))
+    return out
+
+
+_UINT = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
+
+
+def _bits(a):
+    return a.view(_UINT[a.dtype])
+
+
+@pytest.fixture(params=[16, None], ids=["block16", "default_block"])
+def acc_block(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(P, "_ACC_BLOCK", request.param)
+    return P._ACC_BLOCK
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", [None, np.add, np.subtract], ids=["none", "add", "subtract"])
+def test_first_term_accumulation_matches_zero_start(acc_block, k, dtype, op):
+    rng = np.random.default_rng(k)
+    n = 2 * acc_block + 3  # crosses two block edges and leaves a remainder
+
+    def make():
+        v = rng.standard_normal(n).astype(dtype)
+        v[:6] = [-0.0, np.nan, np.inf, -np.inf, 0.0, -0.0]
+        rng.shuffle(v[: acc_block + 6])  # the specials land in different blocks per set
+        return P.ParameterSet([("v", v), ("m", rng.standard_normal((2, 3)).astype(dtype))])
+
+    base = make()
+    sets = [make() for _ in range(k)]
+    weights = [0.5, -1.25, 3.0][:k]
+    terms = [(w, x, op, None if op is None else base) for w, x in zip(weights, sets)]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got = P._weighted_accumulate(base, terms)
+        want = zero_start_accumulate(base, terms)
+    for (name, g), (_, w) in zip(got, want):
+        assert g.dtype == w.dtype == np.dtype(dtype), name
+        assert (_bits(g) == _bits(w)).all(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lone_negative_zero_term_gives_positive_zero(dtype):
+    x = P.ParameterSet([("z", np.full(5, -0.0, dtype=dtype))])
+    (_, acc), = P._weighted_accumulate(x, [(1.0, x, None, None)])
+    assert (_bits(acc) == 0).all()
+    (_, want), = zero_start_accumulate(x, [(1.0, x, None, None)])
+    assert (_bits(acc) == _bits(want)).all()
+
+
 def test_axpy_zero_alpha_returns_y():
     rng = np.random.default_rng(3)
     x = pset(a=rng.normal(size=4))

@@ -1,6 +1,9 @@
+import errno
 import hashlib
 import io
 import struct
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from fedkit.errors import (
     UnsupportedVersion,
 )
 from fedkit.params import (
+    ByteStream,
     ParameterSet,
     deserialize_params,
     serialize_params,
@@ -268,6 +272,12 @@ def _stored(conn, key) -> bytes:
     return (conn.root / key).read_bytes()
 
 
+def _keys(conn) -> list:
+    if isinstance(conn, MemoryConnector):
+        return list(conn._table)
+    return [f.name for f in conn.root.iterdir()]
+
+
 def _overwrite(conn, key, data) -> None:
     if isinstance(conn, MemoryConnector):
         conn._table[key] = bytes(data)
@@ -275,9 +285,45 @@ def _overwrite(conn, key, data) -> None:
         (conn.root / key).write_bytes(bytes(data))
 
 
+class _FailingRaw:
+    """A file-like reader whose ``readinto`` raises ``OSError`` on call ``fail_at``."""
+
+    def __init__(self, raw, fail_at):
+        self.raw = raw
+        self.calls = 0
+        self.fail_at = fail_at
+
+    def read(self, n):
+        return self.raw.read(n)
+
+    def readinto(self, out):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise OSError(errno.EIO, "Input/output error")
+        return self.raw.readinto(out)
+
+
+class _BrokenSha256:
+    def update(self, buf):
+        raise RuntimeError("hasher failed")
+
+
+@pytest.fixture
+def no_thread_left():
+    """Fails the test if it leaves a thread running that it started."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
+
+
+@pytest.mark.usefixtures("no_thread_left")
 @pytest.mark.parametrize("kind", ["fs", "mem"])
 class TestStreamedReceive:
-    """``get(ref, deserialize_params)`` reads, hashes and checks in one pass."""
+    """``get(ref, deserialize_params)`` reads, hashes and checks in one pass.
+
+    The hashing runs on a helper thread, which has ended when ``put`` or
+    ``get`` returns or raises: every test here checks that no thread is left.
+    """
 
     def test_roundtrip_into_fresh_native_arrays(self, kind, tmp_path, check_owned):
         p = _sample_set()
@@ -334,6 +380,46 @@ class TestStreamedReceive:
         ref = conn.put(serialize_params(_sample_set()) + b"\x00")
         with pytest.raises(TrailingBytes):
             conn.get(ref, deserialize_params)
+
+    def test_os_error_in_the_middle_of_a_read_reaches_the_caller(
+        self, kind, tmp_path, monkeypatch
+    ):
+        # the second readinto is the first of the 3 MiB tensor's
+        p = ParameterSet(
+            [("a", np.arange(4, dtype=np.float32)), ("w", np.arange(3 << 18, dtype=np.float32))]
+        )
+        conn = _connector(kind, tmp_path)
+        ref = conn.put(serialize_pieces(p))
+        monkeypatch.setattr(
+            wire, "ByteStream",
+            lambda raw, size, hasher=None: ByteStream(_FailingRaw(raw, 2), size, hasher),
+        )
+        with pytest.raises(OSError) as err:
+            conn.get(ref, deserialize_params)
+        assert err.value.errno == errno.EIO
+        monkeypatch.undo()
+        assert conn.get(ref, deserialize_params) == p
+
+    def test_put_digest_is_the_sha256_of_the_body(self, kind, tmp_path):
+        p = _sample_set()
+        pieces = serialize_pieces(p)
+        assert 0 in map(len, pieces.parts)  # the empty tensor's bytes
+        conn = _connector(kind, tmp_path)
+        ref = conn.put(pieces)
+        assert ref.sha256 == hashlib.sha256(serialize_params(p)).digest()
+        assert ref.size == len(serialize_params(p))
+        assert _stored(conn, ref.key) == serialize_params(p)
+
+    def test_helper_exception_reaches_the_caller(self, kind, tmp_path, monkeypatch):
+        p = _sample_set()
+        conn = _connector(kind, tmp_path)
+        ref = conn.put(serialize_pieces(p))
+        monkeypatch.setattr(wire, "hashlib", SimpleNamespace(sha256=_BrokenSha256))
+        with pytest.raises(RuntimeError, match="hasher failed"):
+            conn.get(ref, deserialize_params)
+        with pytest.raises(RuntimeError, match="hasher failed"):
+            conn.put(serialize_pieces(p))
+        assert _keys(conn) == [ref.key]  # the failed put left nothing behind
 
     def test_fetch_body_reads_inline_and_staged_bodies_alike(self, kind, tmp_path):
         p = _sample_set()
@@ -397,6 +483,42 @@ class TestStagedKeys:
         assert not any((tmp_path / "spool").iterdir())
         with pytest.raises(MissingKey):
             conn.get(ref)
+
+
+class _FailingWriter:
+    """A binary file whose ``write`` raises ``ENOSPC`` on call ``fail_at``."""
+
+    def __init__(self, fh, fail_at):
+        self.fh = fh
+        self.calls = 0
+        self.fail_at = fail_at
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, b):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(b)
+
+
+@pytest.mark.usefixtures("no_thread_left")
+def test_failed_staged_write_leaves_no_file(tmp_path, monkeypatch):
+    conn = FilesystemConnector(tmp_path / "spool")
+    monkeypatch.setattr(
+        wire, "open", lambda path, mode: _FailingWriter(open(path, mode), 3), raising=False
+    )
+    with pytest.raises(OSError) as err:
+        conn.put(serialize_pieces(_sample_set()))
+    assert err.value.errno == errno.ENOSPC
+    assert list(conn.root.iterdir()) == []
+    monkeypatch.undo()
+    ref = conn.put(serialize_pieces(_sample_set()))
+    assert conn.get(ref, deserialize_params) == _sample_set()
 
 
 class TestSendPieces:
