@@ -18,12 +18,22 @@ and the proximal pull and the optimizer step are a few whole-block
 operations.  Each client still draws its own batches and keeps its own
 optimizer, so every update equals, bit for bit, the one the client would
 compute alone.  A cohort is cut into slices whose transient stacks stay
-within ``_STACK_BYTES``, so a large model trains one client at a time.  Only
+within ``_STACK_BYTES``, so a large model trains one client per worker.  Only
 the weight buffer outlives the call, as the views that the returned updates
 adopt; nothing is kept per client besides the optimizer state.
+
+Every training call, the simulator's and each socket client's alike, holds
+OpenBLAS at one thread while it runs, so the products of both paths are the
+same single-threaded products and the cores go to clients instead of to
+BLAS.  A cohort of two or more slices trains them on one worker thread per
+core.  Where no OpenBLAS can be found, nothing is capped and the slices run
+one after another on the caller's thread.
 """
 from __future__ import annotations
 
+import functools
+import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -98,8 +108,81 @@ class ClientState:
 
 # the bytes of one transient (rows, params) stack of a cohort slice: gradients,
 # gathered weights, the prox base and its scratch.  A model larger than this
-# trains one client at a time, with the buffers of a lone local_train.
+# trains one client per worker, each with the buffers of a lone local_train.
 _STACK_BYTES = 1 << 22
+
+
+@functools.cache
+def _openblas() -> list:
+    """``(get, set)`` thread-count functions of each loaded OpenBLAS; empty if none.
+
+    Found on first use from the libraries mapped into the process, so that
+    importing fedkit loads no ctypes.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:  # no /proc: not Linux
+        return []
+    paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]})
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
+                     "scipy_openblas_%s_num_threads", "openblas_%s_num_threads"):
+            get, put = (getattr(lib, name % verb, None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                found.append((get, put))
+                break
+    return found
+
+
+class _OneBlasThread:
+    """Holds every OpenBLAS at one thread while at least one holder is inside.
+
+    The thread count is process-wide: the first holder in saves it and sets 1,
+    and the last one out, on return or on an exception, restores it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._saved: list = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._holders == 0:
+                self._saved = [(put, get()) for get, put in _openblas()]
+                for put, _ in self._saved:
+                    put(1)
+            self._holders += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0:
+                for put, count in self._saved:
+                    put(count)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
+def _cores() -> int:
+    # only asked where _openblas found a library through /proc, so on Linux
+    return len(os.sched_getaffinity(0))
+
+
+def _worker_count(slices: int) -> int:
+    """Threads that train ``slices`` slices: one per core, if BLAS can be held at one."""
+    return min(slices, _cores()) if _openblas() else 1
 
 
 def local_train(
@@ -125,7 +208,9 @@ def train_cohort(jobs, clock=time.monotonic) -> list[ModelUpdate]:
     :func:`local_train`, for distinct clients of one model spec and one
     parameter structure.  The updates equal those of one ``local_train``
     call per job, bit for bit and in any order of calls.  ``wall_meta`` runs
-    from the start of the cohort to the end of the client's training.
+    from the start of the cohort to the end of the client's training.  The
+    call holds OpenBLAS at one thread, and slices train on one worker thread
+    per core.
     """
     jobs = [
         (st, base, st.cfg.local_steps if steps is None else steps, epoch)
@@ -141,18 +226,43 @@ def train_cohort(jobs, clock=time.monotonic) -> list[ModelUpdate]:
             busy.append(i)
         else:
             updates[i] = _package(job, job[1], start, clock())
-    if busy:
-        # consecutive slices, each with transient stacks of at most _STACK_BYTES
-        row_bytes = sum(a.nbytes for _, a in jobs[busy[0]][1].items())
-        size = max(1, _STACK_BYTES // max(row_bytes, 1))
-        for lo in range(0, len(busy), size):
-            part = busy[lo : lo + size]
-            trained = _train_rows([jobs[i] for i in part])
-            end = clock()
-            # packaged at once, while a large model's weights are still in cache
-            for i, params in zip(part, trained):
-                updates[i] = _package(jobs[i], params, start, end)
+    if not busy:
+        return updates
+    # consecutive slices, each with transient stacks of at most _STACK_BYTES
+    row_bytes = sum(a.nbytes for _, a in jobs[busy[0]][1].items())
+    size = max(1, _STACK_BYTES // max(row_bytes, 1))
+    slices = [busy[lo : lo + size] for lo in range(0, len(busy), size)]
+
+    def train(part: list) -> None:
+        trained = _train_rows([jobs[i] for i in part])
+        end = clock()
+        # packaged at once, while a large model's weights are still in cache
+        for i, params in zip(part, trained):
+            updates[i] = _package(jobs[i], params, start, end)
+
+    with _ONE_BLAS_THREAD:
+        _run_slices(train, slices, _worker_count(len(slices)))
     return updates
+
+
+def _run_slices(train, slices: list, workers: int) -> None:
+    """``train(part)`` for every slice: on the caller's thread, or on ``workers`` threads.
+
+    An exception of a slice reaches the caller; slices not yet started then
+    never start.  Every worker has ended when this returns or raises.
+    """
+    if workers == 1:
+        for part in slices:
+            train(part)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="fedkit-train")
+    try:
+        for future in [pool.submit(train, part) for part in slices]:
+            future.result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _package(job, params: ParameterSet, start: float, end: float) -> ModelUpdate:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,3 +27,11 @@ def _check_owned(make, *inputs):
 @pytest.fixture
 def check_owned():
     return _check_owned
+
+
+@pytest.fixture
+def no_thread_left():
+    """Fails the test if it leaves a thread running that it started."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -485,10 +487,11 @@ def test_mixed_dtype_model_in_a_cohort():
             train()
 
 
-def test_cohort_memory_stays_near_one_client():
+def test_cohort_memory_stays_near_one_client(monkeypatch):
     # a ~1M-parameter float64 model is over the stack budget, so the cohort
-    # trains one client at a time: beyond the eight results it holds about
-    # the gradient, prox base and scratch of one client, not eight of each
+    # trains one client per worker: beyond the eight results each worker
+    # holds about one client's gradient, prox base and scratch, not eight of each
+    monkeypatch.setattr(client_module, "_cores", lambda: 2)
     spec = ModelSpec((1024, 1000, 10))
     rng = np.random.default_rng(0)
     base = init_params(spec, seed=0)
@@ -498,6 +501,7 @@ def test_cohort_memory_stays_near_one_client():
         ds = Dataset(rng.normal(size=(4, 1024)), rng.integers(0, 10, 4))
         cfg = TrainConfig(lr=0.01, batch_size=4, prox_mu=0.5, seed=i)
         jobs.append((ClientState(f"c{i}", ds, spec, cfg), base, 1, 0))
+    workers = client_module._worker_count(len(jobs))
     tracemalloc.start()
     try:
         updates = train_cohort(jobs)
@@ -505,6 +509,177 @@ def test_cohort_memory_stays_near_one_client():
     finally:
         tracemalloc.stop()
     assert len(updates) == 8
-    # 8 rows of results plus one gradient, prox base and scratch row: 11;
-    # with every stack eight rows deep it would be 32
-    assert peak < (8 + 6) * row_bytes
+    # 8 rows of results, 3 transient rows per worker and 3 rows of slack: 17
+    # on two workers; with every stack eight rows deep it would be 32
+    assert peak < (8 + 3 * workers + 3) * row_bytes
+
+
+# ---------------------------------------------------------------------------
+# one BLAS thread while training, and cohort slices on worker threads
+
+needs_openblas = pytest.mark.skipif(
+    not client_module._openblas(), reason="no OpenBLAS found in this process"
+)
+
+
+def blas_threads() -> list:
+    return [get() for get, _ in client_module._openblas()]
+
+
+@pytest.fixture
+def blas_at_two():
+    """Every OpenBLAS at two threads, so that a restored count shows on any box."""
+    saved = blas_threads()
+    for _, put in client_module._openblas():
+        put(2)
+    yield [2] * len(saved)
+    for (_, put), count in zip(client_module._openblas(), saved):
+        put(count)
+
+
+def watch_backward(monkeypatch, before=None):
+    """Patch ``backward`` to run ``before()`` first; returns the names of the threads it ran on."""
+    names = set()
+    real = client_module.backward
+
+    def watching(spec, params, x, y, out):
+        names.add(threading.current_thread().name)
+        if before is not None:
+            before()
+        return real(spec, params, x, y, out=out)
+
+    monkeypatch.setattr(client_module, "backward", watching)
+    return names
+
+
+@needs_openblas
+def test_blas_held_at_one_thread_while_training_and_restored_after(monkeypatch, blas_at_two):
+    seen = []
+    watch_backward(monkeypatch, lambda: seen.append(blas_threads()))
+    local_train(make_state(), init_params(SPEC, seed=0), steps=2)
+    assert seen == [[1] * len(blas_at_two)] * 2
+    assert blas_threads() == blas_at_two
+
+    def fail():
+        raise RuntimeError("backward failed")
+
+    watch_backward(monkeypatch, fail)
+    with pytest.raises(RuntimeError, match="backward failed"):
+        local_train(make_state(), init_params(SPEC, seed=0), steps=2)
+    assert blas_threads() == blas_at_two
+    assert client_module._ONE_BLAS_THREAD._holders == 0
+
+
+@needs_openblas
+@pytest.mark.usefixtures("no_thread_left")
+def test_overlapping_training_calls_hold_one_thread_until_the_last_leaves(
+    monkeypatch, blas_at_two
+):
+    first_in, second_in, first_out = (threading.Event() for _ in range(3))
+    seen = {"first": [], "second": []}
+
+    def before():
+        who = threading.current_thread().name
+        seen[who].append(blas_threads())
+        if who == "first":
+            first_in.set()
+            assert second_in.wait(10)
+        else:
+            second_in.set()
+            assert first_out.wait(10)  # the first call has left; this one is still in
+            seen[who].append(blas_threads())
+
+    watch_backward(monkeypatch, before)
+    errors = []
+
+    def train(who, after):
+        try:
+            if who == "second":
+                assert first_in.wait(10)
+            local_train(make_state(), init_params(SPEC, seed=0), steps=1)
+            after.set()
+        except BaseException as e:  # reported by the test thread
+            errors.append(e)
+
+    threads = [
+        threading.Thread(target=train, args=("first", first_out), name="first"),
+        threading.Thread(target=train, args=("second", threading.Event()), name="second"),
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(20)
+        assert not t.is_alive()
+    assert errors == []
+    one = [1] * len(blas_at_two)
+    assert seen == {"first": [one], "second": [one, one]}
+    assert blas_threads() == blas_at_two
+
+
+@pytest.fixture
+def on_workers(monkeypatch):
+    """Every client its own slice, on more workers than the cores of a 2-core box.
+
+    A short switch interval makes the threads interleave as often as they can.
+    Returns the names of the threads that ran ``backward``.
+    """
+    if not client_module._openblas():
+        pytest.skip("no OpenBLAS found: slices run serially")
+    monkeypatch.setattr(client_module, "_STACK_BYTES", 1)
+    monkeypatch.setattr(client_module, "_cores", lambda: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield watch_backward(monkeypatch)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def ran_on_workers(names) -> bool:
+    return any(n.startswith("fedkit-train") for n in names)
+
+
+@pytest.mark.usefixtures("no_thread_left")
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+@pytest.mark.parametrize("send_delta", [False, True])
+def test_cohort_on_workers_equals_local_train(on_workers, optimizer, mu, send_delta):
+    cohort, alone = cohort_states(optimizer=optimizer, prox_mu=mu, send_delta=send_delta)
+    assert_cohort_equals_local_train(cohort, alone, [7, 3, 6, 7])
+    assert ran_on_workers(on_workers)
+
+
+@pytest.mark.usefixtures("no_thread_left")
+def test_an_exception_in_a_slice_reaches_the_caller(on_workers, monkeypatch):
+    lock, calls = threading.Lock(), []
+
+    def fail_second_call():
+        with lock:
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("slice failed")
+
+    names = watch_backward(monkeypatch, fail_second_call)
+    cohort, _ = cohort_states()
+    base = init_params(SPEC, seed=0)
+    with pytest.raises(RuntimeError, match="slice failed"):
+        train_cohort([(st, base, 3, 0) for st in cohort])
+    assert ran_on_workers(names)
+    assert client_module._ONE_BLAS_THREAD._holders == 0
+
+
+@pytest.mark.usefixtures("no_thread_left")
+def test_without_openblas_slices_run_serially_with_the_same_updates(monkeypatch):
+    base = init_params(SPEC, seed=0)
+    runs, names = [], []
+    for finder in (client_module._openblas, lambda: []):
+        with monkeypatch.context() as m:
+            m.setattr(client_module, "_STACK_BYTES", 1)
+            m.setattr(client_module, "_cores", lambda: 3)
+            m.setattr(client_module, "_openblas", finder)
+            names.append(watch_backward(m))
+            cohort, _ = cohort_states(optimizer="adam", prox_mu=0.5)
+            runs.append([u.params for u in train_cohort([(st, base, 7, 0) for st in cohort])])
+    assert ran_on_workers(names[0]) == bool(client_module._openblas())
+    assert names[1] == {threading.current_thread().name}
+    assert runs[0] == runs[1]

@@ -13,30 +13,32 @@ from fedkit.server import make_server_agent
 from fedkit.sim import run_simulation
 
 
-def write_config(tmp_path, *, scheduler="SyncScheduler", epochs=3, token=None, name="server.yaml"):
+def write_config(tmp_path, *, scheduler="SyncScheduler", epochs=3, token=None, name="server.yaml",
+                 dims=(5, 8, 3), local_steps=8):
+    classes, dim = dims[-1], dims[0]
     doc = {
         "server_configs": {
             "aggregator": "FedAvgAggregator",
             "scheduler": scheduler,
             "num_global_epochs": epochs,
             "model_configs": {
-                "layer_dims": [5, 8, 3],
+                "layer_dims": list(dims),
                 "activation": "relu",
                 "loss": "softmax_cross_entropy",
                 "init_seed": 7,
             },
             "evaluation": {
                 "dataset_name": "blobs",
-                "dataset_kwargs": {"classes": 3, "dim": 5, "per_class": 20, "seed": 9},
+                "dataset_kwargs": {"classes": classes, "dim": dim, "per_class": 20, "seed": 9},
             },
         },
         "client_configs": {
-            "train_configs": {"lr": 0.05, "batch_size": 16, "local_steps": 8},
+            "train_configs": {"lr": 0.05, "batch_size": 16, "local_steps": local_steps},
             "data_configs": {
                 "dataset_name": "blobs",
                 "dataset_kwargs": {
-                    "classes": 3,
-                    "dim": 5,
+                    "classes": classes,
+                    "dim": dim,
                     "per_class": 40,
                     "seed": 1,
                     "partition": {"scheme": "iid", "seed": 3},
@@ -58,6 +60,17 @@ def test_local_socket_run_matches_simulation(tmp_path):
     live = run_local(load_config(write_config(tmp_path)))
     assert serialize_params(live.final_params) == serialize_params(sim.final_params)
     assert live.epoch == sim.epoch == 3
+
+
+def test_socket_run_matches_simulation_on_a_model_blas_splits(tmp_path):
+    # OpenBLAS splits the (16, 784) @ (784, 1024) products of this model across
+    # its threads, and the bits depend on the thread count: socket and
+    # simulator agree only if both train under the same thread cap
+    path = write_config(tmp_path, dims=(784, 1024, 10), epochs=2, local_steps=1)
+    sim = run_simulation(build_scenario(load_config(path)))
+    live = run_local(load_config(path))
+    assert serialize_params(live.final_params) == serialize_params(sim.final_params)
+    assert live.epoch == sim.epoch == 2
 
 
 def test_run_dir_outputs(tmp_path):

@@ -2,7 +2,6 @@ import errno
 import hashlib
 import io
 import struct
-import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -306,14 +305,6 @@ class _FailingRaw:
 class _BrokenSha256:
     def update(self, buf):
         raise RuntimeError("hasher failed")
-
-
-@pytest.fixture
-def no_thread_left():
-    """Fails the test if it leaves a thread running that it started."""
-    before = threading.active_count()
-    yield
-    assert threading.active_count() == before
 
 
 @pytest.mark.usefixtures("no_thread_left")
