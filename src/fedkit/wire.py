@@ -3,20 +3,30 @@
 Frame layout (lengths big-endian)::
 
     4 bytes  magic "APFL"
-    u8       protocol version (currently 1)
+    u8       protocol version (currently 2)
     u8       message type
     u16      token length, then token bytes
     u32      payload length, then payload bytes
 
-The shortest legal frame is a ``CONFIG_REQUEST`` with empty token and
-payload: ``41 50 46 4C 01 01 00 00 00 00 00 00``.
+The shortest legal frame is a ``SHUTDOWN`` with empty token and payload:
+``41 50 46 4C 02 07 00 00 00 00 00 00``.  A frame of any other version
+raises :class:`UnsupportedVersion`; version 1 differed in the digest of a
+:class:`DataRef` and in having message types 1 and 2 (a config request and
+reply that nothing sent or answered), which now raise :class:`ProtocolError`
+as unknown types.
 
 Payloads are envelopes: a small string-to-string metadata table plus a body
 that is either inline bytes or a :class:`DataRef` pointing into a connector
 (shared memory table, filesystem directory, ...).  Bodies above
 ``DEFAULT_INLINE_LIMIT`` are staged through a connector so the frame itself
-stays small; the reference carries size and SHA-256 so the receiver can
-verify what it fetches.
+stays small; the reference carries the size and a digest so the receiver
+can verify what it fetches.
+
+Digest.  A staged body is cut into consecutive leaves of 1 MiB
+(``params._HASHED_READ``), the last one shorter; an empty body has no
+leaves.  Its digest is ``SHA-256(SHA-256(leaf_0) || ... ||
+SHA-256(leaf_n-1))``, a one-level hash list, so the leaves can be hashed
+apart and on two cores.
 
 Copies.  On send there are none: a parameter set leaves as headers plus a
 byte view of each of its arrays (:func:`fedkit.params.serialize_pieces`).  A
@@ -28,13 +38,14 @@ tensor's bytes are read into a fresh array
 from the frame's payload, which :func:`decode_frame` and
 :func:`decode_envelope` slice as memoryviews.
 
-Hashing.  A staged body's SHA-256 is computed on one helper thread while the
-caller writes the body (``put``) or reads it into the arrays (``get``); the
-helper hashes the same buffers, in order, so the cost of a staged transfer
-is close to that of its hashing alone.  On receive, the size and the digest
-are checked before the set is returned, so the bytes verified are the bytes
-used.  Inline bodies are never hashed.  A :class:`FilesystemConnector` opens
-only the keys it issues, and removes the file of a ``put`` that fails.
+Hashing.  A staged body's leaves are hashed while the caller writes the
+body (``put``) or reads it into the arrays (``get``), 1 MiB at a time.  One
+helper thread hashes the oldest leaf that waits; when the helper is behind,
+the caller hashes the newest leaf itself between its writes or reads, so
+the two share the hashing.  On receive, the size and the digest are checked
+before the set is returned, so the bytes verified are the bytes used.
+Inline bodies are never hashed.  A :class:`FilesystemConnector` opens only
+the keys it issues, and removes the file of a ``put`` that fails.
 """
 from __future__ import annotations
 
@@ -64,20 +75,22 @@ from .errors import (
     UnknownConnector,
     UnsupportedVersion,
 )
-from .params import ByteStream, Pieces
+from .params import _HASHED_READ, ByteStream, Pieces
 
 MAGIC = b"APFL"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 MAX_PAYLOAD = 64 * 2**20
 DEFAULT_INLINE_LIMIT = 10 * 2**20
 _SHA256_LEN = 32
+# bytes per leaf of a staged body's hash list, fixed by protocol version 2; equal to
+# a hashing ByteStream's reads, so that each read adds to at most two leaves
+_LEAF = _HASHED_READ
 # bytes hashed per read when a rejected staged payload is hashed to its end
 _DRAIN_CHUNK = 1 << 20
 
 
 class MessageType(IntEnum):
-    CONFIG_REQUEST = 1
-    CONFIG_REPLY = 2
+    # 1 and 2 were CONFIG_REQUEST and CONFIG_REPLY in version 1; 6 was never assigned
     MODEL_REQUEST = 3
     MODEL_REPLY = 4
     UPDATE_SUBMIT = 5
@@ -219,7 +232,10 @@ def read_frame(stream, max_payload: int = MAX_PAYLOAD) -> Optional[Frame]:
 
 @dataclass(frozen=True)
 class DataRef:
-    """Pointer to an out-of-band payload plus enough to verify the fetch."""
+    """Pointer to an out-of-band payload plus enough to verify the fetch.
+
+    ``sha256`` is the body's hash-list digest (see the module docstring).
+    """
 
     connector_id: str
     key: str
@@ -235,45 +251,90 @@ def _parts(data) -> tuple:
     return data.parts if isinstance(data, Pieces) else (data,)
 
 
-class _HashThread:
-    """SHA-256 of the buffers given to :meth:`update`, hashed on one helper thread.
+def _leaf_digest(parts) -> bytes:
+    """SHA-256 of one leaf, given as the buffers it was cut from."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    return h.digest()
 
-    ``update`` only queues a buffer, so the caller writes or reads the next
-    one while the helper hashes them in the order given (hashlib releases
-    the GIL over large buffers).  A queued buffer must not change until
-    :meth:`digest` returns.  ``digest`` waits for the helper and returns the
-    digest of every queued byte, or raises what the helper raised.  Used as
-    a context manager, the helper has ended when the block is left, however
-    it is left.
+
+class _HashThread:
+    """The hash-list digest of the buffers given to :meth:`update`, shared with one helper thread.
+
+    The bytes are cut into leaves of ``_LEAF`` bytes as they arrive, whatever
+    the buffer boundaries (see the module docstring for the digest).  A full
+    leaf waits for the helper, which hashes the oldest leaf waiting; if a
+    leaf is already waiting when the next one fills, the caller hashes the
+    new one itself, between its own writes or reads.  So the helper and the
+    caller share the hashing (hashlib releases the GIL over large buffers).
+    A buffer given to ``update`` must not change until :meth:`digest`
+    returns.  ``digest`` hashes the partial last leaf and any leaf still
+    waiting, ends the helper, and returns the digest, or raises what the
+    helper raised; call it once.  Used as a context manager, the helper has
+    ended when the block is left, however it is left.
     """
 
     def __init__(self):
-        self._queue = queue.SimpleQueue()
-        self._hash = hashlib.sha256()
+        self._waiting = queue.SimpleQueue()  # (index, buffers) of full leaves; None ends the helper
+        self._digests: list = []  # leaf digests in order; None until the leaf is hashed
+        self._leaf: list = []  # buffers of the leaf being filled
+        self._fill = 0
         self._error: Optional[BaseException] = None
         self._thread = threading.Thread(target=self._run, name="fedkit-sha256", daemon=True)
         self._thread.start()
 
     def _run(self) -> None:
         try:
-            while (buf := self._queue.get()) is not None:
-                self._hash.update(buf)
+            while (item := self._waiting.get()) is not None:
+                index, parts = item
+                self._digests[index] = _leaf_digest(parts)
         except BaseException as e:  # raised again by digest(), in the caller
             self._error = e
 
     def update(self, buf) -> None:
-        self._queue.put(buf)
+        view = memoryview(buf).cast("B")
+        pos = 0
+        while pos < len(view):
+            take = min(len(view) - pos, _LEAF - self._fill)
+            self._leaf.append(view[pos : pos + take])
+            self._fill += take
+            pos += take
+            if self._fill == _LEAF:
+                parts, self._leaf, self._fill = self._leaf, [], 0
+                index = len(self._digests)
+                self._digests.append(None)
+                # only the caller adds leaves, so a stale answer here only means the
+                # helper has just caught up; each digest lands at its own index
+                if self._waiting.empty():
+                    self._waiting.put((index, parts))
+                else:  # the helper is behind: this leaf is the caller's
+                    self._digests[index] = _leaf_digest(parts)
 
     def close(self) -> None:
-        """End the helper once it has hashed what is queued; safe to repeat."""
-        self._queue.put(None)
+        """End the helper, dropping any leaf still waiting; safe to repeat."""
+        try:
+            while True:
+                self._waiting.get_nowait()
+        except queue.Empty:
+            pass
+        self._waiting.put(None)
         self._thread.join()
 
     def digest(self) -> bytes:
+        if self._fill:
+            self._digests.append(_leaf_digest(self._leaf))
+            self._leaf, self._fill = [], 0
+        try:
+            while True:
+                index, parts = self._waiting.get_nowait()
+                self._digests[index] = _leaf_digest(parts)
+        except queue.Empty:
+            pass
         self.close()
         if self._error is not None:
             raise self._error
-        return self._hash.digest()
+        return hashlib.sha256(b"".join(self._digests)).digest()
 
     def __enter__(self) -> "_HashThread":
         return self
@@ -283,11 +344,14 @@ class _HashThread:
 
 
 def _write_hashed(data: Union[bytes, Pieces], fh) -> bytes:
-    """Write ``data`` to ``fh`` piece by piece; the SHA-256 is computed beside the writes."""
+    """Write ``data`` to ``fh`` a leaf's length at a time; the digest is computed beside the writes."""
     with _HashThread() as hasher:
         for part in _parts(data):
-            hasher.update(part)
-            fh.write(part)
+            view = memoryview(part).cast("B")
+            for start in range(0, len(view), _LEAF):
+                piece = view[start : start + _LEAF]
+                hasher.update(piece)
+                fh.write(piece)
         return hasher.digest()
 
 
@@ -344,9 +408,9 @@ class FilesystemConnector:
         return self.root / key
 
     def put(self, data: Union[bytes, Pieces]) -> DataRef:
-        """Write ``data`` to a new file while a helper thread hashes it.
+        """Write ``data`` to a new file while it is hashed (see :class:`_HashThread`).
 
-        If the write fails, the file is removed and the helper has ended
+        If the write or the hashing fails, the file is removed and the helper has ended
         before the error is raised.
         """
         key = uuid.uuid4().hex
@@ -389,10 +453,11 @@ def _read_verified(raw, ref: DataRef, read):
     the result is the payload's bytes; with it, the result of
     ``read(stream)`` over a :class:`~fedkit.params.ByteStream` of the
     payload, which must consume the stream to its end (as
-    ``deserialize_params`` does).  Every byte read is hashed on a helper
-    thread while the next is read, and nothing is returned until the helper
-    is done and the bytes read were exactly ``ref.size`` bytes with digest
-    ``ref.sha256``: the bytes verified are the bytes used.  When ``read``
+    ``deserialize_params`` does).  Every byte read is hashed, by a helper
+    thread or between reads (see :class:`_HashThread`), and nothing is
+    returned until the helper is done and the bytes read were exactly
+    ``ref.size`` bytes with digest ``ref.sha256``: the bytes verified are the
+    bytes used.  When ``read``
     rejects the payload, the rest of it is hashed too, so damaged bytes
     raise :class:`ChecksumMismatch` wherever they are.  The helper has
     ended when this returns or raises.
@@ -408,10 +473,10 @@ def _read_verified(raw, ref: DataRef, read):
             except FedkitError:
                 pass
             if stream.left or hasher.digest() != ref.sha256:
-                raise ChecksumMismatch("staged payload fails SHA-256 verification") from e
+                raise ChecksumMismatch("staged payload fails digest verification") from e
             raise
         if stream.left or hasher.digest() != ref.sha256:
-            raise ChecksumMismatch("staged payload fails SHA-256 verification")
+            raise ChecksumMismatch("staged payload fails digest verification")
         return out
 
 

@@ -452,10 +452,10 @@ def _tiny_agent(params: ParameterSet) -> ServerAgent:
 
 def test_ac09_protocol_and_transport(tmp_path: Path):
     # golden bytes: minimal 12-byte frame
-    golden = bytes.fromhex("4150464c0101000000000000")
-    assert encode_frame(MessageType.CONFIG_REQUEST) == golden
+    golden = bytes.fromhex("4150464c0207000000000000")
+    assert encode_frame(MessageType.SHUTDOWN) == golden
     frame = decode_frame(golden)
-    assert frame.msg_type == MessageType.CONFIG_REQUEST
+    assert frame.msg_type == MessageType.SHUTDOWN
     assert frame.token == b"" and frame.payload == b""
 
     # 1e4 fuzz iterations: decoder may reject, never crash unstructured

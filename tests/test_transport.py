@@ -195,7 +195,7 @@ class TestSocketRuns:
             with socket.create_connection((srv.host, srv.port)) as raw:
                 stream = raw.makefile("rwb")
                 # hand-built header declaring a payload far over the cap
-                stream.write(b"APFL\x01\x05\x00\x00\xff\xff\xff\xff")
+                stream.write(b"APFL\x02\x05\x00\x00\xff\xff\xff\xff")
                 stream.flush()
                 frame = read_frame(stream)
                 assert frame.msg_type == MessageType.ERROR_REPLY
@@ -289,14 +289,14 @@ class TestSocketRuns:
         assert (epoch, steps, done) == (1, 0, True)
         assert params == final and agent.global_params is final
 
-    def test_config_request_roundtrip(self):
-        # the server hands out no configs: the request gets an error reply,
+    def test_unhandled_message_type_gets_an_error_reply(self):
+        # the server answers no MODEL_REPLY: the request gets an error reply,
         # and the connection stays usable
         agent, _ = make_setup()
         with SocketServer(agent) as srv:
             with Communicator(srv.host, srv.port) as com:
                 payload = stage_body({"client_id": "c0"}, b"")
-                with pytest.raises(ProtocolError, match="unexpected message type CONFIG_REQUEST"):
-                    com.request(MessageType.CONFIG_REQUEST, payload)
+                with pytest.raises(ProtocolError, match="unexpected message type MODEL_REPLY"):
+                    com.request(MessageType.MODEL_REPLY, payload)
                 _, epoch, _, _ = com.fetch_model("c0")
                 assert epoch == 0

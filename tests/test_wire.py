@@ -2,6 +2,9 @@ import errno
 import hashlib
 import io
 import struct
+import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +29,7 @@ from fedkit.errors import (
 from fedkit.params import (
     ByteStream,
     ParameterSet,
+    Pieces,
     deserialize_params,
     serialize_params,
     serialize_pieces,
@@ -47,15 +51,24 @@ from fedkit.wire import (
     stage_body,
 )
 
-GOLDEN_CONFIG_REQUEST = bytes.fromhex("41 50 46 4c 01 01 00 00 00 00 00 00".replace(" ", ""))
+GOLDEN_SHUTDOWN = bytes.fromhex("41 50 46 4c 02 07 00 00 00 00 00 00".replace(" ", ""))
+
+LEAF = 2**20
+
+
+def _hash_list(body) -> bytes:
+    """The staged-body digest by its definition: SHA-256 of the SHA-256 of each 1 MiB leaf."""
+    body = bytes(body)
+    leaves = [hashlib.sha256(body[i : i + LEAF]).digest() for i in range(0, len(body), LEAF)]
+    return hashlib.sha256(b"".join(leaves)).digest()
 
 
 class TestFrame:
-    def test_golden_minimal_config_request(self):
-        assert encode_frame(MessageType.CONFIG_REQUEST) == GOLDEN_CONFIG_REQUEST
-        f = decode_frame(GOLDEN_CONFIG_REQUEST)
-        assert f.version == 1
-        assert f.msg_type == MessageType.CONFIG_REQUEST
+    def test_golden_minimal_shutdown(self):
+        assert encode_frame(MessageType.SHUTDOWN) == GOLDEN_SHUTDOWN
+        f = decode_frame(GOLDEN_SHUTDOWN)
+        assert f.version == 2
+        assert f.msg_type == MessageType.SHUTDOWN
         assert f.token == b""
         assert f.payload == b""
 
@@ -68,18 +81,23 @@ class TestFrame:
 
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
-            decode_frame(b"NOPE" + GOLDEN_CONFIG_REQUEST[4:])
+            decode_frame(b"NOPE" + GOLDEN_SHUTDOWN[4:])
 
     def test_unsupported_version(self):
-        raw = bytearray(GOLDEN_CONFIG_REQUEST)
-        raw[4] = 2
-        with pytest.raises(UnsupportedVersion):
-            decode_frame(bytes(raw))
+        raw = bytearray(GOLDEN_SHUTDOWN)
+        # 1 is the version before the hash-list digest
+        for version in (1, 3):
+            raw[4] = version
+            with pytest.raises(UnsupportedVersion):
+                decode_frame(bytes(raw))
+            with pytest.raises(UnsupportedVersion):
+                read_frame(io.BytesIO(bytes(raw)))
 
     def test_unknown_message_type(self):
-        raw = bytearray(GOLDEN_CONFIG_REQUEST)
-        # 6 lies between assigned types without being one
-        for raw_type in (99, 6):
+        raw = bytearray(GOLDEN_SHUTDOWN)
+        # 6 lies between assigned types without being one; 1 and 2 were the
+        # config request and reply of version 1
+        for raw_type in (99, 6, 1, 2):
             raw[5] = raw_type
             with pytest.raises(ProtocolError):
                 decode_frame(bytes(raw))
@@ -96,7 +114,7 @@ class TestFrame:
             decode_frame(encode_frame(MessageType.MODEL_REPLY, b"12345"), max_payload=4)
         with pytest.raises(OversizedPayload):
             # declared length checked before any allocation
-            header = b"APFL\x01\x04\x00\x00\xff\xff\xff\xff"
+            header = b"APFL\x02\x04\x00\x00\xff\xff\xff\xff"
             decode_frame(header, max_payload=2**20)
 
     @settings(max_examples=200, deadline=None)
@@ -125,13 +143,13 @@ class TestFrame:
             pass  # typed rejection is the contract; anything else propagates
 
     def test_stream_reader_multiple_frames_then_eof(self):
-        raw = encode_frame(MessageType.CONFIG_REQUEST) + encode_frame(
+        raw = encode_frame(MessageType.MODEL_REQUEST) + encode_frame(
             MessageType.SHUTDOWN, token=b"t"
         )
         stream = io.BytesIO(raw)
         f1 = read_frame(stream)
         f2 = read_frame(stream)
-        assert f1.msg_type == MessageType.CONFIG_REQUEST
+        assert f1.msg_type == MessageType.MODEL_REQUEST
         assert f2.msg_type == MessageType.SHUTDOWN
         assert read_frame(stream) is None
 
@@ -391,13 +409,13 @@ class TestStreamedReceive:
         monkeypatch.undo()
         assert conn.get(ref, deserialize_params) == p
 
-    def test_put_digest_is_the_sha256_of_the_body(self, kind, tmp_path):
+    def test_put_digest_is_the_hash_list_of_the_body(self, kind, tmp_path):
         p = _sample_set()
         pieces = serialize_pieces(p)
         assert 0 in map(len, pieces.parts)  # the empty tensor's bytes
         conn = _connector(kind, tmp_path)
         ref = conn.put(pieces)
-        assert ref.sha256 == hashlib.sha256(serialize_params(p)).digest()
+        assert ref.sha256 == _hash_list(serialize_params(p))
         assert ref.size == len(serialize_params(p))
         assert _stored(conn, ref.key) == serialize_params(p)
 
@@ -421,6 +439,237 @@ class TestStreamedReceive:
             assert (env.ref is None) == (limit > 100)
             assert fetch_body(env, {conn.connector_id: conn}, deserialize_params) == p
             assert bytes(fetch_body(env, {conn.connector_id: conn})) == serialize_params(p)
+
+
+def _body(n: int) -> bytes:
+    return np.random.default_rng(n).integers(0, 256, n, dtype=np.uint8).tobytes()
+
+
+def _cut(body: bytes, at) -> Pieces:
+    """``body`` as pieces cut at the offsets ``at``; a repeated offset gives an empty piece."""
+    bounds = [0, *at, len(body)]
+    return Pieces(memoryview(body)[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+def _big_set() -> ParameterSet:
+    # 2.4 MB of tensor bytes: the body spans three leaves
+    return ParameterSet(
+        [("w", np.arange(600_000, dtype=np.float32)), ("b", np.linspace(0.0, 1.0, 7))]
+    )
+
+
+@pytest.mark.usefixtures("no_thread_left")
+def test_hasher_fed_in_any_cuts_gives_the_same_digest():
+    body = _body(2 * LEAF + 11)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        at = np.sort(rng.integers(0, len(body), 40))
+        with wire._HashThread() as hasher:
+            for part in _cut(body, at).parts:
+                hasher.update(part)
+            assert hasher.digest() == _hash_list(body)
+
+
+@pytest.mark.usefixtures("no_thread_left")
+@pytest.mark.parametrize("kind", ["fs", "mem"])
+class TestHashListDigest:
+    """A staged body's digest is the SHA-256 of its 1 MiB leaves' SHA-256s, checked on ``get``."""
+
+    @pytest.mark.parametrize("size", [0, 1, LEAF - 1, LEAF, LEAF + 1, 3 * LEAF + 5])
+    def test_digest_of_every_size(self, kind, tmp_path, size):
+        body = _body(size)
+        conn = _connector(kind, tmp_path)
+        ref = conn.put(body)
+        assert ref.size == size
+        assert ref.sha256 == _hash_list(body)
+        assert _stored(conn, ref.key) == body
+        assert bytes(conn.get(ref)) == body
+
+    def test_pieces_that_straddle_leaves(self, kind, tmp_path):
+        body = _body(3 * LEAF + 5)
+        conn = _connector(kind, tmp_path)
+        cuts = [
+            (),
+            (0, 7, 7, LEAF - 3, LEAF + 2, 2 * LEAF, 2 * LEAF, 3 * LEAF + 1),
+            (LEAF, 2 * LEAF, 3 * LEAF),
+            (1, 2, 3, LEAF - 1, LEAF + 1, 3 * LEAF + 5),
+        ]
+        for at in cuts:
+            pieces = _cut(body, at)
+            assert len(pieces) == len(body) and bytes(pieces) == body
+            ref = conn.put(pieces)
+            assert ref.sha256 == _hash_list(body), at
+            assert _stored(conn, ref.key) == body
+            assert bytes(conn.get(ref)) == body
+
+    @pytest.mark.parametrize("offset", [0, LEAF - 1, LEAF, -1])
+    def test_flipped_byte_at_a_leaf_edge_raises_checksum_mismatch(
+        self, kind, tmp_path, offset
+    ):
+        p = _big_set()
+        conn = _connector(kind, tmp_path)
+        ref = conn.put(serialize_pieces(p))
+        good = _stored(conn, ref.key)
+        assert len(good) > LEAF + 1
+        bad = bytearray(good)
+        bad[offset] ^= 0x01
+        _overwrite(conn, ref.key, bad)
+        for read in (None, deserialize_params):
+            got = []
+            with pytest.raises(ChecksumMismatch):
+                got.append(conn.get(ref, read))
+            assert got == []
+        _overwrite(conn, ref.key, good)
+        assert conn.get(ref, deserialize_params) == p
+
+
+@pytest.fixture
+def fast_switching():
+    """Hand the GIL between threads as often as the interpreter allows."""
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(before)
+
+
+def _on_helper() -> bool:
+    return threading.current_thread().name == "fedkit-sha256"
+
+
+@pytest.mark.usefixtures("no_thread_left", "fast_switching")
+@pytest.mark.parametrize("kind", ["fs", "mem"])
+class TestHashHandOff:
+    """The caller and the one helper thread share the leaves and give the same digest."""
+
+    @staticmethod
+    def _hold_the_helper(monkeypatch, on_helper):
+        """Patch the leaf hash so that the helper takes the first full leaf and then lags.
+
+        The caller hashes no leaf until the helper has taken one, which the
+        first full leaf of a body always waits for.  The helper then runs
+        ``on_helper`` and hashes its leaf only once the caller has reached
+        ``digest``.  Returns the log of who hashed each leaf ("helper", or
+        the caller's method) and a function that resets the hold for the
+        next put or get.
+        """
+        leaf_digest = wire._leaf_digest
+        took, release = threading.Event(), threading.Event()
+        hashed_by = []
+
+        def held(parts):
+            if _on_helper():
+                took.set()
+                on_helper()
+                assert release.wait(10), "the caller never reached digest()"
+                hashed_by.append("helper")
+            else:
+                where = sys._getframe(1).f_code.co_name
+                if where == "digest":
+                    release.set()
+                assert took.wait(10), "the helper never took a leaf"
+                hashed_by.append(where)
+            return leaf_digest(parts)
+
+        def reset():
+            took.clear()
+            release.clear()
+
+        monkeypatch.setattr(wire, "_leaf_digest", held)
+        return hashed_by, reset
+
+    def test_caller_hashes_most_leaves_when_the_helper_is_slow(
+        self, kind, tmp_path, monkeypatch
+    ):
+        p = ParameterSet(
+            [("a", np.arange(5, dtype=np.float32)), ("w", np.arange(2 * LEAF + 3, dtype=np.float32))]
+        )
+        body = serialize_params(p)
+        full = len(body) // LEAF
+        assert full == 8 and len(body) % LEAF
+        conn = _connector(kind, tmp_path)
+        hashed_by, reset = self._hold_the_helper(monkeypatch, lambda: None)
+        ref = conn.put(serialize_pieces(p))
+        assert ref.sha256 == _hash_list(body)
+        for read in (None, deserialize_params):
+            reset()
+            got = conn.get(ref, read)
+            assert (bytes(got) == body) if read is None else (got == p)
+        # per put or get, two full leaves wait for the lagging helper: the
+        # first, and the first to fill after the helper took it.  The caller
+        # hashes every other full leaf between its writes or reads, and the
+        # partial last leaf and any leaf still waiting in digest()
+        assert len(hashed_by) == 3 * (full + 1)
+        for i in range(0, len(hashed_by), full + 1):
+            leaves = hashed_by[i : i + full + 1]
+            assert leaves.count("update") == full - 2
+            assert leaves.count("helper") >= 1
+            assert leaves.count("helper") + leaves.count("digest") == 3
+
+    def test_helper_exception_reaches_put_and_get(self, kind, tmp_path, monkeypatch):
+        p = _big_set()
+        conn = _connector(kind, tmp_path)
+        ref = conn.put(serialize_pieces(p))
+
+        def fail():
+            raise RuntimeError("helper failed")
+
+        _, reset = self._hold_the_helper(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="helper failed"):
+            conn.put(serialize_pieces(p))
+        for read in (None, deserialize_params):
+            reset()
+            with pytest.raises(RuntimeError, match="helper failed"):
+                conn.get(ref, read)
+        assert _keys(conn) == [ref.key]  # the failed put left nothing behind
+
+    def test_concurrent_puts_and_gets_on_more_threads_than_cores(self, kind, tmp_path):
+        # three callers and their three helpers share the cores; a leaf digest
+        # lost or stored at the wrong index changes a digest or fails its get
+        conn = _connector(kind, tmp_path)
+        bodies = [_body(3 * LEAF + k) for k in (5, 77, 1001)]
+        errors = []
+
+        def work(body):
+            try:
+                for _ in range(3):
+                    ref = conn.put(_cut(body, (3, LEAF + 9)))
+                    assert ref.sha256 == _hash_list(body)
+                    assert bytes(conn.get(ref)) == body
+            except BaseException as e:
+                errors.append(e)
+
+        threads = [threading.Thread(target=work, args=(b,)) for b in bodies]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert errors == []
+
+    @pytest.mark.parametrize("size", [100, 4 * LEAF])
+    def test_caller_exception_reaches_put_and_get(self, kind, tmp_path, monkeypatch, size):
+        # 100 bytes: the caller hashes the partial leaf in digest(); 4 MiB with
+        # a slow helper: the caller hashes a full leaf between its writes or reads
+        p = ParameterSet([("w", np.arange(size // 4, dtype=np.float32))])
+        conn = _connector(kind, tmp_path)
+        ref = conn.put(serialize_pieces(p))
+        leaf_digest = wire._leaf_digest
+
+        def fails_on_caller(parts):
+            if _on_helper():
+                time.sleep(0.02)
+                return leaf_digest(parts)
+            raise RuntimeError("caller failed")
+
+        monkeypatch.setattr(wire, "_leaf_digest", fails_on_caller)
+        with pytest.raises(RuntimeError, match="caller failed"):
+            conn.put(serialize_pieces(p))
+        for read in (None, deserialize_params):
+            with pytest.raises(RuntimeError, match="caller failed"):
+                conn.get(ref, read)
+        assert _keys(conn) == [ref.key]
+        monkeypatch.undo()
+        assert conn.get(ref, deserialize_params) == p
 
 
 class TestStagedKeys:
@@ -524,7 +773,7 @@ class TestSendPieces:
         old = serialize_params(p)
         assert (conn.root / ref.key).read_bytes() == old
         assert ref.size == len(old)
-        assert ref.sha256 == hashlib.sha256(old).digest()
+        assert ref.sha256 == _hash_list(old)
 
     def test_tensor_pieces_are_views_of_the_sets_arrays(self):
         p = _sample_set()
@@ -561,8 +810,7 @@ class TestSendPieces:
             Envelope(
                 {"k": "v"},
                 ref=DataRef(
-                    "mem", ref.key, len(serialize_params(p)),
-                    hashlib.sha256(serialize_params(p)).digest(),
+                    "mem", ref.key, len(serialize_params(p)), _hash_list(serialize_params(p)),
                 ),
             )
         )
