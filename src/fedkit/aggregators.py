@@ -31,7 +31,7 @@ from .errors import (
     NegativeStaleness,
     UnknownStrategyName,
 )
-from .params import ModelUpdate, ParameterSet, _weighted_accumulate, zeros_like
+from .params import ModelUpdate, ParameterSet, _weighted_accumulate
 
 # shared hyperparameter defaults
 ALPHA = 0.9  # async mixing weight
@@ -68,13 +68,13 @@ def _staleness(state: AggregatorState, u: ModelUpdate) -> int:
     return s
 
 
-def _full_of(state: AggregatorState, u: ModelUpdate) -> ParameterSet:
+def _full_of(state: AggregatorState, u: ModelUpdate) -> tuple:
+    """The update's full weights, one buffer per dtype."""
+    g = state.global_params
+    g.check_structure(u.params)
     if not u.is_delta:
-        state.global_params.check_structure(u.params)
-        return u.params
-    return ParameterSet._adopt(
-        (n, g + u.params[n]) for n, g in state.global_params.items()
-    )
+        return u.params._bufs
+    return tuple(a + d for a, d in zip(g._bufs, u.params._bufs))
 
 
 def _terms(state: AggregatorState, ups, weights, delta: bool) -> list[tuple]:
@@ -103,21 +103,24 @@ def _sample_weights(updates: Sequence[ModelUpdate]) -> np.ndarray:
     return counts / total
 
 
-def _mean_delta(state: AggregatorState, updates: Sequence[ModelUpdate]) -> ParameterSet:
+def _weighted_mean(state: AggregatorState, updates: Sequence[ModelUpdate], delta: bool) -> list:
+    """The sample-weighted mean of the updates, as deltas or full weights; a fresh buffer per dtype."""
     ups = _ordered(updates)
     for u in ups:
         _staleness(state, u)
-    terms = _terms(state, ups, _sample_weights(ups), delta=True)
-    return ParameterSet._adopt(_weighted_accumulate(state.global_params, terms))
+    terms = _terms(state, ups, _sample_weights(ups), delta)
+    return _weighted_accumulate(state.global_params, terms)
+
+
+def _state_buf(p: Optional[ParameterSet], j: int, like: np.ndarray) -> np.ndarray:
+    """Buffer ``j`` of an optimizer state set, or zeros before its first round."""
+    return np.zeros_like(like) if p is None else p._bufs[j]
 
 
 def agg_weighted_avg(state: AggregatorState, updates: Sequence[ModelUpdate]) -> ParameterSet:
     """Sample-weighted average of full client models."""
-    ups = _ordered(updates)
-    for u in ups:
-        _staleness(state, u)
-    terms = _terms(state, ups, _sample_weights(ups), delta=False)
-    state.global_params = ParameterSet._adopt(_weighted_accumulate(state.global_params, terms))
+    g = state.global_params
+    state.global_params = ParameterSet._wrap(g._layout, _weighted_mean(state, updates, delta=False))
     state.epoch += 1
     return state.global_params
 
@@ -132,48 +135,58 @@ def agg_server_opt(
     beta2: float = BETA2,
     tau: float = TAU,
 ) -> ParameterSet:
-    """Server-side optimizer step on the weighted mean delta."""
+    """Server-side optimizer step on the weighted mean delta.
+
+    The rule runs once per dtype buffer of the model.  The state sets and
+    the global model are fresh buffers every round.  ``dbar^2`` is the one
+    scratch buffer, and ``dbar``, fresh from the accumulator, becomes the
+    step once the rule has read it.  Every product and sum keeps the operand
+    order of the formulas above, so the result equals them computed tensor
+    by tensor, bit for bit.
+    """
     if variant not in ("fedavgm", "fedadagrad", "fedadam", "fedyogi"):
         raise UnknownStrategyName(f"unknown server-opt variant {variant!r}")
-    dbar = _mean_delta(state, updates)
     g = state.global_params
-
-    if variant == "fedavgm":
-        v = state.momentum if state.momentum is not None else zeros_like(g)
-        v = ParameterSet._adopt((n, a.dtype.type(beta) * a + dbar[n]) for n, a in v.items())
-        state.momentum = v
-        step = ParameterSet._adopt((n, a.dtype.type(server_lr) * a) for n, a in v.items())
-    else:
-        u = state.u if state.u is not None else zeros_like(g)
-        d2 = ParameterSet._adopt((n, a * a) for n, a in dbar.items())
-        if variant == "fedadagrad":
-            u = ParameterSet._adopt((n, a + d2[n]) for n, a in u.items())
-            direction = dbar
+    vs, ms, us, out = [], [], [], []
+    for j, (gb, d) in enumerate(zip(g._bufs, _weighted_mean(state, updates, delta=True))):
+        t = gb.dtype.type
+        if variant == "fedavgm":
+            v = np.multiply(_state_buf(state.momentum, j, gb), t(beta))
+            v += d
+            vs.append(v)
+            step = np.multiply(v, t(server_lr), out=d)
         else:
-            m = state.m if state.m is not None else zeros_like(g)
-            m = ParameterSet._adopt(
-                (n, a.dtype.type(beta1) * a + a.dtype.type(1 - beta1) * dbar[n])
-                for n, a in m.items()
-            )
-            state.m = m
-            direction = m
-            if variant == "fedadam":
-                u = ParameterSet._adopt(
-                    (n, a.dtype.type(beta2) * a + a.dtype.type(1 - beta2) * d2[n])
-                    for n, a in u.items()
-                )
-            else:  # fedyogi
-                u = ParameterSet._adopt(
-                    (n, a - a.dtype.type(1 - beta2) * d2[n] * np.sign(a - d2[n]))
-                    for n, a in u.items()
-                )
-        state.u = u
-        step = ParameterSet._adopt(
-            (n, d.dtype.type(server_lr) * d / (np.sqrt(u[n]) + d.dtype.type(tau)))
-            for n, d in direction.items()
-        )
-
-    state.global_params = ParameterSet._adopt((n, a + step[n]) for n, a in g.items())
+            d2 = np.multiply(d, d)
+            u0 = _state_buf(state.u, j, gb)
+            if variant == "fedadagrad":
+                u = u0 + d2
+                step = np.multiply(d, t(server_lr), out=d)
+            else:
+                m = np.multiply(_state_buf(state.m, j, gb), t(beta1))
+                m += np.multiply(d, t(1 - beta1), out=d)
+                ms.append(m)
+                if variant == "fedadam":
+                    u = np.multiply(u0, t(beta2))
+                    u += np.multiply(d2, t(1 - beta2), out=d2)
+                else:  # fedyogi: u0 - ((1-b2) * dbar^2) * sign(u0 - dbar^2)
+                    sign = np.sign(np.subtract(u0, d2, out=d), out=d)
+                    pull = np.multiply(d2, t(1 - beta2), out=d2)
+                    pull *= sign
+                    u = u0 - pull
+                step = np.multiply(m, t(server_lr), out=d)
+            us.append(u)
+            # (lr * direction) / (sqrt(u) + tau)
+            den = np.sqrt(u, out=d2)
+            den += t(tau)
+            step /= den
+        out.append(gb + step)
+    if variant == "fedavgm":
+        state.momentum = ParameterSet._wrap(g._layout, vs)
+    else:
+        state.u = ParameterSet._wrap(g._layout, us)
+        if variant != "fedadagrad":
+            state.m = ParameterSet._wrap(g._layout, ms)
+    state.global_params = ParameterSet._wrap(g._layout, out)
     state.epoch += 1
     return state.global_params
 
@@ -187,11 +200,11 @@ def agg_async(
     """Staleness-discounted interpolation toward one client's model."""
     s = _staleness(state, update)
     a_s = alpha * (s + 1) ** (-staleness_exponent)
-    full = _full_of(state, update)
-    state.global_params = ParameterSet._adopt(
-        (n, g.dtype.type(1 - a_s) * g + g.dtype.type(a_s) * full[n])
-        for n, g in state.global_params.items()
-    )
+    g = state.global_params
+    state.global_params = ParameterSet._wrap(g._layout, [
+        a.dtype.type(1 - a_s) * a + a.dtype.type(a_s) * f
+        for a, f in zip(g._bufs, _full_of(state, update))
+    ])
     state.epoch += 1
     return state.global_params
 
@@ -209,10 +222,10 @@ def agg_buffered(
     g = state.global_params
     acc = _weighted_accumulate(g, _terms(state, ups, discounts, delta=True))
     # g + (lr/n) * acc, finished in the accumulator's own buffers
-    for (_, a), (_, t) in zip(acc, g):
+    for a, t in zip(acc, g._bufs):
         np.multiply(a, t.dtype.type(server_lr * scale), out=a)
         np.add(t, a, out=a)
-    state.global_params = ParameterSet._adopt(acc)
+    state.global_params = ParameterSet._wrap(g._layout, acc)
     state.epoch += 1
     return state.global_params
 

@@ -19,8 +19,8 @@ operations.  Each client still draws its own batches and keeps its own
 optimizer, so every update equals, bit for bit, the one the client would
 compute alone.  A cohort is cut into slices whose transient stacks stay
 within ``_STACK_BYTES``, so a large model trains one client per worker.  Only
-the weight buffer outlives the call, as the views that the returned updates
-adopt; nothing is kept per client besides the optimizer state.
+the weight buffer outlives the call, as the rows that the returned updates
+are sets over; nothing is kept per client besides the optimizer state.
 
 Every training call, the simulator's and each socket client's alike, holds
 OpenBLAS at one thread while it runs, so the products of both paths are the
@@ -295,7 +295,7 @@ def _train_rows(jobs) -> list[ParameterSet]:
     Then the proximal pull ``g += mu*(w - b)`` and the optimizer step run on
     the active rows: as one block when the clients share SGD with one
     learning rate and one ``prox_mu``, else client by client on its own
-    optimizer.  Each trained set adopts the views of its row of ``w``.
+    optimizer.  Each trained set is the set over its row of ``w``.
     """
     order = sorted(range(len(jobs)), key=lambda i: -jobs[i][2])  # stable
     states = [jobs[i][0] for i in order]
@@ -309,6 +309,7 @@ def _train_rows(jobs) -> list[ParameterSet]:
         base.check_structure(bases[0])
     w = FlatStack(bases[0], k, sources=bases)
     g = FlatStack(bases[0], k)
+    lone = [(_views(w, r), _views(g, r)) for r in range(k)]  # views for groups of one
     gathered = None  # (weights, gradients) stacks for scattered groups, made on first use
     mus = [st.cfg.prox_mu for st in states]
     opts = [st.optimizer for st in states]
@@ -336,21 +337,22 @@ def _train_rows(jobs) -> list[ParameterSet]:
             m = len(rows)
             if m == 1:
                 r, x, y = members[0]
-                backward(spec, w.row(r), x, y, out=g.row(r))
+                backward(spec, lone[r][0], x, y, out=lone[r][1])
                 continue
             _, x0, y0 = members[0]
             x = np.concatenate([x for _, x, _ in members]).reshape(m, *x0.shape)
             y = np.concatenate([y for _, _, y in members]).reshape(m, *y0.shape)
             lo = rows[0]
             if rows[-1] - lo == m - 1:  # a block of rows, used in place
-                backward(spec, _block(w, lo, lo + m), x, y, out=_block(g, lo, lo + m))
+                span = slice(lo, lo + m)
+                backward(spec, _views(w, span), x, y, out=_views(g, span))
                 continue
             if gathered is None:
                 gathered = FlatStack(bases[0], k), FlatStack(bases[0], k)
             gw, gg = gathered
             for src, dst in zip(w.bufs, gw.bufs):
                 np.take(src, rows, axis=0, out=dst[:m])
-            backward(spec, _block(gw, 0, m), x, y, out=_block(gg, 0, m))
+            backward(spec, _views(gw, slice(0, m)), x, y, out=_views(gg, slice(0, m)))
             for src, dst in zip(gg.bufs, g.bufs):
                 dst[rows] = src[:m]
         for args in steppers:
@@ -359,13 +361,13 @@ def _train_rows(jobs) -> list[ParameterSet]:
             states[r].steps_taken += 1
     trained = [None] * k
     for r, i in enumerate(order):
-        trained[i] = ParameterSet._adopt_views(w.row(r))
+        trained[i] = w.row(r)
     return trained
 
 
-def _block(stack: FlatStack, lo: int, hi: int) -> dict:
-    """Name -> (hi - lo, *shape) view of rows ``lo:hi`` of ``stack``."""
-    return {name: v[lo:hi] for name, v in stack.stacks.items()}
+def _views(stack: FlatStack, rows) -> dict:
+    """Name -> writeable view of ``rows`` (a row index or a slice of rows) of ``stack``."""
+    return {name: v[rows, ...] for name, v in stack.stacks.items()}
 
 
 def _steppers(opts, mus, block: bool, stacks, active: int) -> list:
@@ -403,8 +405,8 @@ def _transmitted(trained: ParameterSet, base: ParameterSet, send_delta: bool) ->
     if not send_delta:
         return trained
     if trained is base:  # zero steps: base belongs to the caller
-        return ParameterSet._adopt((name, b - b) for name, b in base.items())
-    for (_, t), (_, b) in zip(trained.items(), base.items()):
+        return ParameterSet._wrap(base._layout, [b - b for b in base._bufs])
+    for t, b in zip(trained._bufs, base._bufs):
         t.flags.writeable = True
         np.subtract(t, b, out=t)
         t.flags.writeable = False

@@ -43,7 +43,6 @@ onto the two built-in codecs; see :data:`LOSSY_ALIASES` and
 """
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -54,9 +53,10 @@ from .errors import (
     ChecksumMismatch,
     CorruptBlob,
     NonFiniteValue,
+    Truncated,
     UnknownStrategyName,
 )
-from .params import ParameterSet, serialize_params, _TAG_TO_DTYPE, _DTYPE_TO_TAG
+from .params import ByteStream, ParameterSet, serialize_params, _layout, _utf8, _TAG_TO_DTYPE, _DTYPE_TO_TAG
 
 DEFAULT_ERROR_BOUND = 0.01
 DEFAULT_SMALL_TENSOR_THRESHOLD = 1024
@@ -353,10 +353,10 @@ def _qz_encode(arr: np.ndarray, eb_rel: float):
     return header + exc + _pack_indices(k, bits)
 
 
-def _qz_decode(block: bytes, shape: tuple, tag: int) -> np.ndarray:
-    count = math.prod(shape)
+def _qz_decode(block: bytes, tag: int, out: np.ndarray) -> None:
+    """Decode a qz block of dtype tag ``tag`` into ``out``, a C-contiguous native array."""
+    count = out.size
     le = _TAG_TO_DTYPE[tag]
-    dtype = le.newbyteorder("=")
     if len(block) < 9:
         raise CorruptBlob("qz block shorter than its header")
     flags = block[0]
@@ -364,7 +364,8 @@ def _qz_decode(block: bytes, shape: tuple, tag: int) -> np.ndarray:
         if len(block) != 9:
             raise CorruptBlob("constant qz block has trailing bytes")
         (vmin,) = struct.unpack(">d", block[1:9])
-        return np.full(shape, vmin, dtype=dtype)
+        out[...] = vmin
+        return
     if flags != 0:
         raise CorruptBlob(f"unknown qz flags {flags}")
     if len(block) < _QZ_HEADER_SIZE:
@@ -380,11 +381,9 @@ def _qz_decode(block: bytes, shape: tuple, tag: int) -> np.ndarray:
         raise CorruptBlob("qz index stream length disagrees with element count")
     exc_idx = np.frombuffer(block[pos : pos + 4 * n_exc], dtype=">u4").astype(np.int64)
     pos += 4 * n_exc
-    exc_val = np.frombuffer(block[pos : pos + le.itemsize * n_exc], dtype=le).astype(dtype)
+    exc_val = np.frombuffer(block[pos : pos + le.itemsize * n_exc], dtype=le).astype(out.dtype)
     pos += le.itemsize * n_exc
     stream = memoryview(block)[pos:]
-    # the result owns its buffer, so a parameter set can adopt it uncopied
-    out = np.empty(shape, dtype=dtype)
     flat = out.reshape(-1)
     for s in range(0, count, _QZ_BLOCK):
         n = min(_QZ_BLOCK, count - s)
@@ -394,7 +393,6 @@ def _qz_decode(block: bytes, shape: tuple, tag: int) -> np.ndarray:
         if exc_idx.max(initial=-1) >= count:
             raise CorruptBlob("qz exception index out of range")
         np.put(out, exc_idx, exc_val)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -428,59 +426,51 @@ def compress_params(p: ParameterSet, cfg: CodecConfig) -> bytes:
     return b"".join(chunks)
 
 
-class _BlobReader:
-    """Cursor over a blob; ``take`` returns zero-copy memoryview slices."""
-
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf):
-        self.buf = memoryview(buf).cast("B")
-        self.pos = 0
-
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.buf):
-            raise CorruptBlob(f"blob truncated at offset {self.pos}")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def decompress_params(blob: bytes) -> ParameterSet:
-    """Decode a blob produced by :func:`compress_params`."""
-    r = _BlobReader(blob)
-    (count,) = r.unpack(">I")
-    entries = []
-    for _ in range(count):
-        (name_len,) = r.unpack(">H")
-        name = str(r.take(name_len), "utf-8")
-        scheme, tag, ndim = r.unpack(">BBB")
-        if tag not in _TAG_TO_DTYPE:
-            raise CorruptBlob(f"bad dtype tag {tag} in entry {name!r}")
-        shape = tuple(r.unpack(">I")[0] for _ in range(ndim))
-        codec_id, payload_len, crc = r.unpack(">BII")
-        payload = r.take(payload_len)
-        if zlib.crc32(payload) != crc:
-            raise ChecksumMismatch(f"entry {name!r}: stored crc does not match payload")
-        dt = _TAG_TO_DTYPE[tag]
-        n_elem = math.prod(shape)
-        # each branch ends in one fresh array that the result adopts
-        if scheme in (SCHEME_RAW, SCHEME_LOSSLESS):
-            body = _lossless_decode(codec_id, payload)
-            if len(body) != n_elem * dt.itemsize:
-                raise CorruptBlob(f"entry {name!r}: element bytes disagree with shape")
-            arr = np.frombuffer(body, dtype=dt).reshape(shape).astype(dt.newbyteorder("="))
-        elif scheme == SCHEME_LOSSY_QZ:
-            block = _lossless_decode(codec_id, payload)
-            arr = _qz_decode(block, shape, tag)
+    """Decode a blob produced by :func:`compress_params`.
+
+    The entry headers are read first, to size one buffer per dtype; then
+    each entry is decoded straight into its slice of its dtype's buffer.  A
+    buffer is allocated once the first payload of its dtype is inflated, so
+    inflating that payload never holds the buffer too.
+    """
+    r = ByteStream.over(blob)
+    key, entries = [], []
+    try:
+        (count,) = r.unpack(">I")
+        for _ in range(count):
+            (name_len,) = r.unpack(">H")
+            name = _utf8(r.read(name_len), CorruptBlob)
+            scheme, tag, ndim = r.unpack(">BBB")
+            if tag not in _TAG_TO_DTYPE:
+                raise CorruptBlob(f"bad dtype tag {tag} in entry {name!r}")
+            if scheme not in (SCHEME_RAW, SCHEME_LOSSLESS, SCHEME_LOSSY_QZ):
+                raise CorruptBlob(f"unknown scheme {scheme} in entry {name!r}")
+            shape = r.unpack(f">{ndim}I")
+            codec_id, payload_len, crc = r.unpack(">BII")
+            payload = r.read(payload_len)
+            if zlib.crc32(payload) != crc:
+                raise ChecksumMismatch(f"entry {name!r}: stored crc does not match payload")
+            key.append((name, _TAG_TO_DTYPE[tag].newbyteorder("="), shape))
+            entries.append((name, scheme, tag, codec_id, payload))
+    except Truncated as e:
+        raise CorruptBlob(f"blob truncated: {e}") from None
+    if r.left:
+        raise CorruptBlob(f"{r.left} trailing bytes after last entry")
+    layout = _layout(tuple(key))
+    bufs = [None] * len(layout.dtypes)
+    for (name, scheme, tag, codec_id, payload), (j, lo, hi, _) in zip(entries, layout.spans):
+        body = _lossless_decode(codec_id, payload)
+        if bufs[j] is None:
+            bufs[j] = np.empty(layout.sizes[j], dtype=layout.dtypes[j])
+        out = bufs[j][lo:hi]
+        if scheme == SCHEME_LOSSY_QZ:
+            _qz_decode(body, tag, out)
+        elif len(body) != out.nbytes:
+            raise CorruptBlob(f"entry {name!r}: element bytes disagree with shape")
         else:
-            raise CorruptBlob(f"unknown scheme {scheme} in entry {name!r}")
-        entries.append((name, arr))
-    if r.pos != len(r.buf):
-        raise CorruptBlob(f"{len(r.buf) - r.pos} trailing bytes after last entry")
-    return ParameterSet._adopt(entries)
+            out[...] = np.frombuffer(body, dtype=_TAG_TO_DTYPE[tag])
+    return ParameterSet._wrap(layout, bufs)
 
 
 def compression_ratio(p: ParameterSet, cfg: CodecConfig) -> float:

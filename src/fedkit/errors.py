@@ -35,6 +35,10 @@ class BadDtypeTag(FedkitError):
     """Unknown dtype tag in a serialized stream."""
 
 
+class BadName(FedkitError):
+    """A tensor name in a serialized stream is not valid UTF-8."""
+
+
 class TrailingBytes(FedkitError):
     """Bytes remain after the declared content was fully read."""
 

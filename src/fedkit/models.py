@@ -176,8 +176,8 @@ def _backprop(spec: ModelSpec, params, pre, post, delta: np.ndarray, out, input_
 
     Arrays may carry a leading model axis (see the module docstring).  With
     ``out`` (gradient name -> writable array) the gradients are written
-    there and ``out`` is returned; otherwise they are fresh arrays adopted
-    into a set in the entry order of ``params``.
+    there and ``out`` is returned; otherwise they are copied into a new set
+    in the entry order of ``params``.
     """
     last = spec.n_layers - 1
     if out is not None and len(out) != 2 * (last + 1):
@@ -199,7 +199,7 @@ def _backprop(spec: ModelSpec, params, pre, post, delta: np.ndarray, out, input_
         if layer or input_grad:
             delta = delta @ _mT(params[w_name])
     if out is None:
-        out = ParameterSet._adopt((name, grads[name]) for name in params.keys())
+        out = ParameterSet((name, grads[name]) for name in params.keys())
     return out, delta if input_grad else None
 
 

@@ -6,27 +6,27 @@ deliberately keep theirs across rounds.
 
 The step itself is ``update(ws, gs)``: one step in place on the flat
 buffers of one model, one weight vector and one gradient vector per dtype
-(rows of a :class:`~fedkit.params.FlatStack`), and it may overwrite the
-gradients.  Every operation is elementwise, so a flat step equals the same
-step taken tensor by tensor, bit for bit, and an SGD step on a block of rows
-equals one step per row.  ``step(params, grads)`` is the set-level form: it never
-writes to its inputs and returns a new set over views of its own copy.
+(the buffers of a set, or rows of a :class:`~fedkit.params.FlatStack`), and
+it may overwrite the gradients.  Every operation is elementwise, so a flat
+step equals the same step taken tensor by tensor, bit for bit, and an SGD
+step on a block of rows equals one step per row.  ``step(params, grads)`` is
+the set-level form: it never writes to its inputs and returns a new set over
+its own copy of the weights.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ShapeMismatch, UnknownStrategyName
-from .params import FlatStack, ParameterSet
+from .params import ParameterSet
 
 
 def _step(opt, params: ParameterSet, grads: ParameterSet) -> ParameterSet:
-    """``opt.update`` on flat copies of ``params`` and ``grads``, as a new set."""
+    """``opt.update`` on copies of the buffers of ``params`` and ``grads``, as a new set."""
     params.check_structure(grads)
-    w = FlatStack(params, 1, sources=[params])
-    g = FlatStack(grads, 1, sources=[grads])
-    opt.update([buf[0] for buf in w.bufs], [buf[0] for buf in g.bufs])
-    return ParameterSet._adopt_views(w.row(0))
+    ws = [buf.copy() for buf in params._bufs]
+    opt.update(ws, [buf.copy() for buf in grads._bufs])
+    return ParameterSet._wrap(params._layout, ws)
 
 
 class SGD:

@@ -18,25 +18,31 @@ Wire format (big-endian lengths, little-endian element bytes)::
 
 The same byte layout is used for ``.apfm`` checkpoint files.
 
-Ownership: a set owns its tensors, and no set is ever mutated after it is
+Representation: a set is one flat buffer per dtype, in order of first
+appearance of the dtype, and one view of it per name; a dtype's tensors lie
+back to back in its buffer in entry order.  That placement is the set's
+layout, built once per structure and shared by the sets of that structure,
+so a structure check is mostly an identity test.  Whole-model operations (sums,
+norms, clipping, noise, optimizer and aggregation steps) run once per
+buffer.  A :class:`FlatStack` holds ``k`` models of one layout as the rows
+of one (k, n) buffer per dtype, and its row ``i`` is a set.
+
+Ownership: a set owns its buffers, and no set is ever mutated after it is
 returned.  The public constructor and :meth:`ParameterSet.map` copy their
-inputs, because those arrays belong to the caller.  Results that fedkit
-computes itself (gradients, optimizer steps, deltas, aggregates, decoded
-payloads) are fresh arrays that nothing else references; they are adopted
-and frozen in place rather than copied again.  A set's tensors may also be
-views of one row of a private flat buffer per dtype (see :class:`FlatStack`)
-that nothing but the views of its rows references: training works on such
-buffers, one row per client, and each trained set adopts the views of its
-row.  Serialized bytes follow the same rule, so a transfer copies each
-tensor once, on receive.  :func:`serialize_pieces` hands out byte views of a
-set's own read-only arrays, so a body is hashed, staged or sent without a
-copy; :func:`serialize_params` joins those views for callers that need one
-bytes object.  :func:`deserialize_params` reads each tensor's bytes straight
-into a fresh native-order array that the decoded set adopts, from a buffer
-or from a :class:`ByteStream` that hands them to a hasher as they land.
+inputs into fresh buffers, because those arrays belong to the caller.
+Buffers that fedkit fills itself (trained rows, optimizer steps, deltas,
+aggregates, decoded payloads) are wrapped and frozen in place rather than
+copied again.  Serialized bytes follow the same rule, so a transfer copies
+each tensor once, on receive.  :func:`serialize_pieces` hands out byte views
+of a set's own read-only tensors, so a body is hashed, staged or sent
+without a copy; :func:`serialize_params` joins those views for callers that
+need one bytes object.  :func:`deserialize_params` reads each tensor's bytes
+straight into its slice of a fresh buffer of its dtype, from a buffer or
+from a :class:`ByteStream` that hands them to a hasher as they land.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -47,6 +53,7 @@ import numpy as np
 
 from .errors import (
     BadDtypeTag,
+    BadName,
     LengthMismatch,
     NameTooLong,
     ShapeMismatch,
@@ -61,20 +68,68 @@ MAX_NAME_BYTES = 0xFFFF
 CHECKPOINT_SUFFIX = ".apfm"
 
 
-def _as_tensor(name, value, adopt: bool) -> np.ndarray:
-    arr = np.asarray(value)
-    if arr.dtype not in _DTYPE_TO_TAG:
-        # everything else (ints, bools, f16) is promoted; complex is rejected
-        if np.issubdtype(arr.dtype, np.complexfloating):
-            raise ShapeMismatch(f"tensor {name!r}: complex dtype not supported")
-        arr = arr.astype(np.float64)
-    # an adopted array must be ours alone: a view, or a read-only array that
-    # may already belong to another set, is copied like caller input
-    flags = arr.flags
-    if not (adopt and flags.c_contiguous and flags.owndata and flags.writeable):
-        arr = arr.copy(order="C")  # ascontiguousarray would promote 0-d to 1-d
-    arr.flags.writeable = False
-    return arr
+def _stored_dtype(name, dt: np.dtype) -> np.dtype:
+    """The dtype a tensor of dtype ``dt`` is stored in: float32 or float64."""
+    if dt in _DTYPE_TO_TAG:
+        return dt
+    # everything else (ints, bools, f16) is promoted; complex is rejected
+    if np.issubdtype(dt, np.complexfloating):
+        raise ShapeMismatch(f"tensor {name!r}: complex dtype not supported")
+    return np.dtype(np.float64)
+
+
+class _Layout:
+    """Where each tensor of one structure lies in the flat buffers of a set.
+
+    ``key`` is the structure, ``(name, dtype, shape)`` per entry.  There is
+    one buffer per dtype, in order of first appearance of the dtype, and a
+    dtype's tensors lie back to back in its buffer in entry order: entry
+    ``e`` is ``bufs[j][lo:hi]`` for ``(j, lo, hi, shape) = spans[e]``.
+    """
+
+    __slots__ = ("key", "names", "index", "dtypes", "sizes", "spans")
+
+    def __init__(self, key: tuple):
+        self.key = key
+        self.names = tuple(name for name, _, _ in key)
+        self.index: dict[str, int] = {}
+        sizes: dict[np.dtype, int] = {}
+        spans = []
+        for e, (name, dt, shape) in enumerate(key):
+            if name in self.index:
+                raise ShapeMismatch(f"duplicate tensor name {name!r}")
+            self.index[name] = e
+            lo = sizes.setdefault(dt, 0)
+            sizes[dt] = hi = lo + math.prod(shape)
+            spans.append((list(sizes).index(dt), lo, hi, shape))
+        self.dtypes = tuple(sizes)
+        self.sizes = tuple(sizes.values())
+        self.spans = tuple(spans)
+
+    def empty(self, rows: tuple = ()) -> list:
+        """Uninitialised buffers, each of shape ``(*rows, size)``."""
+        return [np.empty((*rows, n), dtype=dt) for dt, n in zip(self.dtypes, self.sizes)]
+
+    def views(self, bufs) -> tuple:
+        """Per entry, its view of ``bufs``; leading axes (the rows of a stack) are kept."""
+        return tuple(
+            bufs[j][..., lo:hi].reshape(bufs[j].shape[:-1] + shape)
+            for j, lo, hi, shape in self.spans
+        )
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(key: tuple) -> _Layout:
+    """The layout of structure ``key``, built once and shared by every set of that structure."""
+    return _Layout(key)
+
+
+def _filled(layout: _Layout, arrays) -> list:
+    """Fresh buffers of ``layout`` holding a copy of ``arrays``, one per entry."""
+    bufs = layout.empty()
+    for view, arr in zip(layout.views(bufs), arrays):
+        view[...] = arr
+    return bufs
 
 
 class ParameterSet:
@@ -87,84 +142,69 @@ class ParameterSet:
     25
     """
 
-    __slots__ = ("_names", "_arrays", "_index")
+    __slots__ = ("_layout", "_bufs", "_views")
 
     def __init__(self, entries):
-        self._fill(entries, adopt=False)
-
-    @classmethod
-    def _adopt(cls, entries) -> "ParameterSet":
-        """Build a set from arrays the caller just computed and shares with nobody.
-
-        The arrays are frozen in place instead of copied; dtype promotion
-        still applies, and anything that is not a C-contiguous array owning
-        writeable data is copied as the public constructor would.
-        """
-        p = cls.__new__(cls)
-        p._fill(entries, adopt=True)
-        return p
-
-    @classmethod
-    def _adopt_views(cls, views: Mapping[str, np.ndarray]) -> "ParameterSet":
-        """Build a set over views of private flat buffers, without copying.
-
-        Only the views are frozen, not the buffers behind them, so the
-        builder of the set may still turn a view writeable to finish it in
-        place before handing the set out (see ``client._transmitted``).
-        """
-        p = cls.__new__(cls)
-        for v in views.values():
-            v.flags.writeable = False
-        p._names = tuple(views)
-        p._arrays = tuple(views.values())
-        p._index = {name: i for i, name in enumerate(p._names)}
-        return p
-
-    def _fill(self, entries, adopt: bool) -> None:
-        names: list[str] = []
-        arrays: list[np.ndarray] = []
-        index: dict[str, int] = {}
         if isinstance(entries, Mapping):
             entries = entries.items()
+        key, arrays = [], []
         for name, value in entries:
             if not isinstance(name, str):
                 raise ShapeMismatch(f"tensor name must be str, got {type(name).__name__}")
-            if name in index:
-                raise ShapeMismatch(f"duplicate tensor name {name!r}")
-            index[name] = len(names)
-            names.append(name)
-            arrays.append(_as_tensor(name, value, adopt))
-        self._names = tuple(names)
-        self._arrays = tuple(arrays)
-        self._index = index
+            arr = np.asarray(value)
+            key.append((name, _stored_dtype(name, arr.dtype), arr.shape))
+            arrays.append(arr)
+        layout = _layout(tuple(key))
+        self._own(layout, _filled(layout, arrays))
+
+    @classmethod
+    def _wrap(cls, layout: _Layout, bufs) -> "ParameterSet":
+        """A set over ``bufs``, one flat buffer per dtype of ``layout``, without a copy.
+
+        The buffers must be ones fedkit just made and shares with nobody.
+        Each is frozen in place, but a buffer that is a view (a row of a
+        :class:`FlatStack`) keeps a writeable base, so the builder of the set
+        may still finish it in place before handing it out (see
+        ``client._transmitted``).
+        """
+        p = cls.__new__(cls)
+        p._own(layout, bufs)
+        return p
+
+    def _own(self, layout: _Layout, bufs) -> None:
+        for buf in bufs:
+            buf.flags.writeable = False
+        self._layout = layout
+        self._bufs = tuple(bufs)
+        self._views = layout.views(self._bufs)
 
     # -- container protocol -------------------------------------------------
 
     @property
     def names(self) -> tuple[str, ...]:
-        return self._names
+        return self._layout.names
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._views)
 
     def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(zip(self._names, self._arrays))
+        return iter(zip(self._layout.names, self._views))
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._arrays[self._index[name]]
+        return self._views[self._layout.index[name]]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._index
+        return name in self._layout.index
 
     def keys(self) -> tuple[str, ...]:
-        return self._names
+        return self._layout.names
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
         return iter(self)
 
     @property
     def param_count(self) -> int:
-        return int(sum(a.size for a in self._arrays))
+        return sum(self._layout.sizes)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{n}:{a.dtype.name}{list(a.shape)}" for n, a in self)
@@ -173,12 +213,7 @@ class ParameterSet:
     # -- structure / equality ------------------------------------------------
 
     def same_structure(self, other: "ParameterSet") -> bool:
-        if self._names != other._names:
-            return False
-        return all(
-            a.shape == b.shape and a.dtype == b.dtype
-            for a, b in zip(self._arrays, other._arrays)
-        )
+        return self._layout is other._layout or self._layout.key == other._layout.key
 
     def check_structure(self, other: "ParameterSet") -> None:
         if not self.same_structure(other):
@@ -190,7 +225,10 @@ class ParameterSet:
             return NotImplemented
         if not self.same_structure(other):
             return False
-        return all(a.tobytes() == b.tobytes() for a, b in zip(self._arrays, other._arrays))
+        return all(
+            np.array_equal(a.view(f"u{a.itemsize}"), b.view(f"u{b.itemsize}"))
+            for a, b in zip(self._bufs, other._bufs)
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -198,8 +236,7 @@ class ParameterSet:
         if not self.same_structure(other):
             return False
         return all(
-            np.allclose(a, b, rtol=rtol, atol=atol)
-            for a, b in zip(self._arrays, other._arrays)
+            np.allclose(a, b, rtol=rtol, atol=atol) for a, b in zip(self._bufs, other._bufs)
         )
 
     # -- conversion ----------------------------------------------------------
@@ -209,66 +246,41 @@ class ParameterSet:
         return ParameterSet((n, fn(n, a)) for n, a in self)
 
     def astype(self, dtype) -> "ParameterSet":
-        dt = np.dtype(dtype)
-        return ParameterSet._adopt((n, a.astype(dt)) for n, a in self)
-
-    def flat(self) -> np.ndarray:
-        """All elements concatenated in entry order (copy)."""
-        if not self._arrays:
-            return np.zeros(0, dtype=np.float64)
-        return np.concatenate([a.ravel() for a in self._arrays])
+        key = tuple((n, _stored_dtype(n, np.dtype(dtype)), s) for n, _, s in self._layout.key)
+        layout = _layout(key)
+        return ParameterSet._wrap(layout, _filled(layout, self._views))
 
 
 class FlatStack:
     """``k`` models of one structure as the rows of one (k, n) buffer per dtype.
 
-    Row ``i`` of the buffer of a dtype holds that dtype's tensors of model
-    ``i`` back to back, in entry order.  ``row(i)`` maps every name to its
-    view in row ``i``, and ``stacks`` maps every name to the (k, *shape) view
-    over all rows, the form a stacked ``models.backward`` reads and writes.
-    ``bufs`` holds the (k, n) buffers in order of first appearance of their
-    dtype, so an elementwise operation on a block of rows is one operation
-    per dtype.  With ``sources`` (k sets
-    of ``like``'s structure) row ``i`` starts as a copy of ``sources[i]``;
-    otherwise the buffers are uninitialised.  A set takes row ``i`` over
-    through ``ParameterSet._adopt_views(stack.row(i))``.
+    Row ``i`` of a buffer is laid out as the buffer of that dtype in a set
+    of ``like``'s structure, and ``row(i)`` is the set over row ``i``.
+    ``stacks`` maps every name to its (k, *shape) view over all rows, the
+    form a stacked ``models.backward`` reads and writes.  ``bufs`` holds the
+    (k, n) buffers in the set's buffer order, so an elementwise operation on
+    a block of rows is one operation per dtype.  With ``sources`` (k sets of
+    ``like``'s structure) row ``i`` starts as a copy of ``sources[i]``;
+    otherwise the buffers are uninitialised.
     """
 
-    __slots__ = ("bufs", "stacks", "_spans", "_rows")
+    __slots__ = ("layout", "bufs", "stacks")
 
-    def __init__(self, like, k: int, sources=None):
-        sizes: dict[np.dtype, int] = {}
-        for _, a in like.items():
-            sizes[a.dtype] = sizes.get(a.dtype, 0) + a.size
-        bufs = {dt: np.empty((k, n), dtype=dt) for dt, n in sizes.items()}
-        offsets = dict.fromkeys(bufs, 0)
-        spans = []
-        for name, a in like.items():
-            lo = offsets[a.dtype]
-            offsets[a.dtype] = hi = lo + a.size
-            spans.append((name, bufs[a.dtype], lo, hi, a.shape))
-        self.bufs = tuple(bufs.values())
-        self.stacks = {
-            name: buf[:, lo:hi].reshape(k, *shape) for name, buf, lo, hi, shape in spans
-        }
-        self._spans = spans
-        self._rows: list = [None] * k
+    def __init__(self, like: ParameterSet, k: int, sources=None):
+        self.layout = like._layout
+        self.bufs = tuple(self.layout.empty((k,)))
+        self.stacks = dict(zip(self.layout.names, self.layout.views(self.bufs)))
         for i, src in enumerate(sources or ()):
-            for (_, a), view in zip(src.items(), self.row(i).values()):
-                view[...] = a
+            for buf, s in zip(self.bufs, src._bufs):
+                buf[i] = s
 
-    def row(self, i: int) -> dict:
-        """Name -> view of row ``i``; built once per row."""
-        views = self._rows[i]
-        if views is None:
-            views = self._rows[i] = {
-                name: buf[i, lo:hi].reshape(shape) for name, buf, lo, hi, shape in self._spans
-            }
-        return views
+    def row(self, i: int) -> ParameterSet:
+        """The set over row ``i``, which nothing may write to afterwards."""
+        return ParameterSet._wrap(self.layout, [buf[i] for buf in self.bufs])
 
 
 def zeros_like(p: ParameterSet) -> ParameterSet:
-    return ParameterSet._adopt((n, np.zeros_like(a)) for n, a in p)
+    return ParameterSet._wrap(p._layout, [np.zeros_like(b) for b in p._bufs])
 
 
 # elements per accumulation block: a block of the accumulator and the scratch
@@ -276,17 +288,17 @@ def zeros_like(p: ParameterSet) -> ParameterSet:
 _ACC_BLOCK = 1 << 16
 
 
-def _weighted_accumulate(like: ParameterSet, terms) -> list[tuple[str, np.ndarray]]:
-    """Per tensor of ``like``, ``sum_i w_i * x_i`` accumulated from zero in term order.
+def _weighted_accumulate(like: ParameterSet, terms) -> list[np.ndarray]:
+    """Per buffer of ``like``, ``sum_i w_i * x_i`` accumulated from zero in term order.
 
-    Each term is ``(w, x, op, base)``: its tensors are those of the set
+    Each term is ``(w, x, op, base)``: its buffers are those of the set
     ``x``, or ``op(x, base)`` when ``op`` is given (``np.add`` for
     delta-to-full, ``np.subtract`` for full-to-delta).  There is at least one
     term, and terms must share ``like``'s structure.  The result is never
     zero-filled: the first term is written straight into it, and every later
     step goes through one small scratch buffer, so the only model-sized
-    allocation is the result: fresh arrays the caller may finish in place
-    and then adopt.  Each element sees exactly ``acc = acc + w * x`` in term
+    allocation is the result: fresh buffers the caller may finish in place
+    and then wrap.  Each element sees exactly ``acc = acc + w * x`` in term
     order from ``+0.0``: the first step is ``w0 * x0 + 0.0``, which IEEE
     addition makes equal to ``0.0 + w0 * x0`` (a lone ``-0.0`` becomes
     ``+0.0``, a NaN stays that NaN), so results are bit-identical to summing
@@ -294,18 +306,16 @@ def _weighted_accumulate(like: ParameterSet, terms) -> list[tuple[str, np.ndarra
     """
     scratch = np.empty(_ACC_BLOCK * 8, dtype=np.uint8)  # fits any float dtype
     out = []
-    for k, (name, ref) in enumerate(like):
+    for j, ref in enumerate(like._bufs):
         acc = np.empty_like(ref)
-        flat = acc.reshape(-1)
         tmp = scratch.view(ref.dtype)
         (w0, x0, op0, b0), *rest = [
-            (acc.dtype.type(w), x._arrays[k].reshape(-1), op,
-             None if op is None else base._arrays[k].reshape(-1))
+            (acc.dtype.type(w), x._bufs[j], op, None if op is None else base._bufs[j])
             for w, x, op, base in terms
         ]
-        for lo in range(0, flat.size, _ACC_BLOCK):
+        for lo in range(0, acc.size, _ACC_BLOCK):
             hi = lo + _ACC_BLOCK
-            a = flat[lo:hi]
+            a = acc[lo:hi]
             t = tmp[: a.size]
             term = x0[lo:hi] if op0 is None else op0(x0[lo:hi], b0[lo:hi], out=a)
             np.multiply(term, w0, out=a)
@@ -314,7 +324,7 @@ def _weighted_accumulate(like: ParameterSet, terms) -> list[tuple[str, np.ndarra
                 term = x[lo:hi] if op is None else op(x[lo:hi], b[lo:hi], out=t)
                 np.multiply(term, w, out=t)
                 a += t
-        out.append((name, acc))
+        out.append(acc)
     return out
 
 
@@ -332,27 +342,29 @@ def weighted_sum(sets: Sequence[ParameterSet], weights: Sequence[float]) -> Para
     for other in sets[1:]:
         first.check_structure(other)
     terms = [(w, p, None, None) for p, w in zip(sets, weights)]
-    return ParameterSet._adopt(_weighted_accumulate(first, terms))
+    return ParameterSet._wrap(first._layout, _weighted_accumulate(first, terms))
 
 
 def axpy(alpha: float, x: ParameterSet, y: ParameterSet) -> ParameterSet:
     """``alpha * x + y`` with structure checking."""
     x.check_structure(y)
-    return ParameterSet._adopt(
-        (n, a.dtype.type(alpha) * a + b)
-        for (n, a), (_, b) in zip(x.items(), y.items())
+    return ParameterSet._wrap(
+        x._layout, [a.dtype.type(alpha) * a + b for a, b in zip(x._bufs, y._bufs)]
     )
 
 
 def norms(p: ParameterSet) -> tuple[float, float, float]:
-    """(l1, l2, linf) over the concatenation of all tensors.
+    """(l1, l2, linf) over the concatenation of all tensors, in entry order.
 
     >>> norms(ParameterSet([("a", np.array([3.0, -4.0]))]))
     (7.0, 5.0, 4.0)
     """
-    v = p.flat().astype(np.float64)
-    if v.size == 0:
+    # a float64 set is summed in place, any other as a float64 copy in entry order
+    f64 = p._layout.dtypes == (np.dtype(np.float64),)
+    bufs = p._bufs if f64 else p.astype(np.float64)._bufs
+    if not bufs or bufs[0].size == 0:
         return (0.0, 0.0, 0.0)
+    v = bufs[0]
     return (
         float(np.sum(np.abs(v))),
         float(np.sqrt(np.sum(v * v))),
@@ -431,24 +443,12 @@ def _byte_view(arr: np.ndarray) -> memoryview:
     return memoryview(arr.reshape(-1)).cast("B")
 
 
-class _BufferStream:
-    """``read``/``readinto`` over a bytes-like buffer; ``read`` returns zero-copy slices."""
-
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf):
-        self.buf = memoryview(buf).cast("B")
-        self.pos = 0
-
-    def read(self, n: int) -> memoryview:
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += len(out)
-        return out
-
-    def readinto(self, out) -> int:
-        src = self.read(len(out))
-        out[: len(src)] = src
-        return len(src)
+def _utf8(raw, error: type) -> str:
+    """``raw`` decoded as UTF-8; raises ``error`` if it is not."""
+    try:
+        return str(raw, "utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"text is not UTF-8: {e}") from None
 
 
 # bytes a hashing ByteStream reads into an array before it hands them to its hasher
@@ -477,8 +477,8 @@ class ByteStream:
 
     @classmethod
     def over(cls, buf) -> "ByteStream":
-        raw = _BufferStream(buf)
-        return cls(raw, len(raw.buf))
+        """A stream over a bytes-like buffer; its reads are zero-copy slices."""
+        return _BufferStream(buf)
 
     def read(self, n: int):
         """The next ``n`` bytes (bytes-like); a small read, such as a header."""
@@ -491,6 +491,10 @@ class ByteStream:
         if self.hasher is not None:
             self.hasher.update(out)
         return out
+
+    def unpack(self, fmt: str) -> tuple:
+        """The next bytes, as many as ``fmt`` takes, unpacked with :func:`struct.unpack`."""
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
 
     def readinto(self, out) -> None:
         """Fill ``out``, a writable byte view, with the next ``len(out)`` bytes.
@@ -515,37 +519,64 @@ class ByteStream:
             got += more
 
 
+class _BufferStream(ByteStream):
+    """:meth:`ByteStream.over`: the stream of a buffer, read by slicing it."""
+
+    __slots__ = ("buf",)
+
+    def __init__(self, buf):
+        self.buf = memoryview(buf).cast("B")
+        super().__init__(None, len(self.buf))
+
+    def read(self, n: int) -> memoryview:
+        if n > self.left:
+            raise Truncated(f"need {n} bytes, only {self.left} left")
+        lo = len(self.buf) - self.left
+        self.left -= n
+        return self.buf[lo : lo + n]
+
+    def readinto(self, out) -> None:
+        out[:] = self.read(len(out))
+
+
 def deserialize_params(data) -> ParameterSet:
     """Inverse of :func:`serialize_params`; rejects trailing bytes.
 
-    ``data`` is a bytes-like buffer or a :class:`ByteStream`.  Each tensor
-    is a fresh native-order array that the stream's bytes are read into
-    once; its length is checked against the bytes left before the array is
-    allocated.
+    ``data`` is a bytes-like buffer or a :class:`ByteStream`.  The stream's
+    bytes of each tensor are read once, straight into the next slice of the
+    buffer of its dtype, after their length is checked against the bytes
+    left.  A dtype's buffer is allocated when its first tensor is met, with
+    room for every byte then left in the stream; the pages past its last
+    tensor are never written, so they never become resident.
     """
     src = data if isinstance(data, ByteStream) else ByteStream.over(data)
     (count,) = struct.unpack(">I", src.read(4))
-    entries = []
+    key = []
+    filled: dict[np.dtype, list] = {}  # dtype -> [buffer, elements filled]
     for _ in range(count):
         (name_len,) = struct.unpack(">H", src.read(2))
         head = src.read(name_len + 2)  # name, dtype tag, ndim
-        name = str(head[:name_len], "utf-8")
+        name = _utf8(head[:name_len], BadName)
         tag, ndim = head[name_len], head[name_len + 1]
         if tag not in _TAG_TO_DTYPE:
             raise BadDtypeTag(f"dtype tag {tag} in entry {name!r}")
         shape = struct.unpack(f">{ndim}I", src.read(4 * ndim))
         dt = _TAG_TO_DTYPE[tag]
-        nbytes = dt.itemsize * math.prod(shape)
-        if nbytes > src.left:
-            raise Truncated(f"tensor {name!r} needs {nbytes} bytes, only {src.left} left")
-        arr = np.empty(shape, dtype=dt)
-        src.readinto(_byte_view(arr))
-        if not dt.isnative:
-            arr = arr.astype(dt.newbyteorder("="))
-        entries.append((name, arr))
+        n = math.prod(shape)
+        if dt.itemsize * n > src.left:
+            raise Truncated(f"tensor {name!r} needs {dt.itemsize * n} bytes, only {src.left} left")
+        slot = filled.get(dt)
+        if slot is None:
+            slot = filled[dt] = [np.empty(src.left // dt.itemsize, dtype=dt), 0]
+        buf, lo = slot
+        src.readinto(_byte_view(buf[lo : lo + n]))
+        slot[1] = lo + n
+        key.append((name, dt.newbyteorder("="), shape))
     if src.left:
         raise TrailingBytes(f"{src.left} bytes left after last entry")
-    return ParameterSet._adopt(entries)
+    bufs = [buf[:used] if dt.isnative else buf[:used].astype(dt.newbyteorder("="))
+            for dt, (buf, used) in filled.items()]
+    return ParameterSet._wrap(_layout(tuple(key)), bufs)
 
 
 def save_params(p: ParameterSet, path) -> None:

@@ -75,7 +75,7 @@ from .errors import (
     UnknownConnector,
     UnsupportedVersion,
 )
-from .params import _HASHED_READ, ByteStream, Pieces
+from .params import _HASHED_READ, ByteStream, Pieces, _utf8
 
 MAGIC = b"APFL"
 PROTOCOL_VERSION = 2
@@ -142,31 +142,9 @@ def send_frame(stream, frame: Union[bytes, Pieces]) -> None:
     stream.flush()
 
 
-class _Cursor:
-    """Cursor over a bytes-like buffer; ``take`` returns zero-copy memoryview slices."""
-
-    def __init__(self, buf):
-        self.buf = memoryview(buf).cast("B")
-        self.pos = 0
-
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.buf):
-            raise Truncated(f"need {n} bytes at offset {self.pos}, have {len(self.buf) - self.pos}")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    @property
-    def remaining(self) -> int:
-        return len(self.buf) - self.pos
-
-
 def decode_frame(buf: bytes, max_payload: int = MAX_PAYLOAD) -> Frame:
-    cur = _Cursor(buf)
-    if cur.take(4) != MAGIC:
+    cur = ByteStream.over(buf)
+    if cur.read(4) != MAGIC:
         raise BadMagic("frame does not start with APFL")
     version, raw_type = cur.unpack(">BB")
     if version != PROTOCOL_VERSION:
@@ -176,13 +154,13 @@ def decode_frame(buf: bytes, max_payload: int = MAX_PAYLOAD) -> Frame:
     except ValueError:
         raise ProtocolError(f"unknown message type {raw_type}") from None
     (token_len,) = cur.unpack(">H")
-    token = cur.take(token_len)
+    token = cur.read(token_len)
     (payload_len,) = cur.unpack(">I")
     if payload_len > max_payload:
         raise OversizedPayload(f"payload {payload_len} exceeds {max_payload}")
-    payload = cur.take(payload_len)
-    if cur.remaining:
-        raise LengthMismatch(f"{cur.remaining} trailing bytes after frame")
+    payload = cur.read(payload_len)
+    if cur.left:
+        raise LengthMismatch(f"{cur.left} trailing bytes after frame")
     return Frame(version, msg_type, token, payload)
 
 
@@ -466,7 +444,7 @@ def _read_verified(raw, ref: DataRef, read):
         stream = ByteStream(raw, ref.size, hasher)
         try:
             out = stream.read(stream.left) if read is None else read(stream)
-        except (FedkitError, ValueError) as e:  # ValueError: a name that is not UTF-8
+        except FedkitError as e:
             try:
                 while stream.left:
                     stream.read(min(stream.left, _DRAIN_CHUNK))
@@ -523,30 +501,30 @@ def encode_envelope(env: Envelope) -> Union[bytes, Pieces]:
 
 
 def decode_envelope(buf: bytes) -> Envelope:
-    cur = _Cursor(buf)
+    cur = ByteStream.over(buf)
     flags, n_meta = cur.unpack(">BH")
     if flags & ~_FLAG_REF:
         raise ProtocolError(f"unknown envelope flags 0x{flags:02x}")
     meta = {}
     for _ in range(n_meta):
         (klen,) = cur.unpack(">H")
-        key = str(cur.take(klen), "utf-8")
+        key = _utf8(cur.read(klen), ProtocolError)
         (vlen,) = cur.unpack(">I")
-        val = str(cur.take(vlen), "utf-8")
+        val = _utf8(cur.read(vlen), ProtocolError)
         if key in meta:
             raise ProtocolError(f"duplicate meta key {key!r}")
         meta[key] = val
     if flags & _FLAG_REF:
         (clen,) = cur.unpack(">H")
-        connector_id = str(cur.take(clen), "utf-8")
+        connector_id = _utf8(cur.read(clen), ProtocolError)
         (klen,) = cur.unpack(">H")
-        key = str(cur.take(klen), "utf-8")
+        key = _utf8(cur.read(klen), ProtocolError)
         (size,) = cur.unpack(">Q")
-        sha = cur.take(_SHA256_LEN)
-        if cur.remaining:
-            raise LengthMismatch(f"{cur.remaining} trailing bytes after data reference")
+        sha = cur.read(_SHA256_LEN)
+        if cur.left:
+            raise LengthMismatch(f"{cur.left} trailing bytes after data reference")
         return Envelope(meta, ref=DataRef(connector_id, key, size, bytes(sha)))
-    return Envelope(meta, body=cur.take(cur.remaining))
+    return Envelope(meta, body=cur.read(cur.left))
 
 
 def stage_body(

@@ -169,6 +169,14 @@ def test_nan_rejected():
         C.compress_params(pset(t=arr), CFG)
 
 
+def test_tensor_name_that_is_not_utf8_raises_corrupt_blob():
+    blob = bytearray(C.compress_params(pset(t=np.ones(4)), CFG))
+    assert blob[6] == ord("t")  # the name sits after count(4) + name_len(2)
+    blob[6] = 0xFF
+    with pytest.raises(CorruptBlob, match="not UTF-8"):
+        C.decompress_params(bytes(blob))
+
+
 def test_tampering_detected():
     arr = np.random.default_rng(6).normal(size=2000).astype(np.float32)
     blob = bytearray(C.compress_params(pset(t=arr), CFG))
@@ -421,6 +429,18 @@ def _oracle_qz_decode(block, shape, tag):
     return out
 
 
+def _oracle_qz_decode_into(block, tag, out):
+    """The oracle in the form of ``C._qz_decode``: it decodes into ``out``."""
+    out[...] = _oracle_qz_decode(block, out.shape, tag)
+
+
+def _qz_decode(block, shape, tag):
+    """``C._qz_decode`` into a fresh array of ``shape``."""
+    out = np.empty(shape, dtype=np.float32 if tag == 0 else np.float64)
+    C._qz_decode(block, tag, out)
+    return out
+
+
 def _multi_block_tensor(dtype, eb, seed=0):
     """Three blocks and a remainder. The minimum sits in the second block and
     the maximum in the third, each repeated in the last.  The offset makes one
@@ -448,7 +468,7 @@ def test_blocked_qz_equals_the_whole_tensor_oracle(dtype, eb):
     n_exc = struct.unpack(C._QZ_HEADER, block[: C._QZ_HEADER_SIZE])[-1]
     exc_idx = np.frombuffer(block[C._QZ_HEADER_SIZE :][: 4 * n_exc], dtype=">u4")
     assert {0, 1, 2} <= set((exc_idx // b).tolist())  # every full block, offsets applied
-    got = C._qz_decode(block, arr.shape, tag)
+    got = _qz_decode(block, arr.shape, tag)
     assert got.dtype == dtype
     assert got.tobytes() == _oracle_qz_decode(block, arr.shape, tag).tobytes()
     # the endpoints, wherever they sit, decode exactly
@@ -474,7 +494,7 @@ def test_blocked_qz_decodes_oracle_blocks_of_any_length():
         arr[0] = -10.0
         block = _oracle_qz_encode(arr, 0.01)
         assert C._qz_encode(arr, 0.01) == block
-        assert C._qz_decode(block, (n,), 1).tobytes() == _oracle_qz_decode(block, (n,), 1).tobytes()
+        assert _qz_decode(block, (n,), 1).tobytes() == _oracle_qz_decode(block, (n,), 1).tobytes()
 
 
 def test_float32_zero_extremum_keeps_the_float64_sign():
@@ -498,7 +518,7 @@ def test_wide_model_blob_equals_the_oracle(monkeypatch):
     decoded = C.decompress_params(blob)
     with monkeypatch.context() as m:
         m.setattr(C, "_qz_encode", _oracle_qz_encode)
-        m.setattr(C, "_qz_decode", _oracle_qz_decode)
+        m.setattr(C, "_qz_decode", _oracle_qz_decode_into)
         assert blob == C.compress_params(p, CFG)
         assert serialize_params(decoded) == serialize_params(C.decompress_params(blob))
 
@@ -509,7 +529,7 @@ def test_qz_block_with_trailing_bytes_is_rejected():
     assert block[0] == 0
     for bad in (block + b"\x00\x07garbage", block + b"\x00", block[:-1]):
         with pytest.raises(CorruptBlob):
-            C._qz_decode(bad, arr.shape, 1)
+            _qz_decode(bad, arr.shape, 1)
     # and inside a blob, where the crc covers the padded payload
     blob = C.compress_params(pset(t=arr), C.CodecConfig(lossless="none"))
     (plen,) = struct.unpack(">I", blob[-len(block) - 8 : -len(block) - 4])

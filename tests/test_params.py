@@ -1,3 +1,4 @@
+import doctest
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fedkit import params as P
 from fedkit.errors import (
     BadDtypeTag,
+    BadName,
     LengthMismatch,
     NameTooLong,
     ShapeMismatch,
@@ -128,6 +130,18 @@ def test_bad_dtype_tag():
         P.deserialize_params(bytes(buf))
 
 
+def test_tensor_name_that_is_not_utf8_raises_bad_name(tmp_path):
+    buf = bytearray(P.serialize_params(pset(w=np.ones(2, dtype=np.float32))))
+    assert buf[6] == ord("w")  # the name sits after count(4) + name_len(2)
+    buf[6] = 0xFF
+    with pytest.raises(BadName):
+        P.deserialize_params(bytes(buf))
+    path = tmp_path / ("bad" + P.CHECKPOINT_SUFFIX)
+    path.write_bytes(buf)
+    with pytest.raises(BadName):
+        P.load_params(path)
+
+
 def test_checkpoint_file_roundtrip(tmp_path):
     p = pset(W0=np.random.default_rng(0).normal(size=(3, 2)))
     path = tmp_path / ("model" + P.CHECKPOINT_SUFFIX)
@@ -213,13 +227,13 @@ def zero_start_accumulate(like, terms):
     """
     scratch = np.empty(P._ACC_BLOCK * 8, dtype=np.uint8)
     out = []
-    for k, (name, ref) in enumerate(like):
+    for name, ref in like:
         acc = np.zeros_like(ref)
         flat = acc.reshape(-1)
         tmp = scratch.view(ref.dtype)
         xs = [
-            (acc.dtype.type(w), x._arrays[k].reshape(-1), op,
-             None if op is None else base._arrays[k].reshape(-1))
+            (acc.dtype.type(w), x[name].reshape(-1), op,
+             None if op is None else base[name].reshape(-1))
             for w, x, op, base in terms
         ]
         for lo in range(0, flat.size, P._ACC_BLOCK):
@@ -266,7 +280,7 @@ def test_first_term_accumulation_matches_zero_start(acc_block, k, dtype, op):
     weights = [0.5, -1.25, 3.0][:k]
     terms = [(w, x, op, None if op is None else base) for w, x in zip(weights, sets)]
     with np.errstate(invalid="ignore"):  # inf - inf
-        got = P._weighted_accumulate(base, terms)
+        got = P.ParameterSet._wrap(base._layout, P._weighted_accumulate(base, terms))
         want = zero_start_accumulate(base, terms)
     for (name, g), (_, w) in zip(got, want):
         assert g.dtype == w.dtype == np.dtype(dtype), name
@@ -276,7 +290,7 @@ def test_first_term_accumulation_matches_zero_start(acc_block, k, dtype, op):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_lone_negative_zero_term_gives_positive_zero(dtype):
     x = P.ParameterSet([("z", np.full(5, -0.0, dtype=dtype))])
-    (_, acc), = P._weighted_accumulate(x, [(1.0, x, None, None)])
+    acc, = P._weighted_accumulate(x, [(1.0, x, None, None)])
     assert (_bits(acc) == 0).all()
     (_, want), = zero_start_accumulate(x, [(1.0, x, None, None)])
     assert (_bits(acc) == _bits(want)).all()
@@ -292,6 +306,11 @@ def test_axpy_zero_alpha_returns_y():
 def test_norms_golden():
     assert P.norms(pset(a=np.array([3.0, -4.0]))) == (7.0, 5.0, 4.0)
     assert P.norms(pset(a=np.zeros(5), b=np.zeros((2, 2)))) == (0.0, 0.0, 0.0)
+
+
+def test_docstring_examples_run():
+    result = doctest.testmod(P)
+    assert result.attempted == 4 and result.failed == 0
 
 
 def test_tensors_are_immutable():
@@ -319,10 +338,13 @@ def test_public_constructor_and_map_copy():
 
 
 def test_adopt_freezes_fresh_arrays_in_place():
-    a = np.full((2, 3), 1.5)
-    p = P.ParameterSet._adopt([("a", a)])
-    assert p["a"] is a
-    assert not a.flags.writeable
+    like = pset(a=np.zeros((2, 3)), s=np.float64(0.0))
+    buf = np.full(7, 1.5)
+    p = P.ParameterSet._wrap(like._layout, [buf])
+    assert p._bufs[0] is buf
+    assert not buf.flags.writeable
+    assert np.shares_memory(p["a"], buf) and np.shares_memory(p["s"], buf)
+    assert p["a"].shape == (2, 3) and p["s"].shape == ()
 
 
 @pytest.mark.parametrize(
@@ -331,19 +353,19 @@ def test_adopt_freezes_fresh_arrays_in_place():
         lambda: np.arange(8.0)[::2],  # strided view
         lambda: np.arange(6.0).reshape(2, 3),  # contiguous view of a temporary
         lambda: np.asfortranarray(np.ones((3, 2))),
-        lambda: pset(a=np.ones(3))["a"],  # frozen: may belong to another set
+        lambda: pset(a=np.ones(3))["a"],  # frozen: belongs to another set
     ],
 )
-def test_adopt_copies_what_it_cannot_own(make):
+def test_constructor_copies_what_it_cannot_own(make):
     a = make()
-    p = P.ParameterSet._adopt([("a", a)])
+    p = P.ParameterSet([("a", a)])
     assert not np.shares_memory(p["a"], a)
     assert p["a"].flags.c_contiguous and not p["a"].flags.writeable
     np.testing.assert_array_equal(p["a"], a)
 
 
-def test_adopt_promotes_dtypes():
-    p = P.ParameterSet._adopt([("i", np.arange(3)), ("s", np.float32(2.0) * np.float32(3.0))])
+def test_constructor_promotes_dtypes():
+    p = P.ParameterSet([("i", np.arange(3)), ("s", np.float32(2.0) * np.float32(3.0))])
     assert p["i"].dtype == np.float64
     assert p["s"].shape == () and p["s"].dtype == np.float32
 

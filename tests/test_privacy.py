@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedkit.errors import ConfigError, NotClipped
+from fedkit.errors import ConfigError, NonFiniteValue, NotClipped
 from fedkit.params import ParameterSet, norms
 from fedkit.privacy import CLIP_SLACK, PrivacyConfig, apply_privacy, clip, perturb
 
@@ -46,6 +46,21 @@ def test_perturb_requires_clipped_input():
     cfg = PrivacyConfig(enabled=True, epsilon=1.0, clip_norm=1.0)
     with pytest.raises(NotClipped):
         perturb(pset([5.0, 5.0]), cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_non_finite_update_is_rejected(dtype, bad, kind):
+    p = ParameterSet([("w", np.array([0.1, bad, -0.2], dtype=dtype)), ("b", np.ones(2, dtype=dtype))])
+    cfg = PrivacyConfig(enabled=True, epsilon=1.0, clip_norm=0.5, clip_kind=kind)
+    with pytest.raises(NonFiniteValue):
+        apply_privacy(p, cfg, np.random.default_rng(0))
+    with pytest.raises(NonFiniteValue):
+        clip(p, 0.5, kind)
+    # noise is never added to an update that is not shown to be inside the ball
+    with pytest.raises(NotClipped):
+        perturb(p, cfg, np.random.default_rng(0))
 
 
 def test_perturb_is_deterministic_under_seed():

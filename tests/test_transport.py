@@ -289,6 +289,23 @@ class TestSocketRuns:
         assert (epoch, steps, done) == (1, 0, True)
         assert params == final and agent.global_params is final
 
+    def test_meta_key_that_is_not_utf8_gets_one_typed_error_reply(self):
+        # the server answers with an error reply, and the client raises it at
+        # once instead of resending the request over a new connection
+        agent, _ = make_setup()
+        with SocketServer(agent) as srv:
+            handled = []
+            handle = srv._handle
+            srv._handle = lambda frame: handled.append(frame) or handle(frame)
+            with Communicator(srv.host, srv.port, max_retries=3, backoff=0.01) as com:
+                # flags 0, one meta entry: key b"\xff", value b"v"; empty body
+                payload = b"\x00\x00\x01" + b"\x00\x01\xff" + b"\x00\x00\x00\x01v"
+                with pytest.raises(ProtocolError, match="not UTF-8"):
+                    com.request(MessageType.MODEL_REQUEST, payload)
+                assert len(handled) == 1
+                _, epoch, _, _ = com.fetch_model("c0")
+                assert epoch == 0
+
     def test_unhandled_message_type_gets_an_error_reply(self):
         # the server answers no MODEL_REPLY: the request gets an error reply,
         # and the connection stays usable

@@ -198,6 +198,16 @@ class TestEnvelope:
         with pytest.raises(LengthMismatch):
             decode_envelope(raw + b"junk")
 
+    @pytest.mark.parametrize("field", ["meta key", "meta value", "connector id", "key"])
+    def test_text_that_is_not_utf8_raises_protocol_error(self, field):
+        ref = DataRef("conn", "keyk", 1, hashlib.sha256(b"x").digest())
+        raw = bytearray(encode_envelope(Envelope({"mkey": "mval"}, ref=ref)))
+        text = {"meta key": b"mkey", "meta value": b"mval", "connector id": b"conn", "key": b"keyk"}
+        idx = raw.find(text[field])
+        raw[idx] = 0xFF
+        with pytest.raises(ProtocolError, match="not UTF-8"):
+            decode_envelope(bytes(raw))
+
     @settings(max_examples=200, deadline=None)
     @given(
         meta=st.dictionaries(st.text(max_size=8), st.text(max_size=16), max_size=5),
@@ -341,7 +351,7 @@ class TestStreamedReceive:
         q = check_owned(lambda: conn.get(ref, deserialize_params), p)
         assert q == p
         for _, a in q.items():
-            assert a.dtype.isnative and a.flags.owndata
+            assert a.dtype.isnative and a.base.flags.owndata
 
     def test_every_flipped_byte_raises_checksum_mismatch(self, kind, tmp_path):
         p = ParameterSet([("w", np.arange(3, dtype=np.float32)), ("b", np.ones(2))])
