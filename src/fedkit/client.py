@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .models import Dataset, ModelSpec, backward, dataset_metrics
+from .models import Dataset, ModelSpec, backward
 from .optim import SGD, make_optimizer
 from .params import FlatStack, ModelUpdate, ParameterSet
 from .privacy import PrivacyConfig, apply_privacy
@@ -78,14 +78,12 @@ class ClientState:
         model_spec: ModelSpec,
         cfg: TrainConfig,
         privacy: Optional[PrivacyConfig] = None,
-        eval_dataset: Optional[Dataset] = None,
     ):
         self.client_id = client_id
         self.dataset = dataset
         self.model_spec = model_spec
         self.cfg = cfg
         self.privacy = privacy or PrivacyConfig()
-        self.eval_dataset = eval_dataset
         self.optimizer = make_optimizer(cfg.optimizer, cfg.lr)
         self.rng = np.random.default_rng(cfg.seed)
         # independent stream so privacy noise does not disturb batching
@@ -411,9 +409,3 @@ def _transmitted(trained: ParameterSet, base: ParameterSet, send_delta: bool) ->
         np.subtract(t, b, out=t)
         t.flags.writeable = False
     return trained
-
-
-def evaluate(state: ClientState, params: ParameterSet) -> dict:
-    """Loss plus accuracy/mse on the evaluation split (train shard if absent)."""
-    ds = state.eval_dataset if state.eval_dataset is not None else state.dataset
-    return dataset_metrics(state.model_spec, params, ds)

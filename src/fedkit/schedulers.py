@@ -198,7 +198,7 @@ class CompassScheduler:
         self.groups: dict[int, GroupRecord] = {}
         self.assignment: dict[str, int] = {}
         self._next_gid = 0
-        self._pending_replies: list[tuple[str, int]] = []  # (client_id, steps)
+        self._pending_replies: list[str] = []  # client ids
 
     # -- internals -----------------------------------------------------------
 
@@ -251,14 +251,14 @@ class CompassScheduler:
         group = self.groups[gid]
         if group.closed:
             # straggler past its group's deadline: aggregate alone, discounted
-            self._pending_replies = [(cid, 0)]
+            self._pending_replies = [cid]
             self._drop_group_if_done(group, cid)
             return Aggregate((update,), mode="late")
         group.arrived[cid] = update
         if len(group.arrived) == len(group.members):
             group.closed = True
             ordered = tuple(group.arrived[c] for c in sorted(group.arrived))
-            self._pending_replies = [(c, 0) for c in sorted(group.arrived)]
+            self._pending_replies = sorted(group.arrived)
             del self.groups[group.gid]
             return Aggregate(ordered)
         return Buffered(cid)
@@ -271,7 +271,7 @@ class CompassScheduler:
             if now > g.t_arrival * (1.0 + self.latitude):
                 g.closed = True
                 ordered = tuple(g.arrived[c] for c in sorted(g.arrived))
-                self._pending_replies = [(c, 0) for c in sorted(g.arrived)]
+                self._pending_replies = sorted(g.arrived)
                 # group record stays until stragglers report back
                 if len(g.arrived) == len(g.members):
                     del self.groups[g.gid]
@@ -308,9 +308,9 @@ class CompassScheduler:
         # horizon at qmax * its_per_step, so a fast founder leaves the widest
         # window: every client within qmax/qmin of its speed can rejoin the
         # same group instead of splintering into per-speed tiers.
-        pending.sort(key=lambda it: (self._per_step(it[0]), it[0]))
+        pending.sort(key=lambda cid: (self._per_step(cid), cid))
         out = {}
-        for cid, _ in pending:
+        for cid in pending:
             steps = self._assign(cid, now)
             out[cid] = Reply(params, epoch, steps)
         return out

@@ -32,7 +32,6 @@ from .server import ServerAgent
 from .wire import (
     DEFAULT_INLINE_LIMIT,
     MAX_PAYLOAD,
-    Envelope,
     MessageType,
     StaticTokenAuthenticator,
     decode_envelope,
@@ -128,8 +127,7 @@ def decode_model_reply(payload: bytes, connectors: Optional[dict] = None):
 
 
 def _error_payload(exc: FedkitError) -> bytes:
-    env = Envelope({"code": type(exc).__name__, "message": str(exc)}, body=b"")
-    return stage_body(env.meta, b"")
+    return stage_body({"code": type(exc).__name__, "message": str(exc)}, b"")
 
 
 def raise_from_error_payload(payload: bytes):
@@ -380,7 +378,12 @@ class Communicator:
         self._stream = None
 
     def request(self, msg_type: MessageType, payload: bytes = b""):
-        """Send one frame, return the reply frame; retries on transport faults."""
+        """Send one frame and return the reply frame.
+
+        Transport faults (a refused or dropped connection, a timeout, a reply
+        cut off mid-frame) are retried on a new connection.  An error reply
+        is the server's answer, so its typed error is raised at once.
+        """
         last: Exception = ProtocolError("unreachable")
         for attempt in range(self.max_retries + 1):
             try:
@@ -389,14 +392,15 @@ class Communicator:
                 frame = read_frame(self._stream, self.max_payload)
                 if frame is None:
                     raise ConnectionError("server closed the connection")
-                if frame.msg_type == MessageType.ERROR_REPLY:
-                    raise_from_error_payload(frame.payload)
-                return frame
             except (ConnectionError, socket.timeout, OSError, errors.Truncated) as e:
                 last = e
                 self._drop()
                 if attempt < self.max_retries:
                     time.sleep(self.backoff * (2**attempt))
+                continue
+            if frame.msg_type == MessageType.ERROR_REPLY:
+                raise_from_error_payload(frame.payload)
+            return frame
         if isinstance(last, ConnectionRefusedError):
             raise last  # nobody is listening: let callers see the real reason
         raise ProtocolError(f"request failed after {self.max_retries + 1} attempts: {last}")

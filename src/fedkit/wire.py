@@ -15,12 +15,17 @@ raises :class:`UnsupportedVersion`; version 1 differed in the digest of a
 reply that nothing sent or answered), which now raise :class:`ProtocolError`
 as unknown types.
 
+:func:`decode_frame` (over a buffer) and :func:`read_frame` (over a stream)
+share one header parser, so both check the magic, the version, the type,
+the token and the declared payload length in that order, and reject a
+payload above ``max_payload`` before reading it.
+
 Payloads are envelopes: a small string-to-string metadata table plus a body
-that is either inline bytes or a :class:`DataRef` pointing into a connector
-(shared memory table, filesystem directory, ...).  Bodies above
-``DEFAULT_INLINE_LIMIT`` are staged through a connector so the frame itself
-stays small; the reference carries the size and a digest so the receiver
-can verify what it fetches.
+that is either inline bytes or a :class:`DataRef` to a body staged in a
+:class:`FilesystemConnector`, a spool directory that both sides can read.
+Bodies above ``DEFAULT_INLINE_LIMIT`` are staged so the frame itself stays
+small; the reference carries the size and a digest so the receiver can
+verify what it fetches.
 
 Digest.  A staged body is cut into consecutive leaves of 1 MiB
 (``params._HASHED_READ``), the last one shorter; an empty body has no
@@ -51,7 +56,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import io
 import os
 import queue
 import re
@@ -142,26 +146,37 @@ def send_frame(stream, frame: Union[bytes, Pieces]) -> None:
     stream.flush()
 
 
-def decode_frame(buf: bytes, max_payload: int = MAX_PAYLOAD) -> Frame:
-    cur = ByteStream.over(buf)
-    if cur.read(4) != MAGIC:
+def _parse_frame(magic, read, max_payload: int) -> Frame:
+    """The frame whose first four bytes are ``magic`` and whose rest ``read(n)`` returns.
+
+    ``read(n)`` returns exactly the next ``n`` bytes or raises
+    :class:`Truncated`.  The declared payload length is checked against
+    ``max_payload`` before the payload is read.
+    """
+    if magic != MAGIC:
         raise BadMagic("frame does not start with APFL")
-    version, raw_type = cur.unpack(">BB")
+    version, raw_type = struct.unpack(">BB", read(2))
     if version != PROTOCOL_VERSION:
         raise UnsupportedVersion(f"version {version}, expected {PROTOCOL_VERSION}")
     try:
         msg_type = MessageType(raw_type)
     except ValueError:
         raise ProtocolError(f"unknown message type {raw_type}") from None
-    (token_len,) = cur.unpack(">H")
-    token = cur.read(token_len)
-    (payload_len,) = cur.unpack(">I")
+    (token_len,) = struct.unpack(">H", read(2))
+    token = read(token_len)
+    (payload_len,) = struct.unpack(">I", read(4))
     if payload_len > max_payload:
         raise OversizedPayload(f"payload {payload_len} exceeds {max_payload}")
-    payload = cur.read(payload_len)
+    return Frame(version, msg_type, token, read(payload_len))
+
+
+def decode_frame(buf: bytes, max_payload: int = MAX_PAYLOAD) -> Frame:
+    """The one frame that is all of ``buf``; its token and payload are slices of ``buf``."""
+    cur = ByteStream.over(buf)
+    frame = _parse_frame(cur.read(4), cur.read, max_payload)
     if cur.left:
         raise LengthMismatch(f"{cur.left} trailing bytes after frame")
-    return Frame(version, msg_type, token, payload)
+    return frame
 
 
 def read_frame(stream, max_payload: int = MAX_PAYLOAD) -> Optional[Frame]:
@@ -187,22 +202,7 @@ def read_frame(stream, max_payload: int = MAX_PAYLOAD) -> Optional[Frame]:
         return None
     if len(head) < 4:
         raise Truncated("stream ended inside magic")
-    if head != MAGIC:
-        raise BadMagic("frame does not start with APFL")
-    version, raw_type = struct.unpack(">BB", exactly(2))
-    if version != PROTOCOL_VERSION:
-        raise UnsupportedVersion(f"version {version}, expected {PROTOCOL_VERSION}")
-    try:
-        msg_type = MessageType(raw_type)
-    except ValueError:
-        raise ProtocolError(f"unknown message type {raw_type}") from None
-    (token_len,) = struct.unpack(">H", exactly(2))
-    token = exactly(token_len)
-    (payload_len,) = struct.unpack(">I", exactly(4))
-    if payload_len > max_payload:
-        raise OversizedPayload(f"payload {payload_len} exceeds {max_payload}")
-    payload = exactly(payload_len)
-    return Frame(version, msg_type, token, payload)
+    return _parse_frame(head, exactly, max_payload)
 
 
 # -- payload staging ----------------------------------------------------------
@@ -331,36 +331,6 @@ def _write_hashed(data: Union[bytes, Pieces], fh) -> bytes:
                 hasher.update(piece)
                 fh.write(piece)
         return hasher.digest()
-
-
-class MemoryConnector:
-    """In-process staging table; fine for tests and single-host runs."""
-
-    def __init__(self, connector_id: str = "mem"):
-        self.connector_id = connector_id
-        self._table: dict[str, bytes] = {}
-
-    def put(self, data: Union[bytes, Pieces]) -> DataRef:
-        key = uuid.uuid4().hex
-        buf = io.BytesIO()
-        digest = _write_hashed(data, buf)
-        self._table[key] = stored = buf.getvalue()
-        return DataRef(self.connector_id, key, len(stored), digest)
-
-    def get(self, ref: DataRef, read=None):
-        """The staged payload, verified against ``ref``; see :func:`_read_verified`."""
-        if ref.key not in self._table:
-            raise MissingKey(f"no staged payload under key {ref.key!r}")
-        data = self._table[ref.key]
-        if len(data) != ref.size:
-            raise ChecksumMismatch(f"staged payload is {len(data)} bytes, reference says {ref.size}")
-        return _read_verified(io.BytesIO(data), ref, read)
-
-    def delete(self, key: str) -> None:
-        self._table.pop(key, None)
-
-    def __len__(self) -> int:
-        return len(self._table)
 
 
 # the keys FilesystemConnector.put issues; no other name is ever joined to the root

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedkit.params import serialize_params
+from fedkit.wire import FilesystemConnector
 
 
 def _check_owned(make, *inputs):
@@ -35,3 +36,12 @@ def no_thread_left():
     before = threading.active_count()
     yield
     assert threading.active_count() == before
+
+
+@pytest.fixture
+def conn(request, tmp_path):
+    """A staging spool in a fresh directory, parametrized indirectly by its connector id.
+
+    The id is the one the test ids carry, as in ``[fs]``.
+    """
+    return FilesystemConnector(tmp_path / "spool", connector_id=request.param)

@@ -10,12 +10,11 @@ from fedkit import client as client_module
 from fedkit.client import (
     ClientState,
     TrainConfig,
-    evaluate,
     local_train,
     train_cohort,
 )
 from fedkit.errors import ConfigError, ShapeMismatch
-from fedkit.models import Dataset, ModelSpec, backward, init_params, make_blobs
+from fedkit.models import Dataset, ModelSpec, backward, dataset_metrics, init_params, make_blobs
 from fedkit.optim import Adam
 from fedkit.params import ParameterSet, norms
 from fedkit.privacy import PrivacyConfig
@@ -62,9 +61,9 @@ def test_step_accounting():
 def test_training_reduces_loss():
     st = make_state(lr=0.05, batch_size=16)
     base = init_params(SPEC, seed=0)
-    before = evaluate(st, base)["loss"]
+    before = dataset_metrics(SPEC, base, st.dataset)["loss"]
     u = local_train(st, base, steps=50)
-    after = evaluate(st, u.params)["loss"]
+    after = dataset_metrics(SPEC, u.params, st.dataset)["loss"]
     assert after < before
 
 
@@ -163,14 +162,6 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(prox_mu=-1.0)
-
-
-def test_evaluate_uses_eval_split_when_present():
-    st = make_state()
-    st.eval_dataset = make_blobs(classes=3, dim=4, per_class=5, seed=99)
-    base = init_params(SPEC, seed=0)
-    m = evaluate(st, base)
-    assert set(m) == {"loss", "accuracy"}
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from fedkit.params import (
     zeros_like,
 )
 from fedkit.privacy import PrivacyConfig, clip, perturb
-from fedkit.wire import FilesystemConnector, MemoryConnector
 
 F32, F64 = np.dtype(np.float32), np.dtype(np.float64)
 
@@ -97,10 +96,9 @@ def test_serialize_and_deserialize_bytes():
     assert_bits(deserialize_params(buf), p.items())
 
 
-@pytest.mark.parametrize("kind", ["fs", "mem"])
-def test_staged_roundtrip(kind, tmp_path):
+@pytest.mark.parametrize("conn", ["fs"], indirect=True)
+def test_staged_roundtrip(conn):
     p = mixed(3)
-    conn = FilesystemConnector(tmp_path / "spool") if kind == "fs" else MemoryConnector()
     ref = conn.put(serialize_pieces(p))
     assert_bits(conn.get(ref, deserialize_params), p.items())
 

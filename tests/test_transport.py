@@ -11,6 +11,7 @@ from fedkit.errors import (
     ChecksumMismatch,
     OversizedPayload,
     ProtocolError,
+    Truncated,
     Unauthenticated,
     UnknownClient,
 )
@@ -29,7 +30,6 @@ from fedkit.transport import (
 from fedkit.wire import (
     DEFAULT_INLINE_LIMIT,
     FilesystemConnector,
-    MemoryConnector,
     MessageType,
     encode_frame,
     read_frame,
@@ -85,12 +85,12 @@ class TestUpdateCodec:
         with pytest.raises(ProtocolError, match="zz"):
             decode_update(stage_body(meta, serialize_params(u.params)))
 
-    def test_dataref_spill_roundtrip(self):
-        c = MemoryConnector("mem")
+    def test_dataref_spill_roundtrip(self, tmp_path):
+        c = FilesystemConnector(tmp_path)
         u = toy_update(n=4096)
         payload = encode_update(u, connector=c, inline_limit=1024)
         assert len(payload) < 1024  # body went out of band
-        out = decode_update(payload, {"mem": c})
+        out = decode_update(payload, {"fs": c})
         assert out.params == u.params
 
 
@@ -201,17 +201,17 @@ class TestSocketRuns:
                 assert frame.msg_type == MessageType.ERROR_REPLY
                 assert b"OversizedPayload" in frame.payload
 
-    def test_dataref_spill_over_socket(self):
+    def test_dataref_spill_over_socket(self, tmp_path):
         # tiny inline limit forces both directions through the shared store
-        store = MemoryConnector("mem")
+        store = FilesystemConnector(tmp_path)
         agent, clients = make_setup(n_clients=1, rounds=1)
         with SocketServer(
             agent,
-            connectors={"mem": store},
+            connectors={"fs": store},
             send_connector=store,
             inline_limit=128,
         ) as srv:
-            with Communicator(srv.host, srv.port, connectors={"mem": store}) as com:
+            with Communicator(srv.host, srv.port, connectors={"fs": store}) as com:
                 params, epoch, steps, done = com.fetch_model("c0")
                 assert not done
                 u = local_train(clients["c0"], params, steps=steps, base_epoch=epoch)
@@ -220,7 +220,8 @@ class TestSocketRuns:
                 )
                 assert epoch2 == 1 and done2
                 assert p2.same_structure(params)
-        assert len(store) >= 3  # model reply, update, final reply all spilled
+        # model reply, update, final reply all spilled
+        assert len(list(tmp_path.iterdir())) >= 3
 
     @pytest.mark.parametrize("staged", [False, True], ids=["inline", "staged"])
     def test_large_bodies_come_back_bit_exact(self, tmp_path, staged):
@@ -291,20 +292,58 @@ class TestSocketRuns:
 
     def test_meta_key_that_is_not_utf8_gets_one_typed_error_reply(self):
         # the server answers with an error reply, and the client raises it at
-        # once instead of resending the request over a new connection
+        # once instead of resending the request over a new connection; a
+        # Truncated error reply is the server's answer too, not a reply cut off
         agent, _ = make_setup()
+        cases = [
+            # flags 0, one meta entry: key b"\xff", value b"v"; empty body
+            (MessageType.MODEL_REQUEST, b"\x00\x00\x01" + b"\x00\x01\xff" + b"\x00\x00\x00\x01v",
+             ProtocolError, "not UTF-8"),
+            # a raw update whose body ends 3 bytes short of its 64-byte tensor
+            (MessageType.UPDATE_SUBMIT, bytes(encode_update(toy_update()))[:-3],
+             Truncated, "needs 64 bytes, only 61 left"),
+        ]
         with SocketServer(agent) as srv:
             handled = []
             handle = srv._handle
             srv._handle = lambda frame: handled.append(frame) or handle(frame)
             with Communicator(srv.host, srv.port, max_retries=3, backoff=0.01) as com:
-                # flags 0, one meta entry: key b"\xff", value b"v"; empty body
-                payload = b"\x00\x00\x01" + b"\x00\x01\xff" + b"\x00\x00\x00\x01v"
-                with pytest.raises(ProtocolError, match="not UTF-8"):
-                    com.request(MessageType.MODEL_REQUEST, payload)
-                assert len(handled) == 1
+                for msg_type, payload, error, message in cases:
+                    handled.clear()
+                    with pytest.raises(error, match=message):
+                        com.request(msg_type, payload)
+                    assert len(handled) == 1
                 _, epoch, _, _ = com.fetch_model("c0")
                 assert epoch == 0
+
+    def test_reply_cut_off_mid_frame_is_retried(self):
+        # a transport fault: the request goes again over a new connection, and
+        # the whole reply to it is returned
+        params = ParameterSet({"w": np.arange(16, dtype=np.float32)})
+        reply = bytes(
+            encode_frame(MessageType.MODEL_REPLY, encode_model_reply(params, 2, 5, False))
+        )
+        requests = []
+
+        def peer(listener):
+            for cut in (len(reply) // 2, len(reply)):
+                conn, _ = listener.accept()
+                with conn, conn.makefile("rwb") as stream:
+                    requests.append(read_frame(stream).msg_type)
+                    stream.write(reply[:cut])
+                    stream.flush()
+                    if cut == len(reply):
+                        requests.append(read_frame(stream).msg_type)  # the client's SHUTDOWN
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            t = threading.Thread(target=peer, args=(listener,))
+            t.start()
+            with Communicator(*listener.getsockname()[:2], max_retries=1, backoff=0.01) as com:
+                got = com.fetch_model("c0")
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert got == (params, 2, 5, False)
+        assert requests == [MessageType.MODEL_REQUEST] * 2 + [MessageType.SHUTDOWN]
 
     def test_unhandled_message_type_gets_an_error_reply(self):
         # the server answers no MODEL_REPLY: the request gets an error reply,

@@ -38,7 +38,6 @@ from fedkit.wire import (
     DataRef,
     Envelope,
     FilesystemConnector,
-    MemoryConnector,
     MessageType,
     StaticTokenAuthenticator,
     decode_envelope,
@@ -142,6 +141,44 @@ class TestFrame:
         except FedkitError:
             pass  # typed rejection is the contract; anything else propagates
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        msg_type=st.sampled_from(list(MessageType)),
+        token=st.binary(max_size=8),
+        payload=st.binary(max_size=32),
+        data=st.data(),
+    )
+    def test_buffer_and_stream_parsers_agree(self, msg_type, token, payload, data):
+        # one valid frame, cut short, with one byte flipped, or with bytes appended
+        frame = encode_frame(msg_type, payload, token=token)
+        damage = data.draw(st.sampled_from(["cut", "flip", "append"]))
+        if damage == "cut":
+            buf = frame[: data.draw(st.integers(0, len(frame)))]
+        elif damage == "flip":
+            flipped = bytearray(frame)
+            flipped[data.draw(st.integers(0, len(frame) - 1))] ^= data.draw(st.integers(1, 255))
+            buf = bytes(flipped)
+        else:
+            buf = frame + data.draw(st.binary(min_size=1, max_size=16))
+
+        def outcome(parse):
+            try:
+                f = parse()
+            except FedkitError as e:
+                return type(e)
+            return f and (f.version, f.msg_type, bytes(f.token), bytes(f.payload))
+
+        stream = io.BytesIO(buf)
+        from_stream = outcome(lambda: read_frame(stream))
+        from_buffer = outcome(lambda: decode_frame(buf))
+        if not buf:
+            assert (from_stream, from_buffer) == (None, Truncated)
+        elif isinstance(from_stream, tuple) and stream.tell() < len(buf):
+            # the stream holds one frame and then more bytes
+            assert from_buffer is LengthMismatch
+        else:
+            assert from_stream == from_buffer
+
     def test_stream_reader_multiple_frames_then_eof(self):
         raw = encode_frame(MessageType.MODEL_REQUEST) + encode_frame(
             MessageType.SHUTDOWN, token=b"t"
@@ -220,28 +257,28 @@ class TestEnvelope:
 
 
 class TestConnectors:
-    def test_memory_put_get(self):
-        c = MemoryConnector("mem0")
+    def test_put_get_keeps_the_connector_id(self, tmp_path):
+        c = FilesystemConnector(tmp_path, connector_id="fs0")
         ref = c.put(b"payload bytes")
-        assert ref.connector_id == "mem0"
+        assert ref.connector_id == "fs0"
         assert ref.size == 13
         assert c.get(ref) == b"payload bytes"
 
-    def test_memory_missing_key(self):
-        c = MemoryConnector()
-        ref = DataRef("mem", "nothere", 1, hashlib.sha256(b"x").digest())
+    def test_missing_key(self, tmp_path):
+        c = FilesystemConnector(tmp_path)
+        ref = DataRef("fs", "0" * 32, 1, hashlib.sha256(b"x").digest())
         with pytest.raises(MissingKey):
             c.get(ref)
 
-    def test_tampered_payload_detected(self):
-        c = MemoryConnector()
+    def test_tampered_payload_detected(self, tmp_path):
+        c = FilesystemConnector(tmp_path)
         ref = c.put(b"original")
-        c._table[ref.key] = b"tampered"
+        (tmp_path / ref.key).write_bytes(b"tampered")
         with pytest.raises(ChecksumMismatch):
             c.get(ref)
 
-    def test_size_mismatch_detected(self):
-        c = MemoryConnector()
+    def test_size_mismatch_detected(self, tmp_path):
+        c = FilesystemConnector(tmp_path)
         ref = c.put(b"abc")
         bad = DataRef(ref.connector_id, ref.key, 999, ref.sha256)
         with pytest.raises(ChecksumMismatch):
@@ -257,15 +294,15 @@ class TestConnectors:
         with pytest.raises(MissingKey):
             c.get(ref)
 
-    def test_stage_body_spills_over_limit(self):
-        c = MemoryConnector("mem")
+    def test_stage_body_spills_over_limit(self, tmp_path):
+        c = FilesystemConnector(tmp_path)
         small = stage_body({"k": "v"}, b"x" * 10, c, inline_limit=100)
         big = stage_body({"k": "v"}, b"x" * 1000, c, inline_limit=100)
         assert decode_envelope(small).body is not None
         env = decode_envelope(big)
         assert env.ref is not None
         assert env.ref.size == 1000
-        assert fetch_body(env, {"mem": c}) == b"x" * 1000
+        assert fetch_body(env, {"fs": c}) == b"x" * 1000
 
     def test_fetch_body_unknown_connector(self):
         env = Envelope({}, ref=DataRef("ghost", "k", 1, hashlib.sha256(b"x").digest()))
@@ -289,27 +326,16 @@ def _sample_set():
     )
 
 
-def _connector(kind, tmp_path):
-    return FilesystemConnector(tmp_path / "spool") if kind == "fs" else MemoryConnector()
-
-
 def _stored(conn, key) -> bytes:
-    if isinstance(conn, MemoryConnector):
-        return conn._table[key]
     return (conn.root / key).read_bytes()
 
 
 def _keys(conn) -> list:
-    if isinstance(conn, MemoryConnector):
-        return list(conn._table)
     return [f.name for f in conn.root.iterdir()]
 
 
 def _overwrite(conn, key, data) -> None:
-    if isinstance(conn, MemoryConnector):
-        conn._table[key] = bytes(data)
-    else:
-        (conn.root / key).write_bytes(bytes(data))
+    (conn.root / key).write_bytes(bytes(data))
 
 
 class _FailingRaw:
@@ -336,7 +362,7 @@ class _BrokenSha256:
 
 
 @pytest.mark.usefixtures("no_thread_left")
-@pytest.mark.parametrize("kind", ["fs", "mem"])
+@pytest.mark.parametrize("conn", ["fs"], indirect=True)
 class TestStreamedReceive:
     """``get(ref, deserialize_params)`` reads, hashes and checks in one pass.
 
@@ -344,18 +370,16 @@ class TestStreamedReceive:
     ``get`` returns or raises: every test here checks that no thread is left.
     """
 
-    def test_roundtrip_into_fresh_native_arrays(self, kind, tmp_path, check_owned):
+    def test_roundtrip_into_fresh_native_arrays(self, conn, check_owned):
         p = _sample_set()
-        conn = _connector(kind, tmp_path)
         ref = conn.put(serialize_pieces(p))
         q = check_owned(lambda: conn.get(ref, deserialize_params), p)
         assert q == p
         for _, a in q.items():
             assert a.dtype.isnative and a.base.flags.owndata
 
-    def test_every_flipped_byte_raises_checksum_mismatch(self, kind, tmp_path):
+    def test_every_flipped_byte_raises_checksum_mismatch(self, conn):
         p = ParameterSet([("w", np.arange(3, dtype=np.float32)), ("b", np.ones(2))])
-        conn = _connector(kind, tmp_path)
         ref = conn.put(serialize_pieces(p))
         good = _stored(conn, ref.key)
         # header bytes too: a parser error on damaged bytes still reports the damage
@@ -371,9 +395,8 @@ class TestStreamedReceive:
         assert conn.get(ref, deserialize_params) == p
 
     @pytest.mark.parametrize("change", [-1, 1])
-    def test_wrong_size_rejected(self, kind, tmp_path, change):
+    def test_wrong_size_rejected(self, conn, change):
         p = _sample_set()
-        conn = _connector(kind, tmp_path)
         ref = conn.put(serialize_pieces(p))
         data = _stored(conn, ref.key)
         _overwrite(conn, ref.key, data[:-1] if change < 0 else data + b"\x00")
@@ -383,31 +406,26 @@ class TestStreamedReceive:
         with pytest.raises(ChecksumMismatch, match="reference says"):
             conn.get(ref)
 
-    def test_claim_beyond_the_reference_is_truncated_before_allocation(self, kind, tmp_path):
+    def test_claim_beyond_the_reference_is_truncated_before_allocation(self, conn):
         # one float64 tensor of 2**32-1 x 2**32-1 elements and no element bytes:
         # allocating it would fail with ValueError or MemoryError, not Truncated
         body = struct.pack(">IH", 1, 1) + b"w" + struct.pack(">BBII", 1, 2, 2**32 - 1, 2**32 - 1)
-        conn = _connector(kind, tmp_path)
         ref = conn.put(body)
         with pytest.raises(Truncated):
             conn.get(ref, deserialize_params)
         with pytest.raises(Truncated):
             deserialize_params(body)
 
-    def test_trailing_bytes(self, kind, tmp_path):
-        conn = _connector(kind, tmp_path)
+    def test_trailing_bytes(self, conn):
         ref = conn.put(serialize_params(_sample_set()) + b"\x00")
         with pytest.raises(TrailingBytes):
             conn.get(ref, deserialize_params)
 
-    def test_os_error_in_the_middle_of_a_read_reaches_the_caller(
-        self, kind, tmp_path, monkeypatch
-    ):
+    def test_os_error_in_the_middle_of_a_read_reaches_the_caller(self, conn, monkeypatch):
         # the second readinto is the first of the 3 MiB tensor's
         p = ParameterSet(
             [("a", np.arange(4, dtype=np.float32)), ("w", np.arange(3 << 18, dtype=np.float32))]
         )
-        conn = _connector(kind, tmp_path)
         ref = conn.put(serialize_pieces(p))
         monkeypatch.setattr(
             wire, "ByteStream",
@@ -419,19 +437,17 @@ class TestStreamedReceive:
         monkeypatch.undo()
         assert conn.get(ref, deserialize_params) == p
 
-    def test_put_digest_is_the_hash_list_of_the_body(self, kind, tmp_path):
+    def test_put_digest_is_the_hash_list_of_the_body(self, conn):
         p = _sample_set()
         pieces = serialize_pieces(p)
         assert 0 in map(len, pieces.parts)  # the empty tensor's bytes
-        conn = _connector(kind, tmp_path)
         ref = conn.put(pieces)
         assert ref.sha256 == _hash_list(serialize_params(p))
         assert ref.size == len(serialize_params(p))
         assert _stored(conn, ref.key) == serialize_params(p)
 
-    def test_helper_exception_reaches_the_caller(self, kind, tmp_path, monkeypatch):
+    def test_helper_exception_reaches_the_caller(self, conn, monkeypatch):
         p = _sample_set()
-        conn = _connector(kind, tmp_path)
         ref = conn.put(serialize_pieces(p))
         monkeypatch.setattr(wire, "hashlib", SimpleNamespace(sha256=_BrokenSha256))
         with pytest.raises(RuntimeError, match="hasher failed"):
@@ -440,9 +456,8 @@ class TestStreamedReceive:
             conn.put(serialize_pieces(p))
         assert _keys(conn) == [ref.key]  # the failed put left nothing behind
 
-    def test_fetch_body_reads_inline_and_staged_bodies_alike(self, kind, tmp_path):
+    def test_fetch_body_reads_inline_and_staged_bodies_alike(self, conn):
         p = _sample_set()
-        conn = _connector(kind, tmp_path)
         for limit in (1 << 30, 100):
             payload = stage_body({"k": "v"}, serialize_pieces(p), conn, limit)
             env = decode_envelope(bytes(payload))
@@ -481,23 +496,21 @@ def test_hasher_fed_in_any_cuts_gives_the_same_digest():
 
 
 @pytest.mark.usefixtures("no_thread_left")
-@pytest.mark.parametrize("kind", ["fs", "mem"])
+@pytest.mark.parametrize("conn", ["fs"], indirect=True)
 class TestHashListDigest:
     """A staged body's digest is the SHA-256 of its 1 MiB leaves' SHA-256s, checked on ``get``."""
 
     @pytest.mark.parametrize("size", [0, 1, LEAF - 1, LEAF, LEAF + 1, 3 * LEAF + 5])
-    def test_digest_of_every_size(self, kind, tmp_path, size):
+    def test_digest_of_every_size(self, conn, size):
         body = _body(size)
-        conn = _connector(kind, tmp_path)
         ref = conn.put(body)
         assert ref.size == size
         assert ref.sha256 == _hash_list(body)
         assert _stored(conn, ref.key) == body
         assert bytes(conn.get(ref)) == body
 
-    def test_pieces_that_straddle_leaves(self, kind, tmp_path):
+    def test_pieces_that_straddle_leaves(self, conn):
         body = _body(3 * LEAF + 5)
-        conn = _connector(kind, tmp_path)
         cuts = [
             (),
             (0, 7, 7, LEAF - 3, LEAF + 2, 2 * LEAF, 2 * LEAF, 3 * LEAF + 1),
@@ -513,11 +526,8 @@ class TestHashListDigest:
             assert bytes(conn.get(ref)) == body
 
     @pytest.mark.parametrize("offset", [0, LEAF - 1, LEAF, -1])
-    def test_flipped_byte_at_a_leaf_edge_raises_checksum_mismatch(
-        self, kind, tmp_path, offset
-    ):
+    def test_flipped_byte_at_a_leaf_edge_raises_checksum_mismatch(self, conn, offset):
         p = _big_set()
-        conn = _connector(kind, tmp_path)
         ref = conn.put(serialize_pieces(p))
         good = _stored(conn, ref.key)
         assert len(good) > LEAF + 1
@@ -547,7 +557,7 @@ def _on_helper() -> bool:
 
 
 @pytest.mark.usefixtures("no_thread_left", "fast_switching")
-@pytest.mark.parametrize("kind", ["fs", "mem"])
+@pytest.mark.parametrize("conn", ["fs"], indirect=True)
 class TestHashHandOff:
     """The caller and the one helper thread share the leaves and give the same digest."""
 
@@ -587,16 +597,13 @@ class TestHashHandOff:
         monkeypatch.setattr(wire, "_leaf_digest", held)
         return hashed_by, reset
 
-    def test_caller_hashes_most_leaves_when_the_helper_is_slow(
-        self, kind, tmp_path, monkeypatch
-    ):
+    def test_caller_hashes_most_leaves_when_the_helper_is_slow(self, conn, monkeypatch):
         p = ParameterSet(
             [("a", np.arange(5, dtype=np.float32)), ("w", np.arange(2 * LEAF + 3, dtype=np.float32))]
         )
         body = serialize_params(p)
         full = len(body) // LEAF
         assert full == 8 and len(body) % LEAF
-        conn = _connector(kind, tmp_path)
         hashed_by, reset = self._hold_the_helper(monkeypatch, lambda: None)
         ref = conn.put(serialize_pieces(p))
         assert ref.sha256 == _hash_list(body)
@@ -615,9 +622,8 @@ class TestHashHandOff:
             assert leaves.count("helper") >= 1
             assert leaves.count("helper") + leaves.count("digest") == 3
 
-    def test_helper_exception_reaches_put_and_get(self, kind, tmp_path, monkeypatch):
+    def test_helper_exception_reaches_put_and_get(self, conn, monkeypatch):
         p = _big_set()
-        conn = _connector(kind, tmp_path)
         ref = conn.put(serialize_pieces(p))
 
         def fail():
@@ -632,10 +638,9 @@ class TestHashHandOff:
                 conn.get(ref, read)
         assert _keys(conn) == [ref.key]  # the failed put left nothing behind
 
-    def test_concurrent_puts_and_gets_on_more_threads_than_cores(self, kind, tmp_path):
+    def test_concurrent_puts_and_gets_on_more_threads_than_cores(self, conn):
         # three callers and their three helpers share the cores; a leaf digest
         # lost or stored at the wrong index changes a digest or fails its get
-        conn = _connector(kind, tmp_path)
         bodies = [_body(3 * LEAF + k) for k in (5, 77, 1001)]
         errors = []
 
@@ -657,11 +662,10 @@ class TestHashHandOff:
         assert errors == []
 
     @pytest.mark.parametrize("size", [100, 4 * LEAF])
-    def test_caller_exception_reaches_put_and_get(self, kind, tmp_path, monkeypatch, size):
+    def test_caller_exception_reaches_put_and_get(self, conn, monkeypatch, size):
         # 100 bytes: the caller hashes the partial leaf in digest(); 4 MiB with
         # a slow helper: the caller hashes a full leaf between its writes or reads
         p = ParameterSet([("w", np.arange(size // 4, dtype=np.float32))])
-        conn = _connector(kind, tmp_path)
         ref = conn.put(serialize_pieces(p))
         leaf_digest = wire._leaf_digest
 
@@ -810,17 +814,17 @@ class TestSendPieces:
         got = read_frame(io.BytesIO(out.getvalue()))
         assert fetch_body(decode_envelope(got.payload), None, deserialize_params) == p
 
-    def test_staged_frame_equals_the_old_frame(self):
+    def test_staged_frame_equals_the_old_frame(self, tmp_path):
         p = ParameterSet([("w", np.arange(40_000, dtype=np.float32))])
-        conn = MemoryConnector("mem")
+        conn = FilesystemConnector(tmp_path)
         payload = stage_body({"k": "v"}, serialize_pieces(p), conn, inline_limit=1000)
         ref = decode_envelope(payload).ref
-        assert conn._table[ref.key] == serialize_params(p)
+        assert (tmp_path / ref.key).read_bytes() == serialize_params(p)
         old_payload = encode_envelope(
             Envelope(
                 {"k": "v"},
                 ref=DataRef(
-                    "mem", ref.key, len(serialize_params(p)), _hash_list(serialize_params(p)),
+                    "fs", ref.key, len(serialize_params(p)), _hash_list(serialize_params(p)),
                 ),
             )
         )
