@@ -18,8 +18,26 @@ its exception list and its index stream; any other length is corrupt.
 Encode and decode walk a tensor in fixed blocks of ``_QZ_BLOCK`` elements,
 so their float64 temporaries stay in cache and transient memory is
 O(block), not O(tensor).  Every step is elementwise, so the blocks give the
-bytes a pass over the whole tensor would.  The ``deflate`` stage is zlib at
-level 6.
+bytes a pass over the whole tensor would.
+
+The ``deflate`` stage is zlib at level 6, run per entry only where it pays:
+a payload of up to ``_DEFLATE_WHOLE`` bytes (256 KiB) is deflated whole and
+kept only if that made it shorter.  A larger one is first judged by a sample
+of ``_SAMPLE_WINDOWS`` windows of ``_SAMPLE_WINDOW`` bytes (four of 16 KiB),
+spread evenly over it: if deflate shrinks the sample by less than
+``1/_MIN_GAIN_DIVISOR`` (1/32), the payload is stored as it is.  Otherwise
+it is deflated whole and again kept only if shorter.  An entry stored as it
+is carries lossless codec id 0 (``none``), and on the lossless path scheme 0
+(raw), so no payload is ever longer than its input.  The qz indices of
+weights at or near a uniform init are near-uniform, and are stored;
+row-constant tensors, sparse deltas and Gaussian weights at the default
+bound still deflate, to the same bytes as before.  The codec id was always
+per entry, so decoders need no change and every earlier blob still decodes.
+``rle`` is unchanged: it runs on every entry, and its blobs keep their bytes.
+
+Decoding caps how far a payload may inflate at the largest body its declared
+shape allows, so a short payload cannot make the decoder allocate more than
+the entry it claims to be.
 
 Tensors with fewer than ``small_tensor_threshold`` parameters, and tensors
 whose dtype cannot resolve the bin width, take the lossless path instead.
@@ -56,7 +74,8 @@ from .errors import (
     Truncated,
     UnknownStrategyName,
 )
-from .params import ByteStream, ParameterSet, serialize_params, _layout, _utf8, _TAG_TO_DTYPE, _DTYPE_TO_TAG
+from .params import ByteStream, ParameterSet, serialized_size, _layout, _utf8, _TAG_TO_DTYPE, _DTYPE_TO_TAG
+from .params import serialize_params  # noqa: F401  (perfbench/tracer.py wraps it on this module)
 
 DEFAULT_ERROR_BOUND = 0.01
 DEFAULT_SMALL_TENSOR_THRESHOLD = 1024
@@ -141,34 +160,89 @@ def _rle_encode(data) -> bytes:
     return out.tobytes()
 
 
-def _rle_decode(data) -> bytes:
+def _rle_decode(data, cap: int | None = None) -> bytes:
+    """Expand (count, byte) pairs; more than ``cap`` bytes is corrupt."""
     pairs = np.frombuffer(data, dtype=np.uint8)
     if pairs.size % 2:
         raise CorruptBlob("rle payload has odd length")
     pairs = pairs.reshape(-1, 2)
+    if cap is not None and int(pairs[:, 0].sum(dtype=np.int64)) > cap:
+        raise CorruptBlob(f"rle payload expands past {cap} bytes")
     return np.repeat(pairs[:, 1], pairs[:, 0]).tobytes()
 
 
-def _lossless_encode(codec: str, data: bytes) -> bytes:
-    if codec == "none":
-        return data
-    if codec == "rle":
-        return _rle_encode(data)
-    return zlib.compress(data, level=6)
+# Level 6 was kept over level 1 and Huffman-only after measuring them on qz
+# blocks: Huffman-only leaves a row-constant tensor a hundred times larger.
+_DEFLATE_LEVEL = 6
+# Payloads up to this size are deflated whole to decide: a sample would be a
+# quarter or more of them, so it could save at most three quarters of the
+# deflate that settles the question exactly.
+_DEFLATE_WHOLE = 256 << 10
+# A larger payload is judged from this many windows of this many bytes, spread
+# evenly over it and concatenated. A 16 KiB window holds tens of thousands of
+# qz indices, enough for deflate's Huffman coding to show what it saves, and
+# four of them see the start, the end and two points between of a tensor
+# whose rows may differ along its length. The sample is about a tenth of a
+# 784x1024 weight's qz block, so a stored entry costs a tenth of a deflate.
+_SAMPLE_WINDOW = 16 << 10
+_SAMPLE_WINDOWS = 4
+# The sample must shrink by at least 1/32 for the whole payload to be tried.
+# Near-uniform qz indices (weights at or near a uniform init) shrink by about
+# 1-3%, and payloads that deflate pays on (repeats, zeros, Gaussian indices)
+# by 10% and more. An entry near the line loses or gains under 3% either way.
+_MIN_GAIN_DIVISOR = 32
 
 
-def _lossless_decode(codec_id: int, data: bytes) -> bytes:
+def _deflate_if_smaller(data: bytes) -> bytes | None:
+    """The level-6 deflate of ``data`` if it is shorter than ``data``, else None."""
+    n = len(data)
+    if n <= _DEFLATE_WHOLE:
+        packed = zlib.compress(data, _DEFLATE_LEVEL)
+        return packed if len(packed) < n else None
+    # The first window opens both the sample's stream and the whole one, and
+    # the sample goes on from a copy of that compressor: deflate's output does
+    # not depend on how its input is split, so each stream has the bytes of a
+    # one-shot ``zlib.compress`` while the first window is deflated once.
+    view = memoryview(data)
+    whole = zlib.compressobj(_DEFLATE_LEVEL)
+    head = whole.compress(view[:_SAMPLE_WINDOW])
+    sample = whole.copy()
+    step = (n - _SAMPLE_WINDOW) // (_SAMPLE_WINDOWS - 1)
+    rest = b"".join(view[i * step : i * step + _SAMPLE_WINDOW] for i in range(1, _SAMPLE_WINDOWS))
+    sample_in = _SAMPLE_WINDOWS * _SAMPLE_WINDOW
+    saved = sample_in - len(head) - len(sample.compress(rest)) - len(sample.flush())
+    if saved * _MIN_GAIN_DIVISOR < sample_in:
+        return None
+    packed = b"".join((head, whole.compress(view[_SAMPLE_WINDOW:]), whole.flush()))
+    return packed if len(packed) < n else None
+
+
+def _inflate(data, cap: int) -> bytes:
+    """Inflate one whole deflate stream of at most ``cap`` bytes."""
+    d = zlib.decompressobj()
+    try:
+        out = d.decompress(data, cap + 1)
+    except zlib.error as exc:
+        raise CorruptBlob(f"deflate payload: {exc}") from None
+    if len(out) > cap:
+        raise CorruptBlob(f"deflate payload inflates past {cap} bytes")
+    if not d.eof:
+        raise CorruptBlob("deflate payload is truncated")
+    if d.unused_data:
+        raise CorruptBlob(f"{len(d.unused_data)} bytes after the end of the deflate stream")
+    return out
+
+
+def _lossless_decode(codec_id: int, data, cap: int) -> bytes:
+    """Undo lossless codec ``codec_id``; a body over ``cap`` bytes is corrupt."""
     if codec_id not in _CODEC_NAMES:
         raise CorruptBlob(f"unknown lossless codec id {codec_id}")
     codec = _CODEC_NAMES[codec_id]
     if codec == "none":
         return data
     if codec == "rle":
-        return _rle_decode(data)
-    try:
-        return zlib.decompress(data)
-    except zlib.error as exc:
-        raise CorruptBlob(f"deflate payload: {exc}") from None
+        return _rle_decode(data, cap)
+    return _inflate(data, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +362,9 @@ _QZ_HEADER_SIZE = struct.calcsize(_QZ_HEADER)
 
 def _qz_encode(arr: np.ndarray, eb_rel: float):
     """Quantize one tensor; returns the qz block, or None when the dtype grid
-    is too coarse for the requested bound and the tensor must stay lossless.
+    is too coarse for the requested bound and the tensor must stay lossless,
+    or when an extremum is NaN or Inf (both reductions propagate NaN, so that
+    is exactly when the tensor holds one).
 
     The tensor is walked in blocks of ``_QZ_BLOCK`` elements.  Every step is
     elementwise, so each block's indices and exceptions are the ones a pass
@@ -304,6 +380,8 @@ def _qz_encode(arr: np.ndarray, eb_rel: float):
         vmin = float(x64.min())
         vmax = float(x64.max())
         del x64
+    if not (np.isfinite(vmin) and np.isfinite(vmax)):
+        return None
     if vmin == vmax:
         return struct.pack(">Bd", _QZ_CONSTANT, vmin)
     if x.size >= 2**32:
@@ -324,11 +402,11 @@ def _qz_encode(arr: np.ndarray, eb_rel: float):
     for s in range(0, x.size, _QZ_BLOCK):
         xb = x[s : s + _QZ_BLOCK]
         xb64 = xb.astype(np.float64, copy=False)
-        # indices as float64 whole numbers in [0, k_top], read exactly later
+        # indices as float64 whole numbers, read exactly later: x lies in
+        # [vmin, vmax] and rounding is monotone, so they lie in [0, ceil(r/w)]
         kb = np.subtract(xb64, vmin)
         kb /= w
         np.rint(kb, out=kb)
-        np.clip(kb, 0, k_top, out=kb)
         kb[xb64 == vmax] = k_top
         kb[xb64 == vmin] = 0
         xhat = _reconstruct_into(np.empty(xb.size, dtype), kb, vmin, vmax, w)
@@ -340,9 +418,9 @@ def _qz_encode(arr: np.ndarray, eb_rel: float):
         err = xhat.astype(np.float64, copy=False)
         err -= xb64
         np.abs(err, out=err)
-        far = np.flatnonzero(err > bound)
-        if far.size:
-            exc_idx.append(far + s)
+        far = err > bound
+        if far.any():
+            exc_idx.append(np.flatnonzero(far) + s)
     exc_idx = np.concatenate(exc_idx) if exc_idx else np.zeros(0, dtype=np.intp)
     bits = max(1, int(k.max()).bit_length())
     le = _TAG_TO_DTYPE[_DTYPE_TO_TAG[arr.dtype]]  # little-endian twin of arr.dtype
@@ -403,26 +481,31 @@ def compress_params(p: ParameterSet, cfg: CodecConfig) -> bytes:
     """Encode a parameter set into a self-describing compressed blob."""
     chunks = [struct.pack(">I", len(p))]
     for name, arr in p:
-        if not np.isfinite(arr).all():
-            raise NonFiniteValue(f"tensor {name!r} contains NaN or Inf")
         raw_name = name.encode("utf-8")
         tag = _DTYPE_TO_TAG[arr.dtype]
-        scheme = SCHEME_LOSSLESS if cfg.lossless != "none" else SCHEME_RAW
-        codec = cfg.lossless
-        payload = None
+        body = None
         if cfg.lossy != "none" and arr.size >= cfg.small_tensor_threshold:
-            block = _qz_encode(arr, cfg.eb_rel)
-            if block is not None:
-                scheme = SCHEME_LOSSY_QZ
-                payload = _lossless_encode(codec, block)
-        if payload is None:
+            body = _qz_encode(arr, cfg.eb_rel)  # a qz block implies finite extrema
+        scheme = SCHEME_LOSSY_QZ
+        if body is None:
+            if not np.isfinite(arr).all():
+                raise NonFiniteValue(f"tensor {name!r} contains NaN or Inf")
+            scheme = SCHEME_LOSSLESS
             body = arr.astype(_TAG_TO_DTYPE[tag], copy=False).tobytes(order="C")
-            payload = _lossless_encode(codec, body)
+        codec, payload = cfg.lossless, body
+        if codec == "rle":
+            payload = _rle_encode(body)
+        elif codec == "deflate":
+            payload = _deflate_if_smaller(body)
+            if payload is None:
+                codec, payload = "none", body
+        if codec == "none" and scheme == SCHEME_LOSSLESS:
+            scheme = SCHEME_RAW
         head = struct.pack(">H", len(raw_name)) + raw_name
         head += struct.pack(">BBB", scheme, tag, arr.ndim)
         head += b"".join(struct.pack(">I", d) for d in arr.shape)
         head += struct.pack(">BII", _CODEC_IDS[codec], len(payload), zlib.crc32(payload))
-        chunks.append(head + payload)
+        chunks += (head, payload)
     return b"".join(chunks)
 
 
@@ -432,7 +515,8 @@ def decompress_params(blob: bytes) -> ParameterSet:
     The entry headers are read first, to size one buffer per dtype; then
     each entry is decoded straight into its slice of its dtype's buffer.  A
     buffer is allocated once the first payload of its dtype is inflated, so
-    inflating that payload never holds the buffer too.
+    inflating that payload never holds the buffer too.  No payload inflates
+    past the largest body its entry's shape allows.
     """
     r = ByteStream.over(blob)
     key, entries = [], []
@@ -460,7 +544,13 @@ def decompress_params(blob: bytes) -> ParameterSet:
     layout = _layout(tuple(key))
     bufs = [None] * len(layout.dtypes)
     for (name, scheme, tag, codec_id, payload), (j, lo, hi, _) in zip(entries, layout.spans):
-        body = _lossless_decode(codec_id, payload)
+        count, itemsize = hi - lo, _TAG_TO_DTYPE[tag].itemsize
+        if scheme == SCHEME_LOSSY_QZ:
+            # header, an exception (u32 index and value) per element, 64-bit indices
+            cap = _QZ_HEADER_SIZE + count * (4 + itemsize) + 8 * count
+        else:
+            cap = count * itemsize
+        body = _lossless_decode(codec_id, payload, cap)
         if bufs[j] is None:
             bufs[j] = np.empty(layout.sizes[j], dtype=layout.dtypes[j])
         out = bufs[j][lo:hi]
@@ -475,4 +565,4 @@ def decompress_params(blob: bytes) -> ParameterSet:
 
 def compression_ratio(p: ParameterSet, cfg: CodecConfig) -> float:
     """Uncompressed serialized size divided by blob size."""
-    return len(serialize_params(p)) / len(compress_params(p, cfg))
+    return serialized_size(p) / len(compress_params(p, cfg))

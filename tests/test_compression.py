@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedkit import compression as C
+from fedkit.client import ClientState, TrainConfig, local_train
 from fedkit.errors import ChecksumMismatch, CorruptBlob, NonFiniteValue, UnknownStrategyName
-from fedkit.models import ModelSpec, init_params
+from fedkit.models import ModelSpec, init_params, make_blobs
 from fedkit.params import ParameterSet, serialize_params
 
 
@@ -160,13 +161,15 @@ def test_mixed_set_routing():
 
 
 def test_nan_rejected():
-    arr = np.ones(10)
-    arr[3] = np.nan
-    with pytest.raises(NonFiniteValue):
-        C.compress_params(pset(t=arr), CFG)
-    arr[3] = np.inf
-    with pytest.raises(NonFiniteValue):
-        C.compress_params(pset(t=arr), CFG)
+    for n in (10, 5000):  # the lossless and the qz path
+        for dtype in (np.float32, np.float64):
+            arr = np.ones(n, dtype=dtype)
+            for bad in (np.nan, np.inf, -np.inf):
+                arr[3] = bad
+                with pytest.raises(NonFiniteValue):
+                    C.compress_params(pset(t=arr), CFG)
+            with pytest.raises(NonFiniteValue):  # equal extrema, both infinite
+                C.compress_params(pset(t=np.full(n, np.inf, dtype=dtype)), CFG)
 
 
 def test_tensor_name_that_is_not_utf8_raises_corrupt_blob():
@@ -198,6 +201,7 @@ def test_compression_ratio_helper():
     rng = np.random.default_rng(8)
     p = pset(t=rng.normal(size=65536).astype(np.float32))
     assert C.compression_ratio(p, CFG) >= 3.0
+    assert C.compression_ratio(p, CFG) == len(serialize_params(p)) / len(C.compress_params(p, CFG))
 
 
 def test_alias_table():
@@ -615,3 +619,201 @@ def test_rle_decode_zero_count_and_odd_length():
     assert C._rle_decode(b"\x00\x05\x02\x06") == b"\x06\x06"
     with pytest.raises(CorruptBlob):
         C._rle_decode(b"\x02\x06\x01")
+
+
+# ---------------------------------------------------------------------------
+# deflate per entry, only where it shrinks the entry
+
+
+def _entries(blob):
+    """(name, scheme, codec id, payload) of every entry of a blob."""
+    r = memoryview(blob)
+    (count,) = struct.unpack(">I", r[:4])
+    pos, out = 4, []
+    for _ in range(count):
+        (name_len,) = struct.unpack(">H", r[pos : pos + 2])
+        name = bytes(r[pos + 2 : pos + 2 + name_len]).decode()
+        pos += 2 + name_len
+        scheme, _tag, ndim = r[pos], r[pos + 1], r[pos + 2]
+        pos += 3 + 4 * ndim
+        codec_id, plen, _crc = struct.unpack(">BII", r[pos : pos + 9])
+        pos += 9
+        out.append((name, scheme, codec_id, bytes(r[pos : pos + plen])))
+        pos += plen
+    assert pos == len(blob)
+    return out
+
+
+def _always_deflated(p, cfg, monkeypatch):
+    """The blob of the codec that deflated every entry at level 6."""
+    with monkeypatch.context() as m:
+        m.setattr(C, "_deflate_if_smaller", lambda data: zlib.compress(data, 6))
+        return C.compress_params(p, cfg)
+
+
+def _sample_gain(payload):
+    """The share of its bytes that deflate saves on the payload's sample."""
+    w, n = C._SAMPLE_WINDOW, len(payload)
+    step = (n - w) // (C._SAMPLE_WINDOWS - 1)
+    sample = b"".join(payload[i * step : i * step + w] for i in range(C._SAMPLE_WINDOWS))
+    return 1 - len(zlib.compress(sample, 6)) / len(sample)
+
+
+def _near_uniform_weights():
+    """Uniform-init (784, 1024) weights in both dtypes, and each one local step on."""
+    spec = ModelSpec((784, 1024, 10))
+    for dtype in (np.float64, np.float32):
+        base = init_params(spec, seed=3, dtype=dtype)
+        yield base["W0"]
+        data = make_blobs(classes=10, dim=784, per_class=8, spread=8.0, seed=3, dtype=dtype)
+        state = ClientState("c", data, spec, TrainConfig(lr=0.01, batch_size=16, local_steps=1, seed=3))
+        yield local_train(state, base, 1).params["W0"]
+
+
+def test_near_uniform_qz_entries_are_stored_without_deflate(monkeypatch):
+    for w in _near_uniform_weights():
+        p = pset(W0=w)
+        block = C._qz_encode(w, CFG.eb_rel)
+        assert len(block) > C._DEFLATE_WHOLE  # judged by its sample
+        assert _sample_gain(block) < 0.01  # a third of the 1/32 line
+        blob = C.compress_params(p, CFG)
+        [(_, scheme, codec_id, payload)] = _entries(blob)
+        assert (scheme, codec_id) == (C.SCHEME_LOSSY_QZ, 0)
+        assert payload == block
+        parent = _always_deflated(p, CFG, monkeypatch)
+        assert _entries(parent)[0][2] == 2
+        assert serialize_params(C.decompress_params(blob)) == serialize_params(C.decompress_params(parent))
+
+
+def _deflate_pays_case(label):
+    rng = np.random.default_rng(21)
+    if label == "row-constant":
+        return np.repeat(rng.normal(size=(1000, 1)), 784, axis=1)
+    if label == "delta with 90% zeros":
+        delta = rng.normal(size=(784, 1024))
+        delta[rng.random(delta.shape) < 0.9] = 0.0
+        return delta
+    if label == "gaussian float32":
+        return rng.normal(size=1_000_000).astype(np.float32)
+    half = rng.normal(size=8192)  # two equal halves, each within deflate's window
+    return np.concatenate([half, half])
+
+
+@pytest.mark.parametrize(
+    "label", ["row-constant", "delta with 90% zeros", "gaussian float32", "two equal halves"]
+)
+def test_entries_that_deflate_shrinks_keep_their_bytes(label, monkeypatch):
+    arr = _deflate_pays_case(label)
+    p = pset(t=arr)
+    block = C._qz_encode(arr, CFG.eb_rel)
+    if len(block) > C._DEFLATE_WHOLE:
+        assert _sample_gain(block) > 0.08  # two and a half times the 1/32 line
+    blob = C.compress_params(p, CFG)
+    [(_, scheme, codec_id, payload)] = _entries(blob)
+    assert (scheme, codec_id) == (C.SCHEME_LOSSY_QZ, 2)
+    assert len(payload) < len(block)
+    assert blob == _always_deflated(p, CFG, monkeypatch)
+
+
+def _payload_cases():
+    rng = np.random.default_rng(22)
+    for dtype in (np.float32, np.float64):
+        for n in (1, 3, 100, 1023, 1024, 5000, 300_000):
+            yield rng.normal(size=n).astype(dtype)
+            yield rng.uniform(-1, 1, size=n).astype(dtype)
+        yield np.zeros(2000, dtype=dtype)
+        yield np.full(700, 1.5, dtype=dtype)
+
+
+@pytest.mark.parametrize("lossy", ["qz", "none"])
+def test_no_payload_is_longer_than_its_input(lossy):
+    cfg = C.CodecConfig(lossy=lossy)
+    stored_raw = 0
+    for arr in _payload_cases():
+        [(_, scheme, codec_id, payload)] = _entries(C.compress_params(pset(t=arr), cfg))
+        block = C._qz_encode(arr, cfg.eb_rel) if scheme == C.SCHEME_LOSSY_QZ else arr.tobytes()
+        assert len(payload) <= len(block)
+        assert (codec_id == 0) == (payload == block)
+        if scheme != C.SCHEME_LOSSY_QZ:
+            assert scheme == (C.SCHEME_RAW if codec_id == 0 else C.SCHEME_LOSSLESS)
+            stored_raw += codec_id == 0
+    assert stored_raw > 0  # a few elements: deflate's own header outgrows them
+
+
+def test_blob_mixing_codec_ids_decodes(monkeypatch):
+    rng = np.random.default_rng(23)
+    w = next(_near_uniform_weights())
+    p = pset(
+        W0=w,  # qz, stored
+        W1=rng.normal(size=(1000, 400)).astype(np.float32),  # qz, deflated
+        b0=np.zeros(300),  # lossless, deflated
+        b1=rng.normal(size=3),  # lossless, stored raw
+    )
+    blob = C.compress_params(p, CFG)
+    got = {name: (scheme, codec_id) for name, scheme, codec_id, _ in _entries(blob)}
+    assert got == {"W0": (2, 0), "W1": (2, 2), "b0": (1, 2), "b1": (0, 0)}
+    out = C.decompress_params(blob)
+    assert out == C.decompress_params(_always_deflated(p, CFG, monkeypatch))
+    assert np.array_equal(out["b0"], p["b0"]) and np.array_equal(out["b1"], p["b1"])
+    assert C.compress_params(out, CFG) == blob
+
+
+# ---------------------------------------------------------------------------
+# inflation is capped at what the entry's shape allows
+
+
+def _one_entry_blob(payload, *, scheme=C.SCHEME_LOSSLESS, codec_id=2, shape=(16,), tag=0):
+    head = struct.pack(">IH", 1, 1) + b"t" + struct.pack(">BBB", scheme, tag, len(shape))
+    head += b"".join(struct.pack(">I", d) for d in shape)
+    return head + struct.pack(">BII", codec_id, len(payload), zlib.crc32(payload)) + payload
+
+
+def test_deflate_bomb_is_rejected_before_it_inflates():
+    bomb = zlib.compress(b"\x00" * (8 << 20), 9)
+    assert len(bomb) < 16 << 10
+    blob = _one_entry_blob(bomb)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptBlob, match="inflates past 64 bytes"):
+            C.decompress_params(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_inflate_cap_is_the_largest_body_the_shape_allows():
+    body = np.arange(16, dtype="<f4").tobytes()
+    assert C.decompress_params(_one_entry_blob(zlib.compress(body)))["t"].tobytes() == body
+    with pytest.raises(CorruptBlob, match="inflates past"):
+        C.decompress_params(_one_entry_blob(zlib.compress(body + b"\x00")))
+    # qz: header, an exception per element and 64-bit indices
+    cap = C._QZ_HEADER_SIZE + 16 * (4 + 4) + 8 * 16
+    for n, error in ((cap, "disagrees"), (cap + 1, "inflates past")):
+        block = struct.pack(C._QZ_HEADER, 0, 0.0, 1.0, 0.02, 64, 0).ljust(n, b"\x00")
+        with pytest.raises(CorruptBlob, match=error):
+            C.decompress_params(_one_entry_blob(zlib.compress(block), scheme=C.SCHEME_LOSSY_QZ))
+
+
+def test_rle_cap_is_checked_before_repeating():
+    runs = b"\xff\x00" * 40_000  # 10 MB from 80 KB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptBlob, match="expands past 64 bytes"):
+            C.decompress_params(_one_entry_blob(runs, codec_id=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    body = np.arange(16, dtype="<f4").tobytes()
+    assert C.decompress_params(_one_entry_blob(C._rle_encode(body), codec_id=1))["t"].tobytes() == body
+
+
+def test_deflate_stream_must_end_exactly_at_its_payload():
+    packed = zlib.compress(np.arange(16, dtype="<f4").tobytes())
+    with pytest.raises(CorruptBlob, match="truncated"):
+        C.decompress_params(_one_entry_blob(packed[:-5]))
+    with pytest.raises(CorruptBlob, match="after the end"):
+        C.decompress_params(_one_entry_blob(packed + b"\x00"))
+    with pytest.raises(CorruptBlob, match="deflate payload"):
+        C.decompress_params(_one_entry_blob(b"\xff" + packed[1:]))

@@ -4,6 +4,7 @@ import threading
 import pytest
 import yaml
 
+from fedkit import compression
 from fedkit.config import build_scenario, load_config
 from fedkit.errors import Unauthenticated
 from fedkit.metrics import read_metrics
@@ -14,7 +15,7 @@ from fedkit.sim import run_simulation
 
 
 def write_config(tmp_path, *, scheduler="SyncScheduler", epochs=3, token=None, name="server.yaml",
-                 dims=(5, 8, 3), local_steps=8):
+                 dims=(5, 8, 3), local_steps=8, codec=None):
     classes, dim = dims[-1], dims[0]
     doc = {
         "server_configs": {
@@ -49,6 +50,9 @@ def write_config(tmp_path, *, scheduler="SyncScheduler", epochs=3, token=None, n
     }
     if token is not None:
         doc["server_configs"]["comm"] = {"auth_token": token}
+    if codec is not None:
+        section = {"enable_compression": True, **codec}
+        doc["client_configs"]["comm_configs"] = {"compressor_configs": section}
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
     return path
@@ -71,6 +75,27 @@ def test_socket_run_matches_simulation_on_a_model_blas_splits(tmp_path):
     live = run_local(load_config(path))
     assert serialize_params(live.final_params) == serialize_params(sim.final_params)
     assert live.epoch == sim.epoch == 2
+
+
+def test_socket_run_with_a_codec_matches_simulation(tmp_path):
+    # every upload goes through qz and deflate on both paths: W0's qz block is
+    # past the size that is judged by a sample, and is stored, while the
+    # biases, under the qz threshold, take the lossless path
+    path = write_config(tmp_path, dims=(784, 700, 10), epochs=2, local_steps=1,
+                        codec={"lossy_compressor": "qz", "lossless_compressor": "deflate"})
+    cfg = load_config(path)
+    codec = cfg.clients[0].codec
+    assert codec is not None and (codec.lossy, codec.lossless) == ("qz", "deflate")
+    sim = run_simulation(build_scenario(cfg))
+    live = run_local(load_config(path))
+    assert serialize_params(live.final_params) == serialize_params(sim.final_params)
+    assert live.epoch == sim.epoch == 2
+    plain = write_config(tmp_path, dims=(784, 700, 10), epochs=2, local_steps=1, name="plain.yaml")
+    assert run_simulation(build_scenario(load_config(plain))).final_params != sim.final_params
+    block = compression._qz_encode(sim.final_params["W0"], codec.eb_rel)
+    assert len(block) > compression._DEFLATE_WHOLE
+    assert compression._deflate_if_smaller(block) is None
+    assert sim.final_params["b0"].size < codec.small_tensor_threshold
 
 
 def test_run_dir_outputs(tmp_path):
