@@ -10,7 +10,6 @@ a networked run reproduces the simulator's model.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -66,9 +65,8 @@ def write_run_dir(
     return run_dir
 
 
-def _finish(cfg, agent: ServerAgent, run_dir, metrics_format) -> RunOutputs:
-    """End a socket run: finalize, evaluate once, write the run directory."""
-    now = time.monotonic()
+def _finish(cfg, agent: ServerAgent, now: float, run_dir, metrics_format) -> RunOutputs:
+    """End a socket run at server time ``now``: finalize, evaluate, write the run directory."""
     agent.finalize(now)
     if cfg.evaluation is not None:
         ds = build_dataset(cfg.evaluation["dataset_name"], cfg.evaluation["dataset_kwargs"])
@@ -103,7 +101,7 @@ def run_server(
     with serve(cfg, port=port) as srv:
         if not srv.wait_done(timeout=timeout):
             raise TimeoutError(f"run did not finish within {timeout} seconds")
-        return _finish(cfg, srv.agent, run_dir, metrics_format)
+        return _finish(cfg, srv.agent, srv.now(), run_dir, metrics_format)
 
 
 def run_client(
@@ -151,8 +149,9 @@ def run_local(
         def drive(cid: str) -> None:
             try:
                 run_client(cfg, cid, host=srv.host, port=srv.port)
-            except BaseException as e:  # surfaced after join
+            except BaseException as e:  # surfaced by the caller
                 failures.append(e)
+                srv.stop()  # wakes wait_done below at once
 
         threads = [
             threading.Thread(target=drive, args=(p.client_id,), daemon=True)
@@ -160,15 +159,11 @@ def run_local(
         ]
         for t in threads:
             t.start()
-        # poll rather than block so a crashed client surfaces immediately
-        deadline = time.monotonic() + timeout
-        while not srv.agent.done and not failures:
-            if time.monotonic() > deadline:
-                raise TimeoutError(f"local run did not finish within {timeout} seconds")
-            time.sleep(0.02)
+        finished = srv.wait_done(timeout=timeout)
         if failures:
             raise failures[0]
-        srv.wait_done(timeout=5.0)
+        if not finished:
+            raise TimeoutError(f"local run did not finish within {timeout} seconds")
         for t in threads:
             t.join(timeout=5.0)
-        return _finish(cfg, srv.agent, run_dir, metrics_format)
+        return _finish(cfg, srv.agent, srv.now(), run_dir, metrics_format)

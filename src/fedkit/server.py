@@ -5,11 +5,14 @@ aggregation strategy.  Both the in-process simulator and the socket
 transport drive the same three entry points (``handle_model_request``,
 ``process_update``, ``check_deadlines``), which is what makes simulated
 and networked runs produce identical models for identical event orders.
+Both ask ``next_deadline`` when the deadline check is next due, and both
+give the agent a clock that starts at 0 when the run does.
 ``make_server_agent`` builds one for either kind of run and fixes when the
 run ends.
 """
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from .aggregators import AggregatorState, make_aggregator
@@ -33,7 +36,6 @@ class ServerAgent:
         self.target_epochs = target_epochs
         self.target_updates = target_updates
         # updates that actually reached the scheduler (auth failures must not count)
-        self.dispatch_count = 0
         self.update_count = 0
         self.aggregation_count = 0
         self.metrics: list[MetricRecord] = []
@@ -59,12 +61,23 @@ class ServerAgent:
 
     def process_update(self, update: ModelUpdate, now: float) -> dict[str, Reply]:
         """Feed one client update in; returns replies that became ready."""
-        self.dispatch_count += 1
         self.update_count += 1
         action = self.scheduler.on_update(update, now)
         if isinstance(action, Aggregate):
             return self._apply(action, now)
         return {}
+
+    def next_deadline(self) -> Optional[float]:
+        """The first time at which ``check_deadlines`` has work, or None.
+
+        A group aggregates once ``now`` exceeds its deadline, so this is the
+        float just past the scheduler's earliest deadline.  A run that is
+        done has no deadline: nothing aggregates after its end.
+        """
+        if self.done:
+            return None
+        t = self.scheduler.next_deadline()
+        return None if t is None else math.nextafter(t, math.inf)
 
     def check_deadlines(self, now: float) -> dict[str, Reply]:
         replies: dict[str, Reply] = {}

@@ -255,12 +255,11 @@ class _Sim:
                 self._push(job.end + self._transfer(job.nbytes), _ARRIVE, job.cid, job)
 
     def _refresh_deadline(self, now: float) -> None:
-        nxt = self.agent.scheduler.next_deadline()
+        nxt = self.agent.next_deadline()
         if nxt is None:
             return
-        # strict inequality in the deadline check needs a nudge past it; a
-        # deadline that passed before its group's first arrival fires now
-        t = max(math.nextafter(nxt, math.inf), now)
+        # a deadline that passed before its group's first arrival fires now
+        t = max(nxt, now)
         if t not in self._pending_deadlines:
             self._pending_deadlines.add(t)
             self._push(t, _DEADLINE, "", None)

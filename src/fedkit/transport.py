@@ -9,6 +9,11 @@ the inline limit are staged through a connector and referenced by hash.
 Synchronous schedulers imply blocking semantics: a client's update
 submission does not get its model reply until the round closes, so each
 connection is served by its own thread parked on a condition variable.
+A parked thread also waits for the agent's next deadline, and when that
+passes it runs the deadline check itself: a group with a deadline has an
+arrived member, so some thread is parked for every deadline.  The server's
+clock starts at 0, as the simulator's does, so ``now`` means the same to a
+scheduler on both paths.
 """
 from __future__ import annotations
 
@@ -43,7 +48,6 @@ from .wire import (
 )
 
 TOKEN_ENV_VAR = "FEDKIT_AUTH_TOKEN"
-_POLL_INTERVAL = 0.02
 
 
 # -- payload codecs ------------------------------------------------------------
@@ -171,6 +175,11 @@ class SocketServer:
         self.host, self.port = self._listener.getsockname()[:2]
         self._threads: list[threading.Thread] = []
         self._conn_threads: list[threading.Thread] = []
+        self._t0 = time.monotonic()
+
+    def now(self) -> float:
+        """Seconds since this server was built: the time its agent is given."""
+        return time.monotonic() - self._t0
 
     # context manager keeps tests tidy
     def __enter__(self):
@@ -182,9 +191,6 @@ class SocketServer:
 
     def start(self) -> None:
         t = threading.Thread(target=self._accept_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
-        t = threading.Thread(target=self._deadline_loop, daemon=True)
         t.start()
         self._threads.append(t)
 
@@ -204,14 +210,19 @@ class SocketServer:
             pass
         for t in self._threads:
             t.join(timeout=2.0)
+        # the accept thread has ended, so no connection thread is added now
+        for t in self._conn_threads:
+            t.join(timeout=2.0)
 
     def wait_done(self, timeout: Optional[float] = None) -> bool:
-        """Block until the agent reaches its target, then drain connections."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self.agent.done:
-            if deadline is not None and time.monotonic() > deadline:
-                return False
-            time.sleep(_POLL_INTERVAL)
+        """Block until the agent reaches its target, then drain connections.
+
+        Returns False if the timeout passes or the server stops first.
+        """
+        with self._cond:
+            self._cond.wait_for(lambda: self.agent.done or self._stopping, timeout)
+        if not self.agent.done:
+            return False
         # give straggler clients a moment to collect their done replies
         for t in list(self._conn_threads):
             t.join(timeout=5.0)
@@ -226,17 +237,6 @@ class SocketServer:
             t = threading.Thread(target=self._serve_connection, args=(conn,), daemon=True)
             t.start()
             self._conn_threads.append(t)
-
-    def _deadline_loop(self) -> None:
-        while not self._stopping:
-            time.sleep(_POLL_INTERVAL)
-            with self._cond:
-                if self._stopping:
-                    return
-                replies = self.agent.check_deadlines(time.monotonic())
-                if replies:
-                    self._ready.update(replies)
-                    self._cond.notify_all()
 
     def _serve_connection(self, conn: socket.socket) -> None:
         stream = conn.makefile("rwb")
@@ -280,7 +280,7 @@ class SocketServer:
         if not cid:
             raise ProtocolError("model request missing client_id")
         with self._cond:
-            params, epoch, steps = self.agent.handle_model_request(cid, time.monotonic())
+            params, epoch, steps = self.agent.handle_model_request(cid, self.now())
         reply = encode_model_reply(
             params, epoch, steps, self.agent.done, self.send_connector, self.inline_limit
         )
@@ -290,25 +290,24 @@ class SocketServer:
         update = decode_update(payload, self.connectors)
         cid = update.client_id
         with self._cond:
-            done = self.agent.done
-            if done:
-                # the run ended while this update was in flight: it is not
-                # aggregated, and the client learns that the run is over
-                params, epoch, steps = self.agent.global_params, self.agent.epoch, 0
-            else:
-                replies = self.agent.process_update(update, time.monotonic())
-                if replies:
-                    self._ready.update(replies)
+            if not self.agent.done:
+                self._ready.update(self.agent.process_update(update, self.now()))
+                self._cond.notify_all()
+            while cid not in self._ready and not self.agent.done:
+                if self._stopping:
+                    raise ProtocolError("server shutting down")
+                now, deadline = self.now(), self.agent.next_deadline()
+                if deadline is None or now < deadline:
+                    self._cond.wait(None if deadline is None else deadline - now)
+                else:
+                    self._ready.update(self.agent.check_deadlines(now))
                     self._cond.notify_all()
-                while cid not in self._ready:
-                    if self._stopping:
-                        raise ProtocolError("server shutting down")
-                    self._cond.wait(timeout=_POLL_INTERVAL)
-                mine = self._ready.pop(cid)
-                params, epoch, steps = mine.params, mine.epoch, mine.next_steps
-                done = self.agent.done
+            # with no reply the run ended first, while this update was in
+            # flight or parked: the client gets the final model and no steps
+            mine = self._ready.pop(cid, None) or Reply(self.agent.global_params, self.agent.epoch, 0)
+            done = self.agent.done
         reply = encode_model_reply(
-            params, epoch, steps, done, self.send_connector, self.inline_limit
+            mine.params, mine.epoch, mine.next_steps, done, self.send_connector, self.inline_limit
         )
         return encode_frame(MessageType.MODEL_REPLY, reply)
 

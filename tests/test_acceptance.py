@@ -481,7 +481,7 @@ def test_ac09_protocol_and_transport(tmp_path: Path):
         with Communicator(srv.host, srv.port, token=b"wrong") as comm:
             with pytest.raises(Unauthenticated):
                 comm.fetch_model("c0")
-        assert agent.dispatch_count == 0
+        assert agent.update_count == 0
         assert srv.unauthorized_count == 1
 
     # payloads over the inline limit travel by reference automatically

@@ -125,7 +125,7 @@ def test_wrong_token_is_rejected(tmp_path):
     with serve(good, port=0) as srv:
         with pytest.raises(Unauthenticated):
             run_client(bad, "alpha", host=srv.host, port=srv.port)
-        assert srv.agent.dispatch_count == 0
+        assert srv.agent.update_count == 0
 
 
 def test_absent_server_raises_connection_refused(tmp_path):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedkit.aggregators import FedAvgAggregator
 from fedkit.errors import DuplicateUpdate, InvalidBounds, UnknownClient, UnknownStrategyName
 from fedkit.params import ModelUpdate, ParameterSet
 from fedkit.schedulers import (
@@ -15,6 +18,7 @@ from fedkit.schedulers import (
     compass_assign,
     make_scheduler,
 )
+from fedkit.server import ServerAgent
 
 
 def pset(v=0.0):
@@ -313,6 +317,40 @@ class TestCompassScheduler:
                         waiting.discard(rid)
                 else:
                     waiting.add(cid)
+
+
+class TestAgentNextDeadline:
+    """``ServerAgent.next_deadline``: when the simulator and the socket server check deadlines."""
+
+    @pytest.mark.parametrize("cls", [SyncScheduler, AsyncScheduler])
+    def test_none_without_deadlines(self, cls):
+        agent = ServerAgent(pset(), cls(["a", "b"], 5), FedAvgAggregator(), target_epochs=3)
+        for cid in ("a", "b"):
+            agent.handle_model_request(cid, 0.0)
+        assert agent.next_deadline() is None
+        agent.process_update(upd("a"), 10.0)
+        assert agent.next_deadline() is None
+
+    def test_compass_just_past_the_scheduler_deadline_until_done(self):
+        s = CompassScheduler(["a", "b", "c"], qmin=20, qmax=200)
+        agent = ServerAgent(pset(), s, FedAvgAggregator(), target_epochs=3)
+        for cid in ("a", "b", "c"):
+            agent.handle_model_request(cid, 0.0)
+        # a and b aggregate alone in their first groups, then share a group
+        # due at t=400; a arrives in it on time
+        agent.process_update(upd("a", steps=200, start=0.0, end=200.0), 200.0)
+        agent.process_update(upd("b", steps=200, start=0.0, end=200.0), 200.0)
+        assert s.assignment["a"] == s.assignment["b"]
+        assert agent.next_deadline() is None  # nobody has arrived in it yet
+        assert agent.process_update(upd("a", steps=200, start=200.0, end=400.0), 400.0) == {}
+        deadline = s.next_deadline()
+        assert deadline == 400.0 * 1.2
+        assert agent.next_deadline() == math.nextafter(deadline, math.inf)
+        assert agent.check_deadlines(deadline) == {}  # the group needs a later time
+        # c's first group ends the run; a's group still has its deadline
+        agent.process_update(upd("c", steps=200, start=0.0, end=300.0), 450.0)
+        assert agent.done and s.next_deadline() == deadline
+        assert agent.next_deadline() is None
 
 
 def test_registry_and_factory():

@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from fedkit.errors import (
 )
 from fedkit.models import ModelSpec, PartitionSpec, init_params, make_blobs, partition
 from fedkit.params import ModelUpdate, ParameterSet, serialize_params
-from fedkit.schedulers import AsyncScheduler, SyncScheduler
+from fedkit.schedulers import AsyncScheduler, CompassScheduler, SyncScheduler
 from fedkit.server import ServerAgent
 from fedkit.transport import (
     Communicator,
@@ -136,6 +137,40 @@ def client_loop(host, port, token, state):
             params, epoch, steps, done = com.submit_update(u)
 
 
+def wait_until(predicate, timeout=5.0):
+    end = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < end, "condition not reached in time"
+        time.sleep(0.005)
+
+
+PER_STEP = 0.005  # seconds per step that the Compass updates below claim
+
+
+def compass_agent(ids, target_epochs):
+    # qmax * PER_STEP puts a group's expected arrival 0.5 s after it is
+    # founded; the latitude is the default
+    sched = CompassScheduler(ids, qmin=1, qmax=100)
+    init = ParameterSet({"w": np.zeros(4, dtype=np.float32)})
+    return ServerAgent(init, sched, FedAvgAggregator(), target_epochs=target_epochs)
+
+
+def timed_update(cid, steps, epoch):
+    params = ParameterSet({"w": np.full(4, epoch + 1.0, dtype=np.float32)})
+    return ModelUpdate(cid, params, False, 10, steps, epoch, (0.0, steps * PER_STEP))
+
+
+def share_group(agent, a, b):
+    """a and b aggregate alone in their first groups, then share one; returns a's next round."""
+    for cid, com in (("a", a), ("b", b)):
+        com.fetch_model(cid)
+    _, epoch, steps, _ = a.submit_update(timed_update("a", 100, 0))
+    b.submit_update(timed_update("b", 100, 0))
+    sched = agent.scheduler
+    assert sched.assignment["a"] == sched.assignment["b"]
+    return steps, epoch
+
+
 class TestSocketRuns:
     def test_sync_socket_run_matches_direct_run(self):
         agent_a, clients_a = make_setup()
@@ -168,7 +203,7 @@ class TestSocketRuns:
                 t.join(timeout=60)
                 assert not t.is_alive()
         assert agent.epoch >= 6
-        assert agent.dispatch_count >= 6
+        assert agent.update_count >= 6
 
     def test_bad_token_never_reaches_scheduler(self):
         agent, clients = make_setup()
@@ -179,7 +214,7 @@ class TestSocketRuns:
             with pytest.raises(Unauthenticated):
                 com.submit_update(toy_update())
             com.close()
-            assert agent.dispatch_count == 0
+            assert agent.update_count == 0
             assert srv.unauthorized_count == 2
 
     def test_unknown_client_surfaces_typed_error(self):
@@ -286,7 +321,7 @@ class TestSocketRuns:
                 assert (epoch, done) == (1, True)
                 final = agent.global_params
                 params, epoch, steps, done = b.submit_update(updates["c1"])
-        assert agent.update_count == agent.dispatch_count == 1
+        assert agent.update_count == 1
         assert (epoch, steps, done) == (1, 0, True)
         assert params == final and agent.global_params is final
 
@@ -356,3 +391,72 @@ class TestSocketRuns:
                     com.request(MessageType.MODEL_REPLY, payload)
                 _, epoch, _, _ = com.fetch_model("c0")
                 assert epoch == 0
+
+    def test_compass_member_gets_its_groups_reply_when_a_straggler_never_arrives(self):
+        # the group's deadline is t_arrival * 1.2 on a clock that starts with
+        # the server, well under a second away; b never submits again
+        agent = compass_agent(["a", "b"], target_epochs=10)
+        with SocketServer(agent) as srv:
+            with Communicator(srv.host, srv.port, timeout=2.0, max_retries=0) as a, \
+                    Communicator(srv.host, srv.port) as b:
+                steps, epoch = share_group(agent, a, b)
+                t0 = time.monotonic()
+                _, epoch, steps, done = a.submit_update(timed_update("a", steps, epoch))
+                waited = time.monotonic() - t0
+        assert waited < 2.0
+        assert (epoch, done) == (3, False) and steps > 0
+        assert agent.update_count == 3
+
+    def test_parked_member_gets_the_final_model_when_another_group_ends_the_run(self):
+        agent = compass_agent(["a", "b", "c"], target_epochs=3)
+        sched = agent.scheduler
+        got = {}
+        with SocketServer(agent) as srv:
+            with Communicator(srv.host, srv.port, timeout=2.0, max_retries=0) as a, \
+                    Communicator(srv.host, srv.port) as b, Communicator(srv.host, srv.port) as c:
+                c.fetch_model("c")
+                steps, epoch = share_group(agent, a, b)
+                group = sched.groups[sched.assignment["a"]]
+                deadline = group.t_arrival * (1.0 + sched.latitude)
+                parked = threading.Thread(
+                    target=lambda: got.update(a=a.submit_update(timed_update("a", steps, epoch)))
+                )
+                parked.start()
+                wait_until(lambda: agent.update_count == 3)
+                # c's first group aggregates alone and ends the run
+                _, epoch_c, _, done_c = c.submit_update(timed_update("c", 100, 0))
+                assert (epoch_c, done_c) == (3, True)
+                parked.join(timeout=2.0)
+                assert not parked.is_alive()
+                params, epoch_a, steps_a, done_a = got["a"]
+                assert (epoch_a, steps_a, done_a) == (3, 0, True)
+                assert params == agent.global_params
+                assert srv.now() < deadline  # a did not wait for its group's deadline
+                wait_until(lambda: srv.now() > deadline + 0.05)
+        assert sched.next_deadline() is not None  # a's group kept its deadline
+        assert agent.epoch == 3
+
+    def test_a_stopped_server_leaves_none_of_its_threads_running(self):
+        # a sync client is parked waiting for the other client when the
+        # server stops: it gets an error reply, and every server thread ends
+        before = set(threading.enumerate())
+        agent, clients = make_setup()
+        errors = []
+
+        def submit(srv):
+            with Communicator(srv.host, srv.port, max_retries=0) as com:
+                params, epoch, steps, _ = com.fetch_model("c0")
+                update = local_train(clients["c0"], params, steps=steps, base_epoch=epoch)
+                try:
+                    com.submit_update(update)
+                except ProtocolError as e:
+                    errors.append(str(e))
+
+        with SocketServer(agent) as srv:
+            client = threading.Thread(target=submit, args=(srv,))
+            client.start()
+            wait_until(lambda: agent.update_count == 1)
+        client.join(timeout=5.0)
+        assert not client.is_alive()
+        assert errors == ["server shutting down"]
+        assert set(threading.enumerate()) <= before
