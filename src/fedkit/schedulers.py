@@ -5,11 +5,14 @@ registered client reports, ``AsyncScheduler`` aggregates each update the
 moment it lands, and ``CompassScheduler`` estimates per-client speeds and
 groups clients so their submissions arrive together.
 
-The scheduler protocol is two-phase.  ``on_update`` returns either
-``Buffered`` (hold the connection, no reply yet) or ``Aggregate`` (the
-caller feeds the enclosed updates to its aggregation strategy).  After
-applying an ``Aggregate``, the caller asks ``replies(params, epoch, now)``
-for the per-client :class:`Reply` assignments to send out.
+A scheduler keeps no reply state between calls.  ``on_update`` and
+``check_deadline`` return an :class:`Aggregate` or ``None`` (the update is
+held; no reply yet).  An ``Aggregate`` names its recipients: they are the
+clients whose updates it holds.  The caller feeds those updates to its
+aggregation strategy, then asks ``assign(client_ids, now)`` for each
+recipient's next step count; the same call gives a client its first round.
+``server.ServerAgent`` builds the replies, and checks an update against the
+global model before a scheduler ever holds it.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DuplicateUpdate, InvalidBounds, UnknownClient, UnknownStrategyName
-from .params import ModelUpdate, ParameterSet
+from .params import ModelUpdate
 
 QMIN = 20
 QMAX = 200
@@ -27,31 +30,17 @@ SPEED_EMA = 0.5
 
 
 @dataclass(frozen=True)
-class Buffered:
-    client_id: str
-
-
-@dataclass(frozen=True)
 class Aggregate:
     updates: tuple[ModelUpdate, ...]
     mode: str = "round"  # round | late
 
 
-@dataclass(frozen=True)
-class Reply:
-    params: ParameterSet
-    epoch: int
-    next_steps: int
-
-
 @dataclass
 class SpeedEstimate:
     per_step_time: float
-    observations: int = 1
 
     def observe(self, per_step_time: float, ema: float = SPEED_EMA) -> None:
         self.per_step_time = ema * per_step_time + (1.0 - ema) * self.per_step_time
-        self.observations += 1
 
 
 @dataclass
@@ -59,7 +48,6 @@ class GroupRecord:
     gid: int
     t_arrival: Optional[float]  # None until the founder's speed is known
     members: set = field(default_factory=set)
-    steps: dict = field(default_factory=dict)  # client_id -> assigned steps
     arrived: dict = field(default_factory=dict)  # client_id -> ModelUpdate
     closed: bool = False
 
@@ -92,77 +80,60 @@ def compass_assign(
     return None, qmax, now + qmax * pst
 
 
-class SyncScheduler:
-    """One aggregation per round, after every registered client reports."""
+class _FixedSteps:
+    """Every registered client runs ``default_steps`` local steps each round.
+
+    Holds what the sync and async policies share: the client list, ``assign``
+    and the deadline stubs (neither policy has a deadline).
+    """
 
     def __init__(self, client_ids, default_steps: int):
         self.clients = sorted(client_ids)
         if not self.clients:
-            raise InvalidBounds("sync scheduler needs at least one client")
+            raise InvalidBounds(f"{type(self).__name__} needs at least one client")
         self.default_steps = int(default_steps)
-        self._buffer: dict[str, ModelUpdate] = {}
-        self._round_members: list[str] = []
 
-    def initial_assignment(self, client_id: str, now: float) -> int:
+    def _check(self, client_id: str) -> None:
         if client_id not in self.clients:
             raise UnknownClient(f"{client_id!r} is not registered")
-        return self.default_steps
 
-    def on_update(self, update: ModelUpdate, now: float):
+    def assign(self, client_ids, now: float) -> dict[str, int]:
+        for cid in client_ids:
+            self._check(cid)
+        return dict.fromkeys(client_ids, self.default_steps)
+
+    def check_deadline(self, now: float) -> Optional[Aggregate]:
+        return None
+
+    def next_deadline(self) -> Optional[float]:
+        return None
+
+
+class SyncScheduler(_FixedSteps):
+    """One aggregation per round, after every registered client reports."""
+
+    def __init__(self, client_ids, default_steps: int):
+        super().__init__(client_ids, default_steps)
+        self._buffer: dict[str, ModelUpdate] = {}
+
+    def on_update(self, update: ModelUpdate, now: float) -> Optional[Aggregate]:
         cid = update.client_id
-        if cid not in self.clients:
-            raise UnknownClient(f"{cid!r} is not registered")
+        self._check(cid)
         if cid in self._buffer:
             raise DuplicateUpdate(f"{cid!r} already submitted this round")
         self._buffer[cid] = update
-        if len(self._buffer) == len(self.clients):
-            ordered = tuple(self._buffer[c] for c in sorted(self._buffer))
-            self._round_members = sorted(self._buffer)
-            self._buffer = {}
-            return Aggregate(ordered)
-        return Buffered(cid)
-
-    def replies(self, params: ParameterSet, epoch: int, now: float) -> dict[str, Reply]:
-        members, self._round_members = self._round_members, []
-        return {c: Reply(params, epoch, self.default_steps) for c in members}
-
-    def check_deadline(self, now: float):
-        return None
-
-    def next_deadline(self) -> Optional[float]:
-        return None
+        if len(self._buffer) < len(self.clients):
+            return None
+        buffer, self._buffer = self._buffer, {}
+        return Aggregate(tuple(buffer[c] for c in sorted(buffer)))
 
 
-class AsyncScheduler:
+class AsyncScheduler(_FixedSteps):
     """Every update aggregates immediately; only the submitter gets a reply."""
 
-    def __init__(self, client_ids, default_steps: int):
-        self.clients = sorted(client_ids)
-        self.default_steps = int(default_steps)
-        self._last: Optional[str] = None
-
-    def initial_assignment(self, client_id: str, now: float) -> int:
-        if client_id not in self.clients:
-            raise UnknownClient(f"{client_id!r} is not registered")
-        return self.default_steps
-
-    def on_update(self, update: ModelUpdate, now: float):
-        if update.client_id not in self.clients:
-            raise UnknownClient(f"{update.client_id!r} is not registered")
-        self._last = update.client_id
+    def on_update(self, update: ModelUpdate, now: float) -> Optional[Aggregate]:
+        self._check(update.client_id)
         return Aggregate((update,))
-
-    def replies(self, params: ParameterSet, epoch: int, now: float) -> dict[str, Reply]:
-        last, self._last = self._last, None
-        if last is None:
-            return {}
-        return {last: Reply(params, epoch, self.default_steps)}
-
-    def check_deadline(self, now: float):
-        return None
-
-    def next_deadline(self) -> Optional[float]:
-        return None
 
 
 class CompassScheduler:
@@ -198,7 +169,6 @@ class CompassScheduler:
         self.groups: dict[int, GroupRecord] = {}
         self.assignment: dict[str, int] = {}
         self._next_gid = 0
-        self._pending_replies: list[str] = []  # client ids
 
     # -- internals -----------------------------------------------------------
 
@@ -220,7 +190,6 @@ class CompassScheduler:
             )
             g = self.groups[gid] if gid is not None else self._new_group(t_new)
         g.members.add(client_id)
-        g.steps[client_id] = steps
         self.assignment[client_id] = g.gid
         return steps
 
@@ -237,12 +206,19 @@ class CompassScheduler:
 
     # -- protocol -------------------------------------------------------------
 
-    def initial_assignment(self, client_id: str, now: float) -> int:
-        if client_id not in self.clients:
-            raise UnknownClient(f"{client_id!r} is not registered")
-        return self._assign(client_id, now)
+    def assign(self, client_ids, now: float) -> dict[str, int]:
+        """Route each client into a group; returns each one's step budget."""
+        for cid in client_ids:
+            if cid not in self.clients:
+                raise UnknownClient(f"{cid!r} is not registered")
+        # Reassign fastest members first.  The founder pins the next group's
+        # horizon at qmax * its_per_step, so a fast founder leaves the widest
+        # window: every client within qmax/qmin of its speed can rejoin the
+        # same group instead of splintering into per-speed tiers.
+        order = sorted(client_ids, key=lambda cid: (self._per_step(cid), cid))
+        return {cid: self._assign(cid, now) for cid in order}
 
-    def on_update(self, update: ModelUpdate, now: float):
+    def on_update(self, update: ModelUpdate, now: float) -> Optional[Aggregate]:
         cid = update.client_id
         gid = self.assignment.get(cid)
         if gid is None:
@@ -251,31 +227,26 @@ class CompassScheduler:
         group = self.groups[gid]
         if group.closed:
             # straggler past its group's deadline: aggregate alone, discounted
-            self._pending_replies = [cid]
             self._drop_group_if_done(group, cid)
             return Aggregate((update,), mode="late")
         group.arrived[cid] = update
         if len(group.arrived) == len(group.members):
             group.closed = True
-            ordered = tuple(group.arrived[c] for c in sorted(group.arrived))
-            self._pending_replies = sorted(group.arrived)
             del self.groups[group.gid]
-            return Aggregate(ordered)
-        return Buffered(cid)
+            return Aggregate(tuple(group.arrived[c] for c in sorted(group.arrived)))
+        return None
 
-    def check_deadline(self, now: float):
+    def check_deadline(self, now: float) -> Optional[Aggregate]:
         """Aggregate any deadline-expired group that has at least one arrival."""
         for g in sorted(self.groups.values(), key=lambda g: g.gid):
             if g.closed or g.t_arrival is None or not g.arrived:
                 continue
             if now > g.t_arrival * (1.0 + self.latitude):
                 g.closed = True
-                ordered = tuple(g.arrived[c] for c in sorted(g.arrived))
-                self._pending_replies = sorted(g.arrived)
                 # group record stays until stragglers report back
                 if len(g.arrived) == len(g.members):
                     del self.groups[g.gid]
-                return Aggregate(ordered)
+                return Aggregate(tuple(g.arrived[c] for c in sorted(g.arrived)))
         return None
 
     def next_deadline(self) -> Optional[float]:
@@ -301,19 +272,6 @@ class CompassScheduler:
     def _per_step(self, client_id: str) -> float:
         est = self.speeds.get(client_id)
         return est.per_step_time if est is not None else math.inf
-
-    def replies(self, params: ParameterSet, epoch: int, now: float) -> dict[str, Reply]:
-        pending, self._pending_replies = self._pending_replies, []
-        # Reassign fastest members first.  The founder pins the next group's
-        # horizon at qmax * its_per_step, so a fast founder leaves the widest
-        # window: every client within qmax/qmin of its speed can rejoin the
-        # same group instead of splintering into per-speed tiers.
-        pending.sort(key=lambda cid: (self._per_step(cid), cid))
-        out = {}
-        for cid in pending:
-            steps = self._assign(cid, now)
-            out[cid] = Reply(params, epoch, steps)
-        return out
 
 
 SCHEDULERS = {

@@ -9,16 +9,33 @@ Both ask ``next_deadline`` when the deadline check is next due, and both
 give the agent a clock that starts at 0 when the run does.
 ``make_server_agent`` builds one for either kind of run and fixes when the
 run ends.
+
+The agent builds every :class:`Reply`.  The scheduler only says when
+updates aggregate and how many steps each client runs next: after an
+aggregation, its recipients are the clients whose updates it held, and the
+agent asks ``scheduler.assign`` for their step counts.  An update is checked
+against the global model (structure, and a base epoch no later than the
+server's) before the scheduler holds it, so a bad update is refused on its
+own and never costs the round it would have joined.  An update counts
+towards ``target_updates`` once the scheduler has accepted it.
 """
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .aggregators import AggregatorState, make_aggregator
+from .aggregators import AggregatorState, _staleness, make_aggregator
 from .models import init_params
 from .params import MetricRecord, ModelUpdate, ParameterSet
-from .schedulers import Aggregate, Reply, make_scheduler
+from .schedulers import Aggregate, make_scheduler
+
+
+class Reply(NamedTuple):
+    """What a client is sent: the global model, its epoch, and the local steps to run next."""
+
+    params: ParameterSet
+    epoch: int
+    next_steps: int
 
 
 class ServerAgent:
@@ -35,7 +52,7 @@ class ServerAgent:
         self.strategy = strategy
         self.target_epochs = target_epochs
         self.target_updates = target_updates
-        # updates that actually reached the scheduler (auth failures must not count)
+        # updates the scheduler accepted (refused ones must not count)
         self.update_count = 0
         self.aggregation_count = 0
         self.metrics: list[MetricRecord] = []
@@ -54,18 +71,17 @@ class ServerAgent:
             return True
         return self.target_updates is not None and self.update_count >= self.target_updates
 
-    def handle_model_request(self, client_id: str, now: float) -> tuple[ParameterSet, int, int]:
-        """First contact: returns (global params, epoch, assigned local steps)."""
-        steps = self.scheduler.initial_assignment(client_id, now)
-        return self.state.global_params, self.state.epoch, steps
+    def handle_model_request(self, client_id: str, now: float) -> Reply:
+        """First contact: the global model and the client's first step count."""
+        return self._replies([client_id], now)[client_id]
 
     def process_update(self, update: ModelUpdate, now: float) -> dict[str, Reply]:
         """Feed one client update in; returns replies that became ready."""
-        self.update_count += 1
+        self.state.global_params.check_structure(update.params)
+        _staleness(self.state, update)
         action = self.scheduler.on_update(update, now)
-        if isinstance(action, Aggregate):
-            return self._apply(action, now)
-        return {}
+        self.update_count += 1
+        return {} if action is None else self._apply(action, now)
 
     def next_deadline(self) -> Optional[float]:
         """The first time at which ``check_deadlines`` has work, or None.
@@ -97,7 +113,12 @@ class ServerAgent:
         if self.strategy.apply(self.state, list(action.updates), late=(action.mode == "late")):
             self.aggregation_count += 1
             self._record(now)
-        return self.scheduler.replies(self.state.global_params, self.state.epoch, now)
+        return self._replies([u.client_id for u in action.updates], now)
+
+    def _replies(self, client_ids: list[str], now: float) -> dict[str, Reply]:
+        params, epoch = self.state.global_params, self.state.epoch
+        steps = self.scheduler.assign(client_ids, now)
+        return {cid: Reply(params, epoch, n) for cid, n in steps.items()}
 
     def _record(self, now: float) -> None:
         self.metrics.append(MetricRecord(now, "server", "epoch", float(self.state.epoch)))
@@ -109,7 +130,9 @@ def make_server_agent(run, max_updates: Optional[int] = None) -> ServerAgent:
     An asynchronous run is counted in ``num_global_epochs * n_clients``
     processed updates, so total client work stays comparable across modes;
     ``max_updates`` overrides that count.  Every other run is counted in
-    aggregations, ``num_global_epochs`` of them.
+    aggregations, ``num_global_epochs`` of them.  The scheduler's
+    ``default_steps`` is the largest ``local_steps`` of any client, and the
+    sync and async schedulers give every client that many.
     """
     ids = sorted(c.client_id for c in run.clients)
     default_steps = max(c.train.local_steps for c in run.clients)

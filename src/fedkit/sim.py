@@ -43,7 +43,7 @@ from .metrics import write_table
 from .models import Dataset, ModelSpec, dataset_metrics
 from .params import MetricRecord, ModelUpdate, ParameterSet, serialized_size
 from .privacy import PrivacyConfig
-from .server import ServerAgent, make_server_agent
+from .server import Reply, ServerAgent, make_server_agent
 
 _ARRIVE = 0
 _DEADLINE = 1
@@ -275,13 +275,16 @@ class _Sim:
         for kind, value in sorted(scores.items()):
             self.metrics.append(MetricRecord(now, "server", f"val_{kind}", float(value)))
 
+    def _dispatch(self, replies: dict[str, Reply], now: float) -> None:
+        """Start each replied client's next round, in client id order."""
+        for cid, rep in sorted(replies.items()):
+            self._schedule_round(cid, rep.params, rep.epoch, rep.next_steps, now)
+        self._push_trained()
+        self._refresh_deadline(now)
+
     def run(self) -> SimResult:
         sc = self.sc
-        for cid in self.ids:
-            params, epoch, steps = self.agent.handle_model_request(cid, 0.0)
-            self._schedule_round(cid, params, epoch, steps, 0.0)
-        self._push_trained()
-        self._refresh_deadline(0.0)
+        self._dispatch({cid: self.agent.handle_model_request(cid, 0.0) for cid in self.ids}, 0.0)
 
         now = 0.0
         events = 0
@@ -300,10 +303,7 @@ class _Sim:
             self._evaluate(now)
             if self.agent.done:
                 break
-            for cid, rep in sorted(replies.items()):
-                self._schedule_round(cid, rep.params, rep.epoch, rep.next_steps, now)
-            self._push_trained()
-            self._refresh_deadline(now)
+            self._dispatch(replies, now)
         else:
             if not self.agent.done:
                 raise NonTerminating("event queue drained before the run completed")

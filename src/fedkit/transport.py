@@ -32,8 +32,7 @@ from .params import (
     serialize_params,  # noqa: F401  (perfbench/tracer.py wraps it on this module)
     serialize_pieces,
 )
-from .schedulers import Reply
-from .server import ServerAgent
+from .server import Reply, ServerAgent
 from .wire import (
     DEFAULT_INLINE_LIMIT,
     MAX_PAYLOAD,
@@ -280,11 +279,8 @@ class SocketServer:
         if not cid:
             raise ProtocolError("model request missing client_id")
         with self._cond:
-            params, epoch, steps = self.agent.handle_model_request(cid, self.now())
-        reply = encode_model_reply(
-            params, epoch, steps, self.agent.done, self.send_connector, self.inline_limit
-        )
-        return encode_frame(MessageType.MODEL_REPLY, reply)
+            mine = self.agent.handle_model_request(cid, self.now())
+        return self._model_reply(mine, self.agent.done)
 
     def _on_update_submit(self, payload: bytes):
         update = decode_update(payload, self.connectors)
@@ -306,6 +302,9 @@ class SocketServer:
             # flight or parked: the client gets the final model and no steps
             mine = self._ready.pop(cid, None) or Reply(self.agent.global_params, self.agent.epoch, 0)
             done = self.agent.done
+        return self._model_reply(mine, done)
+
+    def _model_reply(self, mine: Reply, done: bool):
         reply = encode_model_reply(
             mine.params, mine.epoch, mine.next_steps, done, self.send_connector, self.inline_limit
         )

@@ -12,6 +12,7 @@ from fedkit.errors import (
     ChecksumMismatch,
     OversizedPayload,
     ProtocolError,
+    ShapeMismatch,
     Truncated,
     Unauthenticated,
     UnknownClient,
@@ -204,6 +205,33 @@ class TestSocketRuns:
                 assert not t.is_alive()
         assert agent.epoch >= 6
         assert agent.update_count >= 6
+
+    def test_mismatched_update_is_refused_without_losing_the_round(self):
+        # sync: a's update is parked when b's has the wrong shape; b's is
+        # refused alone, so b's corrected update still closes the round
+        init = ParameterSet({"w": np.zeros(4, dtype=np.float32)})
+        wrong = ParameterSet({"w": np.zeros(5, dtype=np.float32)})
+        agent = ServerAgent(init, SyncScheduler(["a", "b"], 1), FedAvgAggregator(), target_epochs=2)
+        got = {}
+        with SocketServer(agent) as srv:
+            with Communicator(srv.host, srv.port, timeout=5.0, max_retries=0) as a, \
+                    Communicator(srv.host, srv.port, timeout=5.0, max_retries=0) as b:
+                a.fetch_model("a")
+                b.fetch_model("b")
+                parked = threading.Thread(
+                    target=lambda: got.update(a=a.submit_update(ModelUpdate("a", init, False, 1, 1, 0)))
+                )
+                parked.start()
+                wait_until(lambda: agent.update_count == 1)
+                with pytest.raises(ShapeMismatch):
+                    b.submit_update(ModelUpdate("b", wrong, False, 1, 1, 0))
+                got["b"] = b.submit_update(ModelUpdate("b", init, False, 1, 1, 0))
+                parked.join(timeout=5.0)
+                assert not parked.is_alive()
+        assert {cid: reply[1:] for cid, reply in got.items()} == {
+            "a": (1, 1, False), "b": (1, 1, False)
+        }
+        assert agent.update_count == 2
 
     def test_bad_token_never_reaches_scheduler(self):
         agent, clients = make_setup()
