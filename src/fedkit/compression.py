@@ -71,10 +71,12 @@ from .errors import (
     ChecksumMismatch,
     CorruptBlob,
     NonFiniteValue,
+    ShapeMismatch,
     Truncated,
     UnknownStrategyName,
 )
-from .params import ByteStream, ParameterSet, serialized_size, _layout, _utf8, _TAG_TO_DTYPE, _DTYPE_TO_TAG
+from .params import ByteStream, ParameterSet, serialized_size, _layout, _name_header, _utf8
+from .params import _TAG_TO_DTYPE, _DTYPE_TO_TAG
 from .params import serialize_params  # noqa: F401  (perfbench/tracer.py wraps it on this module)
 
 DEFAULT_ERROR_BOUND = 0.01
@@ -481,7 +483,6 @@ def compress_params(p: ParameterSet, cfg: CodecConfig) -> bytes:
     """Encode a parameter set into a self-describing compressed blob."""
     chunks = [struct.pack(">I", len(p))]
     for name, arr in p:
-        raw_name = name.encode("utf-8")
         tag = _DTYPE_TO_TAG[arr.dtype]
         body = None
         if cfg.lossy != "none" and arr.size >= cfg.small_tensor_threshold:
@@ -501,20 +502,22 @@ def compress_params(p: ParameterSet, cfg: CodecConfig) -> bytes:
                 codec, payload = "none", body
         if codec == "none" and scheme == SCHEME_LOSSLESS:
             scheme = SCHEME_RAW
-        head = struct.pack(">H", len(raw_name)) + raw_name
-        head += struct.pack(">BBB", scheme, tag, arr.ndim)
+        head = _name_header(name) + struct.pack(">BBB", scheme, tag, arr.ndim)
         head += b"".join(struct.pack(">I", d) for d in arr.shape)
         head += struct.pack(">BII", _CODEC_IDS[codec], len(payload), zlib.crc32(payload))
         chunks += (head, payload)
     return b"".join(chunks)
 
 
-def decompress_params(blob: bytes) -> ParameterSet:
+def decompress_params(blob: bytes, expect: ParameterSet | None = None) -> ParameterSet:
     """Decode a blob produced by :func:`compress_params`.
 
-    The entry headers are read first, to size one buffer per dtype; then
-    each entry is decoded straight into its slice of its dtype's buffer.  A
-    buffer is allocated once the first payload of its dtype is inflated, so
+    The entry headers are read first, to size one buffer per dtype.  Given
+    ``expect`` (a set of the model's structure), a blob whose tensor names,
+    dtypes or shapes differ from that set's raises :class:`ShapeMismatch`
+    right after the headers, before any payload is inflated.  Then each
+    entry is decoded straight into its slice of its dtype's buffer.  A buffer
+    is allocated once the first payload of its dtype is inflated, so
     inflating that payload never holds the buffer too.  No payload inflates
     past the largest body its entry's shape allows.
     """
@@ -541,6 +544,8 @@ def decompress_params(blob: bytes) -> ParameterSet:
         raise CorruptBlob(f"blob truncated: {e}") from None
     if r.left:
         raise CorruptBlob(f"{r.left} trailing bytes after last entry")
+    if expect is not None and tuple(key) != expect._layout.key:
+        raise ShapeMismatch("blob's tensor names, shapes or dtypes differ from the model's")
     layout = _layout(tuple(key))
     bufs = [None] * len(layout.dtypes)
     for (name, scheme, tag, codec_id, payload), (j, lo, hi, _) in zip(entries, layout.spans):

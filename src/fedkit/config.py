@@ -14,7 +14,6 @@ per-client partition indices.
 from __future__ import annotations
 
 import copy
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,13 +21,20 @@ from typing import Optional
 
 import yaml
 
-from .aggregators import AGGREGATORS
+from .aggregators import make_aggregator
 from .client import TrainConfig
 from .compression import CodecConfig
-from .errors import ConfigError, MissingRequired, ParseError, UnknownKey, UnknownStrategyName
-from .models import DATASETS, ModelSpec, build_dataset
+from .errors import (
+    ConfigError,
+    InvalidBounds,
+    MissingRequired,
+    ParseError,
+    UnknownKey,
+    UnknownStrategyName,
+)
+from .models import DATASETS, ModelSpec, build_dataset, without_nulls
 from .privacy import PrivacyConfig
-from .schedulers import SCHEDULERS
+from .schedulers import make_scheduler
 from .sim import SimClient, SimScenario, draw_batch_times
 from .transport import TOKEN_ENV_VAR
 from .wire import DEFAULT_INLINE_LIMIT, MAX_PAYLOAD
@@ -50,6 +56,8 @@ _COMPRESSOR_KEYS = {
     "error_bound": float,
     "small_tensor_threshold": int,
 }
+# the CodecConfig field of each APPFL compressor key whose name differs
+_CODEC_FIELDS = {"lossy_compressor": "lossy", "lossless_compressor": "lossless", "error_bound": "eb_rel"}
 _DATA_KEYS = {"dataset_name": str, "dataset_kwargs": dict}
 _MODEL_KEYS = {"layer_dims": list, "activation": str, "loss": str, "init_seed": int}
 _COMM_KEYS = {
@@ -95,35 +103,47 @@ _TOP_KEYS = {
 }
 
 
-def _check_keys(section: dict, allowed: dict, path: str) -> None:
+def _check_keys(section, allowed: dict, path: str) -> dict:
+    """The keys of a config section that are set, checked against ``allowed``.
+
+    A null means unset: its key is left out, so the class that the section
+    configures applies its own default.  An int where a float is declared
+    becomes a float.
+    """
+    if section is None:
+        return {}
     if not isinstance(section, dict):
         raise ParseError(f"{path}: expected a mapping, got {type(section).__name__}")
+    out = {}
     for key, value in section.items():
         if key not in allowed:
             raise UnknownKey(f"{path}.{key}: unknown key (known: {sorted(allowed)})")
         want = allowed[key]
         if value is None:
             continue
-        if want is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-            continue
-        if want is int and isinstance(value, bool):
-            raise ParseError(f"{path}.{key}: expected {want.__name__}, got bool")
-        if not isinstance(value, want):
-            raise ParseError(
-                f"{path}.{key}: expected {want.__name__}, got {type(value).__name__}"
-            )
+        if want is float and isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+        elif (want is int and isinstance(value, bool)) or not isinstance(value, want):
+            raise ParseError(f"{path}.{key}: expected {want.__name__}, got {type(value).__name__}")
+        out[key] = value
+    return out
 
 
 def _require(section: dict, key: str, path: str):
-    if key not in section or section[key] is None:
+    if key not in section:
         raise MissingRequired(f"{path}.{key} is required")
     return section[key]
 
 
 def _merge(shared: dict, override: dict) -> dict:
-    """Field-wise recursive merge; override wins on scalars, recurses on dicts."""
+    """Field-wise recursive merge; override wins on scalars, recurses on dicts.
+
+    A null in ``override`` is unset, so the shared value stays.
+    """
     out = copy.deepcopy(shared)
     for key, value in override.items():
+        if value is None:
+            continue
         if isinstance(value, dict) and isinstance(out.get(key), dict):
             out[key] = _merge(out[key], value)
         else:
@@ -188,179 +208,136 @@ def _load_yaml(path) -> dict:
     return doc
 
 
-def _parse_train(merged: dict, path: str) -> TrainConfig:
-    _check_keys(merged, _TRAIN_KEYS, path)
-    kwargs = {k: v for k, v in merged.items() if v is not None}
-    for key in ("lr", "prox_mu"):
-        if key in kwargs:
-            kwargs[key] = float(kwargs[key])
-    try:
-        return TrainConfig(**kwargs)
-    except TypeError as e:
-        raise ParseError(f"{path}: {e}") from e
+def _parse_privacy(section, path: str) -> Optional[PrivacyConfig]:
+    kwargs = _check_keys(section, _PRIVACY_KEYS, path)
+    return PrivacyConfig(**kwargs) if kwargs else None
 
 
-def _parse_privacy(section: dict, path: str) -> Optional[PrivacyConfig]:
-    if not section:
+def _parse_codec(comm_configs, path: str) -> Optional[CodecConfig]:
+    comm = _check_keys(comm_configs, {"compressor_configs": dict}, path)
+    path += ".compressor_configs"
+    section = _check_keys(comm.get("compressor_configs"), _COMPRESSOR_KEYS, path)
+    if not section.pop("enable_compression", False):
         return None
-    _check_keys(section, _PRIVACY_KEYS, path)
-    kwargs = {k: v for k, v in section.items() if v is not None}
-    if "epsilon" in kwargs:
-        kwargs["epsilon"] = float(kwargs["epsilon"])
-    if "clip_norm" in kwargs:
-        kwargs["clip_norm"] = float(kwargs["clip_norm"])
-    return PrivacyConfig(**kwargs)
+    return CodecConfig(**{_CODEC_FIELDS.get(k, k): v for k, v in section.items()})
 
 
-def _parse_codec(comm_configs: dict, path: str) -> Optional[CodecConfig]:
-    if not comm_configs:
-        return None
-    _check_keys(comm_configs, {"compressor_configs": dict}, path)
-    section = comm_configs.get("compressor_configs") or {}
-    if not section:
-        return None
-    _check_keys(section, _COMPRESSOR_KEYS, f"{path}.compressor_configs")
-    if not section.get("enable_compression", False):
-        return None
-    kwargs = {}
-    if "lossy_compressor" in section:
-        kwargs["lossy"] = section["lossy_compressor"]
-    if "lossless_compressor" in section:
-        kwargs["lossless"] = section["lossless_compressor"]
-    if "error_bound" in section:
-        kwargs["eb_rel"] = float(section["error_bound"])
-    if "small_tensor_threshold" in section:
-        kwargs["small_tensor_threshold"] = int(section["small_tensor_threshold"])
-    return CodecConfig(**kwargs)
-
-
-def _parse_data(section: dict, path: str) -> tuple[str, dict]:
-    _check_keys(section, _DATA_KEYS, path)
+def _parse_data(section, path: str) -> tuple[str, dict]:
+    section = _check_keys(section, _DATA_KEYS, path)
     name = _require(section, "dataset_name", path)
     if name not in DATASETS:
         raise UnknownStrategyName(f"{path}.dataset_name: {name!r} (known: {sorted(DATASETS)})")
-    return name, copy.deepcopy(section.get("dataset_kwargs") or {})
+    return name, without_nulls(section.get("dataset_kwargs", {}))
 
 
-def _parse_model(section: dict, path: str) -> tuple[Optional[ModelSpec], int]:
-    if not section:
+def _parse_model(section, path: str) -> tuple[Optional[ModelSpec], int]:
+    kwargs = _check_keys(section, _MODEL_KEYS, path)
+    if not kwargs:
         return None, 0
-    _check_keys(section, _MODEL_KEYS, path)
-    dims = tuple(int(d) for d in _require(section, "layer_dims", path))
-    spec = ModelSpec(
-        layer_dims=dims,
-        activation=section.get("activation", "relu"),
-        loss=_require(section, "loss", path),
-    )
-    return spec, int(section.get("init_seed", 0))
+    init_seed = kwargs.pop("init_seed", 0)
+    dims = _require(kwargs, "layer_dims", path)
+    if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
+        raise ParseError(f"{path}.layer_dims: expected a list of ints, got {dims!r}")
+    _require(kwargs, "loss", path)
+    return ModelSpec(**kwargs), init_seed
 
 
-def _parse_comm(section: dict, path: str) -> CommSettings:
-    if not section:
-        return CommSettings()
-    _check_keys(section, _COMM_KEYS, path)
-    host, port = "127.0.0.1", 0
-    bind = section.get("bind")
+def _parse_comm(section, path: str) -> CommSettings:
+    kwargs = _check_keys(section, _COMM_KEYS, path)
+    bind = kwargs.pop("bind", None)
     if bind:
         if ":" not in bind:
             raise ParseError(f"{path}.bind: expected host:port, got {bind!r}")
-        host, _, port_s = bind.rpartition(":")
+        kwargs["bind_host"], _, port = bind.rpartition(":")
         try:
-            port = int(port_s)
+            kwargs["bind_port"] = int(port)
         except ValueError:
-            raise ParseError(f"{path}.bind: bad port {port_s!r}") from None
-    return CommSettings(
-        bind_host=host,
-        bind_port=port,
-        auth_token=section.get("auth_token"),
-        auth_token_env=section.get("auth_token_env", TOKEN_ENV_VAR),
-        inline_limit=int(section.get("inline_limit", DEFAULT_INLINE_LIMIT)),
-        max_payload=int(section.get("max_payload", MAX_PAYLOAD)),
-    )
+            raise ParseError(f"{path}.bind: bad port {port!r}") from None
+    return CommSettings(**kwargs)
+
+
+def _check_kwargs(key: str, make, *args) -> None:
+    """Build a scheduler or aggregator once, so that bad kwargs fail here, not mid-run.
+
+    ``args`` are ``make``'s, the kwargs from ``server_configs.<key>`` last.
+    """
+    try:
+        make(*args)
+    except (TypeError, ValueError, InvalidBounds) as e:
+        raise ParseError(f"server_configs.{key} {args[-1]}: {e}") from None
 
 
 def load_config(server_path, client_paths=()) -> ExperimentConfig:
     """Parse and validate the server file plus any per-client files."""
-    doc = _load_yaml(server_path)
-    _check_keys(doc, _TOP_KEYS, "<top>")
-    server = _require(doc, "server_configs", "<top>")
-    _check_keys(server, _SERVER_KEYS, "server_configs")
+    raw = _load_yaml(server_path)
+    doc = _check_keys(raw, _TOP_KEYS, "<top>")
+    server = _check_keys(_require(doc, "server_configs", "<top>"), _SERVER_KEYS, "server_configs")
 
     aggregator = _require(server, "aggregator", "server_configs")
-    if aggregator not in AGGREGATORS:
-        raise UnknownStrategyName(
-            f"server_configs.aggregator: {aggregator!r} (known: {sorted(AGGREGATORS)})"
-        )
     scheduler = server.get("scheduler", "SyncScheduler")
-    if scheduler not in SCHEDULERS:
-        raise UnknownStrategyName(
-            f"server_configs.scheduler: {scheduler!r} (known: {sorted(SCHEDULERS)})"
-        )
-    epochs = int(_require(server, "num_global_epochs", "server_configs"))
+    epochs = _require(server, "num_global_epochs", "server_configs")
     if epochs < 1:
         raise ParseError(f"server_configs.num_global_epochs must be >= 1, got {epochs}")
 
-    model_spec, init_seed = _parse_model(server.get("model_configs") or {}, "server_configs.model_configs")
+    model_spec, init_seed = _parse_model(server.get("model_configs"), "server_configs.model_configs")
     evaluation = None
     if server.get("evaluation"):
         name, kwargs = _parse_data(server["evaluation"], "server_configs.evaluation")
         evaluation = {"dataset_name": name, "dataset_kwargs": kwargs}
-    comm = _parse_comm(server.get("comm") or {}, "server_configs.comm")
+    comm = _parse_comm(server.get("comm"), "server_configs.comm")
 
-    shared = doc.get("client_configs") or {}
-    _check_keys(shared, _SHARED_CLIENT_KEYS, "client_configs")
+    shared = _check_keys(doc.get("client_configs"), _SHARED_CLIENT_KEYS, "client_configs")
 
-    entries: list[tuple[dict, str]] = []
-    for i, entry in enumerate(doc.get("clients") or []):
-        entries.append((entry, f"clients[{i}]"))
-    for p in client_paths:
-        entries.append((_load_yaml(p), str(p)))
+    entries = [(entry, f"clients[{i}]") for i, entry in enumerate(doc.get("clients", []))]
+    entries += [(_load_yaml(p), str(p)) for p in client_paths]
     if not entries:
         raise MissingRequired("no clients: add a clients: list or pass client config files")
 
     plans: list[ClientPlan] = []
     seen_ids = set()
     for entry, where in entries:
-        _check_keys(entry, _PER_CLIENT_KEYS, where)
+        entry = _check_keys(entry, _PER_CLIENT_KEYS, where)
         cid = _require(entry, "client_id", where)
         if cid in seen_ids:
             raise ParseError(f"{where}: duplicate client_id {cid!r}")
         seen_ids.add(cid)
-        merged = _merge(shared, {k: v for k, v in entry.items() if k in _SHARED_CLIENT_KEYS})
-        data_section = merged.get("data_configs") or {}
-        if not data_section:
+        merged = _merge(shared, {k: entry.pop(k) for k in _SHARED_CLIENT_KEYS if k in entry})
+        if not merged.get("data_configs"):
             raise MissingRequired(f"{where}.data_configs is required")
-        name, kwargs = _parse_data(data_section, f"{where}.data_configs")
+        name, kwargs = _parse_data(merged["data_configs"], f"{where}.data_configs")
+        train = _check_keys(merged.get("train_configs"), _TRAIN_KEYS, f"{where}.train_configs")
         plans.append(
             ClientPlan(
-                client_id=cid,
                 dataset_name=name,
                 dataset_kwargs=kwargs,
-                train=_parse_train(merged.get("train_configs") or {}, f"{where}.train_configs"),
-                privacy=_parse_privacy(merged.get("privacy_configs") or {}, f"{where}.privacy_configs"),
-                codec=_parse_codec(merged.get("comm_configs") or {}, f"{where}.comm_configs"),
-                mean_batch_time=float(entry.get("mean_batch_time") or 1.0),
+                train=TrainConfig(**train),
+                privacy=_parse_privacy(merged.get("privacy_configs"), f"{where}.privacy_configs"),
+                codec=_parse_codec(merged.get("comm_configs"), f"{where}.comm_configs"),
+                **entry,  # client_id, and mean_batch_time when it is set
             )
         )
     plans.sort(key=lambda p: p.client_id)
 
-    sim = doc.get("sim") or {}
-    _check_keys(sim, _SIM_KEYS, "sim")
+    aggregator_kwargs = without_nulls(server.get("aggregator_kwargs", {}))
+    scheduler_kwargs = without_nulls(server.get("scheduler_kwargs", {}))
+    ids, steps = [p.client_id for p in plans], max(p.train.local_steps for p in plans)
+    _check_kwargs("scheduler_kwargs", make_scheduler, scheduler, ids, steps, scheduler_kwargs)
+    _check_kwargs("aggregator_kwargs", make_aggregator, aggregator, aggregator_kwargs)
 
-    resolved = copy.deepcopy(doc)
+    resolved = copy.deepcopy(raw)
     resolved["clients"] = [e for e, _ in entries]
     return ExperimentConfig(
         aggregator=aggregator,
-        aggregator_kwargs=copy.deepcopy(server.get("aggregator_kwargs") or {}),
+        aggregator_kwargs=aggregator_kwargs,
         scheduler=scheduler,
-        scheduler_kwargs=copy.deepcopy(server.get("scheduler_kwargs") or {}),
+        scheduler_kwargs=scheduler_kwargs,
         num_global_epochs=epochs,
         model_spec=model_spec,
         init_seed=init_seed,
         evaluation=evaluation,
         comm=comm,
         clients=plans,
-        sim=copy.deepcopy(sim),
+        sim=_check_keys(doc.get("sim"), _SIM_KEYS, "sim"),
         resolved=resolved,
     )
 
@@ -394,20 +371,16 @@ def build_scenario(cfg: ExperimentConfig) -> SimScenario:
                 f"clients {cfg.clients[0].client_id!r} and {plan.client_id!r} use different "
                 "codecs; the simulator needs one codec for every client"
             )
-    sim = cfg.sim
-    mbt_map = sim.get("mean_batch_times") or {}
+    sim = dict(cfg.sim)
+    mbt_map = without_nulls(sim.pop("mean_batch_times", {}))
+    draw = {k: sim.pop(f"batch_time_{k}") for k in ("fastest", "spread") if f"batch_time_{k}" in sim}
     if mbt_map:
         unknown = set(mbt_map) - {p.client_id for p in cfg.clients}
         if unknown:
             raise UnknownKey(f"sim.mean_batch_times: unknown clients {sorted(unknown)}")
         times = [float(mbt_map.get(p.client_id, p.mean_batch_time)) for p in cfg.clients]
-    elif "batch_time_fastest" in sim or "batch_time_spread" in sim:
-        times = draw_batch_times(
-            len(cfg.clients),
-            fastest=float(sim.get("batch_time_fastest", 0.2)),
-            spread=float(sim.get("batch_time_spread", 10.0)),
-            seed=int(sim.get("seed", 0)),
-        )
+    elif draw:
+        times = draw_batch_times(len(cfg.clients), seed=sim.get("seed", 0), **draw)
     else:
         times = [p.mean_batch_time for p in cfg.clients]
 
@@ -424,9 +397,6 @@ def build_scenario(cfg: ExperimentConfig) -> SimScenario:
     eval_dataset = None
     if cfg.evaluation is not None:
         eval_dataset = build_dataset(cfg.evaluation["dataset_name"], cfg.evaluation["dataset_kwargs"])
-
-    bandwidth = sim.get("bandwidth", math.inf)
-    bandwidth = math.inf if bandwidth in (None, ".inf") else float(bandwidth)
     return SimScenario(
         model_spec=cfg.model_spec,
         clients=clients,
@@ -437,13 +407,8 @@ def build_scenario(cfg: ExperimentConfig) -> SimScenario:
         aggregator_kwargs=cfg.aggregator_kwargs,
         eval_dataset=eval_dataset,
         init_seed=cfg.init_seed,
-        fixed_latency=float(sim.get("fixed_latency", 0.0)),
-        bandwidth=bandwidth,
         codec=codec,
-        jitter=float(sim.get("jitter", 0.0)),
-        seed=int(sim.get("seed", 0)),
-        max_events=int(sim.get("max_events", 1_000_000)),
-        max_updates=(int(sim["max_updates"]) if sim.get("max_updates") is not None else None),
+        **sim,  # fixed_latency, bandwidth, jitter, seed, max_events, max_updates
     )
 
 

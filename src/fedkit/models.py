@@ -22,7 +22,14 @@ import csv
 
 import numpy as np
 
-from .errors import DimMismatch, EmptyDataset, InfeasiblePartition, ParseError, ShapeMismatch
+from .errors import (
+    DimMismatch,
+    EmptyDataset,
+    InfeasiblePartition,
+    MissingRequired,
+    ParseError,
+    ShapeMismatch,
+)
 from .params import ParameterSet
 
 ACTIVATIONS = ("relu", "identity")
@@ -471,7 +478,10 @@ def partition(ds: Dataset, spec: PartitionSpec) -> list[Dataset]:
 
 
 def _build_blobs(kwargs: dict) -> Dataset:
-    return make_blobs(**kwargs)
+    try:
+        return make_blobs(**kwargs)
+    except TypeError as e:  # an unknown kwarg, or a value of the wrong type
+        raise ParseError(f"blobs dataset: {e}") from None
 
 
 def _build_csv(kwargs: dict) -> Dataset:
@@ -495,9 +505,17 @@ DATASETS = {
 }
 
 
+def without_nulls(kwargs: dict) -> dict:
+    """A copy of ``kwargs`` without its null values, in nested mappings too: a null means unset."""
+    return {
+        k: without_nulls(v) if isinstance(v, dict) else v for k, v in kwargs.items() if v is not None
+    }
+
+
 def build_dataset(name: str, kwargs: Optional[dict] = None) -> Dataset:
     """Instantiate a registered dataset, honoring split/partition plumbing.
 
+    A null kwarg is unset, as everywhere in a config, so its default applies.
     Recognized meta kwargs (handled here, not passed to the builder):
 
     - ``val_fraction`` + ``role`` ("train" | "val"): deterministic holdout split
@@ -509,7 +527,7 @@ def build_dataset(name: str, kwargs: Optional[dict] = None) -> Dataset:
 
     if name not in DATASETS:
         raise UnknownStrategyName(f"unknown dataset {name!r}; known: {sorted(DATASETS)}")
-    kw = dict(kwargs or {})
+    kw = without_nulls(kwargs or {})
     val_fraction = kw.pop("val_fraction", None)
     role = kw.pop("role", "train")
     split_seed = kw.pop("split_seed", 0)
@@ -524,6 +542,9 @@ def build_dataset(name: str, kwargs: Optional[dict] = None) -> Dataset:
         if role == "val":
             raise ParseError("partition applies to the train split only")
         pc = dict(part_cfg)
+        missing = sorted({"scheme", "n_clients", "index"} - set(pc))
+        if missing:
+            raise MissingRequired(f"partition needs {missing}")
         index = pc.pop("index")
         pspec = PartitionSpec(
             scheme=pc.pop("scheme"),

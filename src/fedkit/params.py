@@ -419,20 +419,21 @@ def serialize_params(p: ParameterSet) -> bytes:
     return b"".join(_serial_parts(p))
 
 
+def _name_header(name: str) -> bytes:
+    """A tensor's name as both byte formats store it: a u16 byte count, then UTF-8."""
+    raw = name.encode("utf-8")
+    if len(raw) > MAX_NAME_BYTES:
+        raise NameTooLong(f"tensor name is {len(raw)} bytes (max {MAX_NAME_BYTES})")
+    return struct.pack(">H", len(raw)) + raw
+
+
 def _serial_parts(p: ParameterSet) -> list:
     parts = [struct.pack(">I", len(p))]
     for name, arr in p:
-        raw_name = name.encode("utf-8")
-        if len(raw_name) > MAX_NAME_BYTES:
-            raise NameTooLong(f"tensor name is {len(raw_name)} bytes (max {MAX_NAME_BYTES})")
         if arr.ndim > 0xFF:
             raise ShapeMismatch(f"tensor {name!r} has {arr.ndim} dims (max 255)")
         tag = _DTYPE_TO_TAG[arr.dtype]
-        parts.append(
-            struct.pack(">H", len(raw_name))
-            + raw_name
-            + struct.pack(f">BB{arr.ndim}I", tag, arr.ndim, *arr.shape)
-        )
+        parts.append(_name_header(name) + struct.pack(f">BB{arr.ndim}I", tag, arr.ndim, *arr.shape))
         # a no-op on little-endian hosts; elsewhere a swapped copy
         parts.append(_byte_view(arr.astype(_TAG_TO_DTYPE[tag], copy=False)))
     return parts

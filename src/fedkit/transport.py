@@ -24,13 +24,14 @@ from typing import Optional
 
 from . import errors
 from .compression import CodecConfig, compress_params, decompress_params
-from .errors import FedkitError, ProtocolError, Unauthenticated
+from .errors import FedkitError, ProtocolError, ShapeMismatch, Unauthenticated
 from .params import (
     ModelUpdate,
     ParameterSet,
     deserialize_params,
     serialize_params,  # noqa: F401  (perfbench/tracer.py wraps it on this module)
     serialize_pieces,
+    serialized_size,
 )
 from .server import Reply, ServerAgent
 from .wire import (
@@ -77,15 +78,30 @@ def encode_update(
     return stage_body(meta, body, connector, inline_limit)
 
 
-def decode_update(payload: bytes, connectors: Optional[dict] = None) -> ModelUpdate:
+def decode_update(
+    payload: bytes, connectors: Optional[dict] = None, expect: Optional[ParameterSet] = None
+) -> ModelUpdate:
+    """The update in ``payload``.
+
+    Given ``expect`` (a set of the model's structure), an update of another
+    structure raises :class:`ShapeMismatch` before its tensors are allocated:
+    a staged raw body must be ``serialized_size(expect)`` bytes long, checked
+    before it is opened, and a qz blob is checked by its entry headers.  An
+    inline raw body allocates no more than its own length, and the agent
+    checks its structure.
+    """
     env = decode_envelope(payload)
     meta = env.meta
     enc = meta.get("enc", "raw")
     if enc not in ("raw", "qz"):
         raise ProtocolError(f"unknown update encoding {enc!r}")
+    if expect is not None and enc == "raw" and env.ref is not None:
+        want = serialized_size(expect)
+        if env.ref.size != want:
+            raise ShapeMismatch(f"staged update is {env.ref.size} bytes, the model {want}")
     try:
         if enc == "qz":
-            params = decompress_params(fetch_body(env, connectors))
+            params = decompress_params(fetch_body(env, connectors), expect)
         else:
             params = fetch_body(env, connectors, deserialize_params)
         wall = None
@@ -283,7 +299,8 @@ class SocketServer:
         return self._model_reply(mine, self.agent.done)
 
     def _on_update_submit(self, payload: bytes):
-        update = decode_update(payload, self.connectors)
+        # a run's structure never changes, so any global model will do
+        update = decode_update(payload, self.connectors, self.agent.global_params)
         cid = update.client_id
         with self._cond:
             if not self.agent.done:

@@ -70,6 +70,25 @@ def test_validate_config_bad_strategy_exits_2(config_path, tmp_path, capsys):
     assert "FedMagic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, named",
+    [
+        ("aggregator_kwargs", {"server_lrr": 0.1}, "server_lrr"),
+        ("scheduler_kwargs", {"qmin": "x"}, "qmin"),
+        ("scheduler_kwargs", {"qmin": 5, "qmax": 3}, "qmin"),
+        ("model_configs", {"layer_dims": ["a", 3], "loss": "mse"}, "layer_dims"),
+    ],
+)
+def test_validate_config_checks_kwargs_and_layer_dims(config_path, tmp_path, capsys, key, value, named):
+    doc = yaml.safe_load(config_path.read_text())
+    doc["server_configs"]["scheduler"] = "CompassScheduler"
+    doc["server_configs"][key] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    assert main(["validate-config", "--config", str(bad)]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_readme_example_config_validates_and_builds(tmp_path, capsys):
     text = README.read_text()
     block = re.search(r"A complete working example:\n\n```yaml\n(.*?)```", text, re.S)

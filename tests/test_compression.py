@@ -10,7 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from fedkit import compression as C
 from fedkit.client import ClientState, TrainConfig, local_train
-from fedkit.errors import ChecksumMismatch, CorruptBlob, NonFiniteValue, UnknownStrategyName
+from fedkit.errors import (
+    ChecksumMismatch,
+    CorruptBlob,
+    NameTooLong,
+    NonFiniteValue,
+    ShapeMismatch,
+    UnknownStrategyName,
+)
 from fedkit.models import ModelSpec, init_params, make_blobs
 from fedkit.params import ParameterSet, serialize_params
 
@@ -551,6 +558,32 @@ def _peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def constant_qz_blob(name: str, shape) -> bytes:
+    """A blob of one float64 entry of ``shape``, all zeros, as a 9-byte constant qz block."""
+    block = struct.pack(">Bd", C._QZ_CONSTANT, 0.0)
+    raw = name.encode("utf-8")
+    head = struct.pack(">IH", 1, len(raw)) + raw
+    head += struct.pack(f">BBB{len(shape)}I", C.SCHEME_LOSSY_QZ, 1, len(shape), *shape)
+    return head + struct.pack(">BII", C._CODEC_IDS["none"], len(block), zlib.crc32(block)) + block
+
+
+def test_a_blob_of_another_structure_is_refused_after_its_headers():
+    model = pset(w=np.zeros(4))
+    blob = constant_qz_blob("w", (2048, 2048))
+    assert len(blob) == 36
+    with pytest.raises(ShapeMismatch):
+        C.decompress_params(blob, model)
+    assert C.decompress_params(constant_qz_blob("w", (4,)), model) == model
+    for other in (pset(w=np.zeros(4, dtype=np.float32)), pset(v=np.zeros(4)), pset(w=np.zeros((2, 2)))):
+        with pytest.raises(ShapeMismatch):
+            C.decompress_params(constant_qz_blob("w", (4,)), other)
+
+
+def test_compress_params_refuses_a_name_too_long_to_store():
+    with pytest.raises(NameTooLong):
+        C.compress_params(pset(**{"x" * 70000: np.zeros(1)}), CFG)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

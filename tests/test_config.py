@@ -1,5 +1,8 @@
 """Config loading: schema validation, merge semantics, scenario assembly."""
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,9 @@ from fedkit.errors import (
     UnknownKey,
     UnknownStrategyName,
 )
+from fedkit.models import build_dataset
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 SERVER_DOC = {
     "server_configs": {
@@ -317,3 +323,105 @@ def test_resolved_snapshot_roundtrips(tmp_path):
     again = yaml.safe_load(out.read_text())
     assert again["server_configs"]["aggregator"] == "FedAvgAggregator"
     assert {c["client_id"] for c in again["clients"]} == {"alpha", "beta"}
+
+
+# -- a null means unset -----------------------------------------------------------
+
+
+def _readme_example() -> dict:
+    block = re.search(r"A complete working example:\n\n```yaml\n(.*?)```", README.read_text(), re.S)
+    return yaml.safe_load(block.group(1))
+
+
+def _leaf_paths(node, path=()):
+    """The path of every leaf key, through mappings and lists of mappings."""
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            yield from _leaf_paths(value, (*path, key))
+    elif isinstance(node, list) and node and all(isinstance(e, dict) for e in node):
+        for i, entry in enumerate(node):
+            yield from _leaf_paths(entry, (*path, i))
+    else:
+        yield path
+
+
+README_LEAVES = list(_leaf_paths(_readme_example()))
+
+
+def _dataset(ds):
+    return None if ds is None else (ds.features.tobytes(), ds.labels.tobytes(), ds.task)
+
+
+def _outcome(tmp_path, doc):
+    """What a config builds: its ExperimentConfig and SimScenario fields, or its ConfigError."""
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    try:
+        cfg = load_config(path)
+        scenario = build_scenario(cfg)
+    except ConfigError as e:
+        return type(e)
+    fields = {f.name: getattr(scenario, f.name) for f in dataclasses.fields(scenario)}
+    fields["clients"] = [
+        (c.client_id, c.train, c.mean_batch_time, c.privacy, _dataset(c.dataset))
+        for c in scenario.clients
+    ]
+    fields["eval_dataset"] = _dataset(scenario.eval_dataset)
+    # resolved is the snapshot of the file as written, nulls and all
+    return dataclasses.replace(cfg, resolved={}), fields
+
+
+@pytest.mark.parametrize("leaf", README_LEAVES, ids=lambda leaf: ".".join(map(str, leaf)))
+def test_a_null_key_builds_what_an_absent_key_builds(tmp_path, leaf):
+    absent, null = _readme_example(), _readme_example()
+    for doc in (absent, null):
+        node = doc
+        for part in leaf[:-1]:
+            node = node[part]
+        if doc is absent:
+            del node[leaf[-1]]
+        else:
+            node[leaf[-1]] = None
+    assert _outcome(tmp_path, null) == _outcome(tmp_path, absent)
+
+
+def test_the_readme_walk_reaches_every_section():
+    assert {leaf[0] for leaf in README_LEAVES} == {"server_configs", "client_configs", "clients", "sim"}
+    assert ("clients", 1, "mean_batch_time") in README_LEAVES
+
+
+def test_a_null_client_override_keeps_the_shared_value(tmp_path):
+    doc = yaml.safe_load(yaml.safe_dump(SERVER_DOC))
+    doc["clients"][1]["train_configs"] = {"lr": None, "local_steps": 3}
+    beta = load_config(write_server(tmp_path, doc)).clients[1]
+    assert beta.train.lr == 0.05 and beta.train.local_steps == 3
+
+
+def test_a_null_batch_time_in_the_sim_map_keeps_the_clients_own(tmp_path):
+    path = write_server(tmp_path, SERVER_DOC, sim={"mean_batch_times": {"alpha": 0.3, "beta": None}})
+    scen = build_scenario(load_config(path))
+    assert [c.mean_batch_time for c in scen.clients] == [0.3, 2.0]
+
+
+def test_a_float_key_takes_an_int(tmp_path):
+    path = write_server(tmp_path, SERVER_DOC, **{"client_configs.train_configs.lr": 1}, sim={"jitter": 0})
+    cfg = load_config(path)
+    assert type(cfg.clients[0].train.lr) is float and type(cfg.sim["jitter"]) is float
+
+
+def test_an_unknown_blobs_kwarg_is_a_parse_error():
+    with pytest.raises(ParseError, match="dimm"):
+        build_dataset("blobs", {"dimm": 5})
+
+
+def test_a_partition_without_a_scheme_is_missing_required():
+    with pytest.raises(MissingRequired, match="scheme"):
+        build_dataset("blobs", {"classes": 3, "partition": {"n_clients": 2, "index": 0}})
+
+
+def test_dataset_kwargs_drop_nulls_at_every_level():
+    kwargs = {"classes": 3, "dim": 4, "per_class": 10, "seed": 2}
+    part = {"scheme": "iid", "n_clients": 2, "index": 1}
+    plain = build_dataset("blobs", dict(kwargs, partition=part))
+    nulls = build_dataset("blobs", dict(kwargs, spread=None, partition=dict(part, seed=None)))
+    assert np.array_equal(plain.features, nulls.features)

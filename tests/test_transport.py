@@ -1,6 +1,9 @@
 import socket
+import struct
 import threading
 import time
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -94,6 +97,63 @@ class TestUpdateCodec:
         assert len(payload) < 1024  # body went out of band
         out = decode_update(payload, {"fs": c})
         assert out.params == u.params
+
+
+def qz_update_declaring(shape) -> bytes:
+    """An update of client "a" whose 36-byte qz blob declares one float64 ``shape`` tensor "w"."""
+    block = struct.pack(">Bd", 1, 0.0)  # a constant qz block
+    blob = struct.pack(f">IH1sBBB{len(shape)}I", 1, 1, b"w", 2, 1, len(shape), *shape)
+    blob += struct.pack(">BII", 0, len(block), zlib.crc32(block)) + block
+    meta = {"client_id": "a", "samples": "1", "steps": "1", "base_epoch": "0",
+            "delta": "0", "enc": "qz"}
+    return stage_body(meta, blob)
+
+
+class TestUpdateStructure:
+    """An update is checked against the model's structure before it is decoded."""
+
+    def test_qz_update_is_refused_before_its_tensors_are_allocated(self):
+        model = ParameterSet({"w": np.zeros(4)})
+        payload = qz_update_declaring((2048, 2048))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeMismatch):
+                decode_update(payload, expect=model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the declared tensor is 32 MiB
+        assert decode_update(qz_update_declaring((4,)), expect=model).params == model
+
+    def test_staged_raw_update_of_another_size_is_refused_before_it_is_opened(self, tmp_path):
+        store = FilesystemConnector(tmp_path)
+        model = ParameterSet({"w": np.zeros(4, dtype=np.float32)})
+        wrong = ModelUpdate("a", ParameterSet({"w": np.zeros(5, dtype=np.float32)}), False, 1, 1, 0)
+        payload = encode_update(wrong, connector=store, inline_limit=0)
+        store.get = None  # opening the body would raise TypeError
+        with pytest.raises(ShapeMismatch):
+            decode_update(payload, {"fs": store}, expect=model)
+
+    def test_socket_server_refuses_it_once_and_the_round_goes_on(self):
+        init = ParameterSet({"w": np.zeros(4)})
+        agent = ServerAgent(init, SyncScheduler(["a"], 1), FedAvgAggregator(), target_epochs=1)
+        with SocketServer(agent) as srv:
+            handled = []
+            handle = srv._handle
+            srv._handle = lambda frame: handled.append(frame) or handle(frame)
+            with Communicator(srv.host, srv.port, timeout=5.0, max_retries=3, backoff=0.01) as com:
+                com.fetch_model("a")
+                handled.clear()
+                tracemalloc.start()
+                try:
+                    with pytest.raises(ShapeMismatch):
+                        com.request(MessageType.UPDATE_SUBMIT, qz_update_declaring((2048, 2048)))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert len(handled) == 1 and peak < 8 << 20
+                _, epoch, _, done = com.submit_update(ModelUpdate("a", init, False, 1, 1, 0))
+        assert (epoch, done) == (1, True) and agent.update_count == 1
 
 
 def make_setup(n_clients=2, rounds=3, scheduler_cls=SyncScheduler):
