@@ -17,10 +17,24 @@ take one stacked ``backward`` (one ``np.matmul`` over the stack per product),
 and the proximal pull and the optimizer step are a few whole-block
 operations.  Each client still draws its own batches and keeps its own
 optimizer, so every update equals, bit for bit, the one the client would
-compute alone.  A cohort is cut into slices whose transient stacks stay
-within ``_STACK_BYTES``, so a large model trains one client per worker.  Only
-the weight buffer outlives the call, as the rows that the returned updates
-are sets over; nothing is kept per client besides the optimizer state.
+compute alone.
+
+Each step runs in a :class:`~fedkit.models.Plan`, made once per (clients,
+batch length, dtype) shape in each slice: preallocated work arrays for the
+gathered features and labels, the pre- and post-activations, the ReLU masks,
+the softmax or ``mse`` gradient and the back-propagated deltas.  The checks
+run once per round, before any client draws a batch: the features' width
+and every label of each shard (:class:`~fedkit.errors.DimMismatch`), and the
+gradients' dtypes against the model's (:class:`~fedkit.errors.ShapeMismatch`).
+A client's batch is a set of row indices, gathered straight into the plan's
+input arrays, and the step computes no loss.  The call still goes through
+``backward``, with the plan carried in its ``out`` mapping.
+
+A cohort is cut into slices whose transient stacks stay within
+``_STACK_BYTES``, so a large model trains one client per worker.  Only the
+weight buffer outlives the call, as the rows that the returned updates are
+sets over; nothing is kept per client besides the optimizer state, and
+plans belong to the slice that made them.
 
 Every training call, the simulator's and each socket client's alike, holds
 OpenBLAS at one thread while it runs, so the products of both paths are the
@@ -41,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .models import Dataset, ModelSpec, backward
+from .models import Dataset, ModelSpec, Plan, PlannedGrads, Scratch, backward, check_shard
 from .optim import SGD, make_optimizer
 from .params import FlatStack, ModelUpdate, ParameterSet
 from .privacy import PrivacyConfig, apply_privacy
@@ -92,8 +106,8 @@ class ClientState:
         self._perm = np.zeros(0, dtype=np.int64)
         self._cursor = 0
 
-    def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
-        """Next slice of the seeded shuffle; reshuffles at each epoch boundary."""
+    def next_indices(self) -> np.ndarray:
+        """Row indices of the next slice of the seeded shuffle; reshuffles at each epoch boundary."""
         n = len(self.dataset)
         if self._cursor >= len(self._perm):
             self._perm = self.rng.permutation(n)
@@ -101,6 +115,11 @@ class ClientState:
         end = min(self._cursor + self.cfg.batch_size, n)
         idx = self._perm[self._cursor : end]
         self._cursor = end
+        return idx
+
+    def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
+        """Features and labels of the rows of :meth:`next_indices`."""
+        idx = self.next_indices()
         return self.dataset.features[idx], self.dataset.labels[idx]
 
 
@@ -226,13 +245,22 @@ def train_cohort(jobs, clock=time.monotonic) -> list[ModelUpdate]:
             updates[i] = _package(job, job[1], start, clock())
     if not busy:
         return updates
+    # every check of the round, before any client draws a batch
+    spec, like = jobs[busy[0]][0].model_spec, jobs[busy[0]][1]
+    targets = {}
+    for i in busy:
+        st, base = jobs[i][0], jobs[i][1]
+        if st.model_spec != spec:
+            raise ConfigError("a cohort trains one model spec")
+        base.check_structure(like)
+        targets[i] = check_shard(spec, base, st.dataset.features, st.dataset.labels)
     # consecutive slices, each with transient stacks of at most _STACK_BYTES
     row_bytes = sum(a.nbytes for _, a in jobs[busy[0]][1].items())
     size = max(1, _STACK_BYTES // max(row_bytes, 1))
     slices = [busy[lo : lo + size] for lo in range(0, len(busy), size)]
 
     def train(part: list) -> None:
-        trained = _train_rows([jobs[i] for i in part])
+        trained = _train_rows([jobs[i] for i in part], [targets[i] for i in part])
         end = clock()
         # packaged at once, while a large model's weights are still in cache
         for i, params in zip(part, trained):
@@ -279,17 +307,22 @@ def _package(job, params: ParameterSet, start: float, end: float) -> ModelUpdate
     )
 
 
-def _train_rows(jobs) -> list[ParameterSet]:
+def _train_rows(jobs, targets) -> list[ParameterSet]:
     """Train the jobs of one slice as rows of shared stacks; one set per job.
 
-    Row ``r`` of the weight stack ``w`` starts as a copy of job ``r``'s base.
-    At each step every client that still has steps draws its own batch;
-    clients whose batches have one length and dtype form a group, and one
-    ``backward`` call on the group's rows writes into the same rows of the
-    gradient stack ``g``.  A group of one runs the 2-D path on its rows.  A
-    group that is not a contiguous block of rows works on a gathered copy of
-    its weights and scatters its gradients back.  No row is ever masked or
-    padded, so every row sees exactly the operations of a lone client.
+    ``targets[i]`` are job ``i``'s labels as :func:`~fedkit.models.check_shard`
+    returned them: the shards were checked once for the whole round, so no
+    step checks anything.  Row ``r`` of the weight stack ``w`` starts as a
+    copy of job ``r``'s base.  At each step every client that still has
+    steps draws the indices of its batch; clients whose batches have one
+    length and feature dtype form a group.  The group's rows are gathered
+    with ``take`` into the input arrays of its plan, one per (group size,
+    batch length, dtype), made on first use, and one ``backward`` call on
+    the group's weight rows runs the plan and writes into the same rows of
+    the gradient stack ``g``.  A group of one runs the 2-D path on its rows.
+    A group that is not a contiguous block of rows works on a gathered copy
+    of its weights and scatters its gradients back.  No row is ever masked
+    or padded, so every row sees exactly the operations of a lone client.
     Then the proximal pull ``g += mu*(w - b)`` and the optimizer step run on
     the active rows: as one block when the clients share SGD with one
     learning rate and one ``prox_mu``, else client by client on its own
@@ -299,16 +332,16 @@ def _train_rows(jobs) -> list[ParameterSet]:
     states = [jobs[i][0] for i in order]
     bases = [jobs[i][1] for i in order]
     budgets = [jobs[i][2] for i in order]
+    targets = [targets[i] for i in order]
+    features = [st.dataset.features for st in states]
     k = len(jobs)
     spec = states[0].model_spec
-    for st, base in zip(states, bases):
-        if st.model_spec != spec:
-            raise ConfigError("a cohort trains one model spec")
-        base.check_structure(bases[0])
     w = FlatStack(bases[0], k, sources=bases)
     g = FlatStack(bases[0], k)
-    lone = [(_views(w, r), _views(g, r)) for r in range(k)]  # views for groups of one
     gathered = None  # (weights, gradients) stacks for scattered groups, made on first use
+    plans: dict[tuple, Plan] = {}  # (rows, batch length, dtype) -> plan
+    scratch = Scratch()  # the plans' work arrays: they run one at a time
+    calls: dict[tuple, tuple] = {}  # (first row, or None if gathered; plan) -> backward's arguments
     mus = [st.cfg.prox_mu for st in states]
     opts = [st.optimizer for st in states]
     block = all(
@@ -328,31 +361,38 @@ def _train_rows(jobs) -> list[ParameterSet]:
             steppers = _steppers(opts, mus, block, (w, g, b, t), active)
         groups: dict[tuple, list] = {}
         for r in range(active):
-            x, y = states[r].next_batch()
-            groups.setdefault((len(x), x.dtype), []).append((r, x, y))
-        for members in groups.values():
-            rows = [r for r, _, _ in members]
-            m = len(rows)
-            if m == 1:
-                r, x, y = members[0]
-                backward(spec, lone[r][0], x, y, out=lone[r][1])
-                continue
-            _, x0, y0 = members[0]
-            x = np.concatenate([x for _, x, _ in members]).reshape(m, *x0.shape)
-            y = np.concatenate([y for _, _, y in members]).reshape(m, *y0.shape)
-            lo = rows[0]
-            if rows[-1] - lo == m - 1:  # a block of rows, used in place
-                span = slice(lo, lo + m)
-                backward(spec, _views(w, span), x, y, out=_views(g, span))
-                continue
-            if gathered is None:
-                gathered = FlatStack(bases[0], k), FlatStack(bases[0], k)
-            gw, gg = gathered
-            for src, dst in zip(w.bufs, gw.bufs):
-                np.take(src, rows, axis=0, out=dst[:m])
-            backward(spec, _views(gw, slice(0, m)), x, y, out=_views(gg, slice(0, m)))
-            for src, dst in zip(gg.bufs, g.bufs):
-                dst[rows] = src[:m]
+            idx = states[r].next_indices()
+            groups.setdefault((len(idx), features[r].dtype), []).append((r, idx))
+        for (n, dtype), members in groups.items():
+            m, rows = len(members), [r for r, _ in members]
+            plan = plans.get((m, n, dtype))
+            if plan is None:
+                lead = () if m == 1 else (m,)
+                plan = plans[m, n, dtype] = Plan(
+                    spec, bases[0], dtype, lead, n, inputs=True, scratch=scratch
+                )
+            inputs = ((plan.x,), (plan.y,)) if m == 1 else (plan.x, plan.y)
+            # the indices come from the client's shuffle, so "clip" changes
+            # none of them; it only spares take the buffer "raise" writes through
+            for (r, idx), x, y in zip(members, *inputs):
+                features[r].take(idx, axis=0, out=x, mode="clip")
+                targets[r].take(idx, axis=0, out=y, mode="clip")
+            # a block of rows is used in place; other groups are gathered
+            lo = rows[0] if rows[-1] - rows[0] == m - 1 else None
+            call = calls.get((lo, plan))
+            if call is None:
+                if lo is None and gathered is None:
+                    gathered = FlatStack(bases[0], k), FlatStack(bases[0], k)
+                ws, gs = (w, g) if lo is not None else gathered
+                at = slice(0, m) if lo is None else lo if m == 1 else slice(lo, lo + m)
+                call = calls[lo, plan] = (_views(ws, at), PlannedGrads(_views(gs, at), plan))
+            if lo is None:
+                for src, dst in zip(w.bufs, gathered[0].bufs):
+                    np.take(src, rows, axis=0, out=dst[:m])
+            backward(spec, call[0], plan.x, plan.y, out=call[1])
+            if lo is None:
+                for src, dst in zip(gathered[1].bufs, g.bufs):
+                    dst[rows] = src[:m]
         for args in steppers:
             _prox_and_step(*args)
         for r in range(active):

@@ -14,6 +14,7 @@ per-client partition indices.
 from __future__ import annotations
 
 import copy
+import inspect
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +22,7 @@ from typing import Optional
 
 import yaml
 
-from .aggregators import make_aggregator
+from .aggregators import AGGREGATORS, make_aggregator
 from .client import TrainConfig
 from .compression import CodecConfig
 from .errors import (
@@ -32,7 +33,7 @@ from .errors import (
     UnknownKey,
     UnknownStrategyName,
 )
-from .models import DATASETS, ModelSpec, build_dataset, without_nulls
+from .models import ACTIVATIONS, DATASETS, LOSSES, ModelSpec, build_dataset, without_nulls
 from .privacy import PrivacyConfig
 from .schedulers import make_scheduler
 from .sim import SimClient, SimScenario, draw_batch_times
@@ -239,6 +240,9 @@ def _parse_model(section, path: str) -> tuple[Optional[ModelSpec], int]:
     if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
         raise ParseError(f"{path}.layer_dims: expected a list of ints, got {dims!r}")
     _require(kwargs, "loss", path)
+    for key, known in (("activation", ACTIVATIONS), ("loss", LOSSES)):
+        if kwargs.get(key, known[0]) not in known:
+            raise ParseError(f"{path}.{key}: unknown {key} {kwargs[key]!r} (known: {list(known)})")
     return ModelSpec(**kwargs), init_seed
 
 
@@ -254,6 +258,12 @@ def _parse_comm(section, path: str) -> CommSettings:
         except ValueError:
             raise ParseError(f"{path}.bind: bad port {port!r}") from None
     return CommSettings(**kwargs)
+
+
+def _kwarg_types(cls) -> dict:
+    """The type of each keyword argument of ``cls``, as its default declares it."""
+    params = inspect.signature(cls).parameters.values()
+    return {p.name: type(p.default) for p in params if p.default is not p.empty}
 
 
 def _check_kwargs(key: str, make, *args) -> None:
@@ -318,11 +328,24 @@ def load_config(server_path, client_paths=()) -> ExperimentConfig:
         )
     plans.sort(key=lambda p: p.client_id)
 
-    aggregator_kwargs = without_nulls(server.get("aggregator_kwargs", {}))
+    if aggregator not in AGGREGATORS:
+        raise UnknownStrategyName(
+            f"server_configs.aggregator: {aggregator!r} (known: {sorted(AGGREGATORS)})"
+        )
+    aggregator_kwargs = _check_keys(
+        server.get("aggregator_kwargs"), _kwarg_types(AGGREGATORS[aggregator]),
+        "server_configs.aggregator_kwargs",
+    )
     scheduler_kwargs = without_nulls(server.get("scheduler_kwargs", {}))
     ids, steps = [p.client_id for p in plans], max(p.train.local_steps for p in plans)
     _check_kwargs("scheduler_kwargs", make_scheduler, scheduler, ids, steps, scheduler_kwargs)
     _check_kwargs("aggregator_kwargs", make_aggregator, aggregator, aggregator_kwargs)
+
+    sim = _check_keys(doc.get("sim"), _SIM_KEYS, "sim")
+    if "mean_batch_times" in sim:
+        sim["mean_batch_times"] = _check_keys(
+            sim["mean_batch_times"], dict.fromkeys(ids, float), "sim.mean_batch_times"
+        )
 
     resolved = copy.deepcopy(raw)
     resolved["clients"] = [e for e, _ in entries]
@@ -337,7 +360,7 @@ def load_config(server_path, client_paths=()) -> ExperimentConfig:
         evaluation=evaluation,
         comm=comm,
         clients=plans,
-        sim=_check_keys(doc.get("sim"), _SIM_KEYS, "sim"),
+        sim=sim,
         resolved=resolved,
     )
 
@@ -372,13 +395,10 @@ def build_scenario(cfg: ExperimentConfig) -> SimScenario:
                 "codecs; the simulator needs one codec for every client"
             )
     sim = dict(cfg.sim)
-    mbt_map = without_nulls(sim.pop("mean_batch_times", {}))
+    mbt_map = sim.pop("mean_batch_times", {})  # client ids and floats, checked by load_config
     draw = {k: sim.pop(f"batch_time_{k}") for k in ("fastest", "spread") if f"batch_time_{k}" in sim}
     if mbt_map:
-        unknown = set(mbt_map) - {p.client_id for p in cfg.clients}
-        if unknown:
-            raise UnknownKey(f"sim.mean_batch_times: unknown clients {sorted(unknown)}")
-        times = [float(mbt_map.get(p.client_id, p.mean_batch_time)) for p in cfg.clients]
+        times = [mbt_map.get(p.client_id, p.mean_batch_time) for p in cfg.clients]
     elif draw:
         times = draw_batch_times(len(cfg.clients), seed=sim.get("seed", 0), **draw)
     else:

@@ -11,6 +11,14 @@ central finite differences.  Parameters follow the naming scheme
 2-D product, and every reduction runs along the same axis in the same
 order; so model k of a stack gets the gradient that a 2-D call on its own
 would give, bit for bit, as long as all K batches have the same length n.
+
+Every pass runs in a :class:`Plan`: preallocated work arrays for one batch
+shape, which each product and sum writes into with ``out=``.  ``forward``,
+``backward`` and the split-model helpers make a one-shot plan after checking
+their inputs.  Training makes one plan per batch shape and round, checks
+each shard once with :func:`check_shard` (feature width and labels, and the
+gradients' dtypes), and then calls ``backward`` with :class:`PlannedGrads`:
+that call checks nothing and computes no loss.
 """
 from __future__ import annotations
 
@@ -19,6 +27,7 @@ from importlib import resources
 from typing import Optional
 
 import csv
+import math
 
 import numpy as np
 
@@ -78,12 +87,6 @@ def init_params(spec: ModelSpec, seed: int, dtype=np.float64) -> ParameterSet:
     return ParameterSet(entries)
 
 
-def _act(spec: ModelSpec, z: np.ndarray) -> np.ndarray:
-    if spec.activation == "relu":
-        return np.maximum(z, 0.0)
-    return z
-
-
 def _check_features(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim not in (2, 3) or x.shape[-1] != spec.layer_dims[0]:
@@ -91,86 +94,28 @@ def _check_features(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_cache(spec: ModelSpec, params, x: np.ndarray):
-    """Returns (output, pre-activations per layer, post-activations incl. input)."""
-    x = _check_features(spec, x)
-    stacked = x.ndim == 3
-    pre, post = [], [x]
-    h = x
-    last = spec.n_layers - 1
-    for layer in range(last + 1):
-        b = params[f"b{layer}"]
-        z = h @ params[f"W{layer}"] + (b[:, None] if stacked else b)
-        pre.append(z)
-        h = _act(spec, z) if layer < last else z
-        post.append(h)
-    return h, pre, post
+def _targets(spec: ModelSpec, y, batch: tuple, dtype) -> np.ndarray:
+    """Labels checked against outputs of batch shape ``batch``, in the form a pass reads them.
 
-
-def forward(spec: ModelSpec, params: ParameterSet, x: np.ndarray) -> np.ndarray:
-    """Network output (n, d_out)."""
-    out, _, _ = _forward_cache(spec, params, x)
-    return out
-
-
-def _loss_and_grad(spec: ModelSpec, out: np.ndarray, y):
-    """(mean loss, d loss / d out); a stack of K outputs gets K losses."""
-    n = out.shape[-2]
-    stacked = out.ndim == 3
-    if spec.loss == "mse":
-        target = np.asarray(y, dtype=out.dtype)
-        if target.ndim == out.ndim - 1:
-            target = target.reshape(*out.shape[:-1], -1)
-        if target.shape != out.shape:
-            raise DimMismatch(f"labels {target.shape} vs outputs {out.shape}")
-        diff = out - target
-        if stacked:
-            loss = np.mean(diff * diff, axis=(1, 2))
-        else:
-            loss = float(np.mean(diff * diff))
-        return loss, (2.0 / (n * out.shape[-1])) * diff
-    # softmax cross entropy over integer labels
-    labels = np.asarray(y)
-    if labels.shape != out.shape[:-1]:
-        raise DimMismatch(f"labels {labels.shape} vs batch {out.shape[:-1]}")
-    labels = labels.astype(np.int64)
-    if (np.minimum.reduce(labels, axis=None) < 0
-            or np.maximum.reduce(labels, axis=None) >= out.shape[-1]):
-        raise DimMismatch("label out of range for output layer")
-    rows = np.arange(n)
-    # the (row, label) entry of every output; per model for a stack
-    picks = (np.arange(out.shape[0])[:, None], rows, labels) if stacked else (rows, labels)
-    shifted = out - np.maximum.reduce(out, axis=-1, keepdims=True)
-    # one exp serves both the log-sum-exp of the loss and the softmax
-    probs = np.exp(shifted)
-    total = np.add.reduce(probs, axis=-1, keepdims=True)
-    # the sum and the division of np.mean, without its Python-level wrapper
-    loss = np.add.reduce(np.log(total[..., 0]) - shifted[picks], axis=-1) / n
-    probs /= total
-    probs[picks] -= 1.0
-    probs /= n
-    return (loss if stacked else float(loss)), probs
-
-
-def _grad_out(out, name: str, shape: tuple, dtype) -> Optional[np.ndarray]:
-    """``out[name]`` if it has exactly the gradient's shape and dtype.
-
-    numpy would broadcast into a larger array or cast to a narrower dtype
-    (a float32 model on float64 features has float64 gradients), so both
-    are checked here instead.
+    For softmax, class indices as int64, each in range.  For mse, targets of
+    the outputs' ``dtype`` and shape; labels with one value per row fill a
+    single output unit.
     """
-    if out is None:
-        return None
-    try:
-        arr = out[name]
-    except KeyError:
-        raise ShapeMismatch(f"no output array for gradient {name!r}") from None
-    if arr.shape != shape or arr.dtype != dtype:
-        raise ShapeMismatch(
-            f"gradient {name!r} is {np.dtype(dtype).name}{list(shape)}, "
-            f"output array is {arr.dtype.name}{list(arr.shape)}"
-        )
-    return arr
+    d_out = spec.layer_dims[-1]
+    if spec.loss == "mse":
+        target = np.asarray(y, dtype=dtype)
+        if target.ndim == len(batch):
+            target = target.reshape(*batch, -1)
+        if target.shape != batch + (d_out,):
+            raise DimMismatch(f"labels {target.shape} vs outputs {batch + (d_out,)}")
+        return target
+    labels = np.asarray(y)
+    if labels.shape != batch:
+        raise DimMismatch(f"labels {labels.shape} vs batch {batch}")
+    labels = labels.astype(np.int64, copy=False)
+    if np.minimum.reduce(labels, axis=None) < 0 or np.maximum.reduce(labels, axis=None) >= d_out:
+        raise DimMismatch("label out of range for output layer")
+    return labels
 
 
 def _mT(a: np.ndarray) -> np.ndarray:
@@ -178,41 +123,316 @@ def _mT(a: np.ndarray) -> np.ndarray:
     return a.T if a.ndim == 2 else a.swapaxes(-1, -2)
 
 
-def _backprop(spec: ModelSpec, params, pre, post, delta: np.ndarray, out, input_grad: bool):
-    """Gradients of a scalar whose d/d(output) is ``delta``, plus d/d(input) if asked.
+class _Dtypes:
+    """The dtype of every array of a pass, as numpy's promotion makes them.
 
-    Arrays may carry a leading model axis (see the module docstring).  With
-    ``out`` (gradient name -> writable array) the gradients are written
-    there and ``out`` is returned; otherwise they are copied into a new set
-    in the entry order of ``params``.
+    ``x`` is the features' dtype and ``dout`` that of the output gradient
+    the backward pass starts from (the output's own dtype unless given).  A
+    float32 layer on float64 inputs has float64 outputs and gradients.
+    ``prod[l]`` is the dtype of layer ``l``'s matrix product and ``z[l]``
+    of its pre-activation, ``delta[l]`` that of d/d(output of layer l), and
+    ``grads`` maps each gradient's name to its dtype.
     """
-    last = spec.n_layers - 1
-    if out is not None and len(out) != 2 * (last + 1):
-        raise ShapeMismatch(f"{len(out)} output arrays for {2 * (last + 1)} gradients")
-    relu = spec.activation == "relu"
-    grads: dict[str, np.ndarray] = {}
-    for layer in range(last, -1, -1):
-        if layer < last and relu:
-            # below the output layer delta is a product made here, never the
-            # caller's array, so the mask applies in place
-            np.multiply(delta, pre[layer] > 0.0, out=delta)
-        h = post[layer]
-        w_name, b_name = f"W{layer}", f"b{layer}"
-        w_shape = h.shape[:-2] + (h.shape[-1], delta.shape[-1])
-        w_out = _grad_out(out, w_name, w_shape, np.result_type(h, delta))
-        b_out = _grad_out(out, b_name, delta.shape[:-2] + delta.shape[-1:], delta.dtype)
-        grads[w_name] = np.matmul(_mT(h), delta, out=w_out)
-        grads[b_name] = np.add.reduce(delta, axis=-2, out=b_out)
-        if layer or input_grad:
-            delta = delta @ _mT(params[w_name])
-    if out is None:
-        out = ParameterSet((name, grads[name]) for name in params.keys())
-    return out, delta if input_grad else None
+
+    __slots__ = ("prod", "z", "delta", "grads")
+
+    def __init__(self, spec: ModelSpec, params, x, dout=None):
+        promote = np.promote_types  # numpy's promotion of two arrays' dtypes
+        weights = [params[f"W{layer}"].dtype for layer in range(spec.n_layers)]
+        self.prod, self.z = [], []
+        inputs = []
+        h = np.dtype(x)
+        for layer, w in enumerate(weights):
+            inputs.append(h)
+            self.prod.append(promote(h, w))
+            h = promote(self.prod[-1], params[f"b{layer}"].dtype)
+            self.z.append(h)
+        d = h if dout is None else np.dtype(dout)
+        self.delta = [None] * spec.n_layers
+        self.grads = {}
+        for layer in range(spec.n_layers - 1, -1, -1):
+            self.delta[layer] = d
+            self.grads[f"W{layer}"] = promote(inputs[layer], d)
+            self.grads[f"b{layer}"] = d
+            d = promote(d, weights[layer])
+
+
+class _Head:
+    """d loss / d output for outputs of one shape and dtype, in arrays of its own.
+
+    ``grad`` receives the gradient.  Softmax cross entropy also keeps the row
+    maxima and sums and the flat index of each row's label entry.
+    """
+
+    __slots__ = ("grad", "_n", "_mse", "_scale", "_flat", "_mx", "_total", "_offsets", "_picks")
+
+    def __init__(self, spec: ModelSpec, shape: tuple, dtype, empty=np.empty):
+        self.grad = empty(shape, dtype)
+        self._n = shape[-2]
+        self._mse = spec.loss == "mse"
+        if self._mse:
+            self._scale = 2.0 / (shape[-2] * shape[-1])
+            return
+        self._flat = self.grad.reshape(-1)
+        self._mx = empty(shape[:-1] + (1,), dtype)
+        self._total = empty(shape[:-1] + (1,), dtype)
+        # constant, so never carved from shared scratch
+        self._offsets = np.arange(0, self.grad.size, shape[-1]).reshape(shape[:-1])
+        self._picks = empty(shape[:-1], np.int64)
+
+    def __call__(self, out: np.ndarray, y: np.ndarray, want_loss: bool):
+        """Writes the gradient of the mean loss of ``out`` on targets ``y`` into ``grad``.
+
+        Returns the mean loss (K of them for a stack) if ``want_loss``, else None.
+        """
+        d, loss, stacked = self.grad, None, out.ndim == 3
+        if self._mse:
+            np.subtract(out, y, out=d)
+            if want_loss:
+                loss = np.mean(d * d, axis=(1, 2)) if stacked else float(np.mean(d * d))
+            np.multiply(self._scale, d, out=d)
+            return loss
+        np.maximum.reduce(out, axis=-1, keepdims=True, out=self._mx)
+        np.subtract(out, self._mx, out=d)
+        # the flat index of the (row, label) entry of every output
+        picks = np.add(y, self._offsets, out=self._picks)
+        if want_loss:
+            shifted = self._flat[picks]
+        # one exp serves both the log-sum-exp of the loss and the softmax
+        np.exp(d, out=d)
+        total = np.add.reduce(d, axis=-1, keepdims=True, out=self._total)
+        if want_loss:
+            # the sum and the division of np.mean, without its Python-level wrapper
+            loss = np.add.reduce(np.log(total[..., 0]) - shifted, axis=-1) / self._n
+            loss = loss if stacked else float(loss)
+        d /= total
+        self._flat[picks] -= 1.0
+        d /= self._n
+        return loss
+
+
+class Scratch:
+    """Memory that plans which run one at a time carve their work arrays from.
+
+    A pass writes each work array before it reads it, so such plans can
+    share memory.  The memory is a list of chunks; each plan carves its
+    arrays one after another from the start of the first chunk, going on to
+    the next chunk when one is full, and a chunk is added when a plan needs
+    more.  Together the plans take about the memory of the largest.
+    """
+
+    _CHUNK = 1 << 18  # bytes; an array larger than this gets a chunk of its own size
+
+    def __init__(self):
+        self._chunks: list[np.ndarray] = []
+
+    def carver(self):
+        """``empty(shape, dtype)`` for one plan: arrays that never overlap each other."""
+        at = [0, 0]  # chunk, offset
+
+        def empty(shape, dtype):
+            dtype = np.dtype(dtype)
+            size = math.prod(shape) * dtype.itemsize
+            chunk, offset = at
+            while True:
+                if chunk == len(self._chunks):
+                    self._chunks.append(np.empty(max(size, self._CHUNK), np.uint8))
+                if offset + size <= len(self._chunks[chunk]):
+                    break
+                chunk, offset = chunk + 1, 0
+            arr = self._chunks[chunk][offset : offset + size].view(dtype).reshape(shape)
+            at[:] = chunk, -(-(offset + size) // 64) * 64  # the next array starts on a cache line
+            return arr
+
+        return empty
+
+
+class Plan:
+    """The work arrays of forward and backward passes for one batch shape.
+
+    A plan is made for a spec, the dtypes of a parameter mapping and of the
+    features, and a batch shape: ``lead`` is ``()`` for one model or
+    ``(m,)`` for a stack of m (see the module docstring), and ``n`` is the
+    batch length.  It holds every pre-activation (and, where adding the bias
+    promotes, the product before it), the ReLU outputs and masks, the output
+    layer's arrays and the back-propagated deltas; the output layer and the
+    backward arrays are made on first use, so a forward pass makes no more.
+    With ``inputs`` it also holds ``x`` and ``y``, the arrays a training step
+    gathers its batch into: features, and targets in the form ``_targets``
+    gives.  With a :class:`Scratch` its arrays are carved from that; plans
+    that share one must run one at a time.  A pass writes only into these
+    and into the gradient arrays it is given, and it checks nothing: the
+    caller checked its inputs.  Each product and sum is the one a pass of
+    fresh arrays would compute, with the same operands in the same order, so
+    the results are the same bits.  A plan holds no array of its caller's,
+    and one plan serves one thread.
+    """
+
+    __slots__ = ("dtypes", "x", "y", "_spec", "_lead", "_n", "_names", "_relu", "_empty",
+                 "_prods", "_pre", "_post", "_postT", "_head", "_masks", "_deltas")
+
+    def __init__(self, spec: ModelSpec, params, x_dtype, lead: tuple = (), n: int = 0, *,
+                 dout=None, inputs: bool = False, scratch: Optional[Scratch] = None):
+        self.dtypes = _Dtypes(spec, params, x_dtype, dout)
+        self._spec, self._lead, self._n = spec, tuple(lead), n
+        self._empty = empty = np.empty if scratch is None else scratch.carver()
+        self._names = [(f"W{layer}", f"b{layer}") for layer in range(spec.n_layers)]
+        self._relu = spec.activation == "relu"
+        last = spec.n_layers - 1
+        self._prods, self._pre, self._post = [], [], []
+        for layer, (prod, z) in enumerate(zip(self.dtypes.prod, self.dtypes.z)):
+            pre = empty(self._lead + (n, spec.layer_dims[layer + 1]), z)
+            self._pre.append(pre)
+            self._prods.append(pre if prod == z else empty(pre.shape, prod))
+            self._post.append(empty(pre.shape, z) if self._relu and layer < last else pre)
+        self._postT = [_mT(a) for a in self._post]
+        self._head = self._masks = self._deltas = None
+        self.x = self.y = None
+        if inputs:
+            self.x = empty(self._lead + (n, spec.layer_dims[0]), x_dtype)
+            if spec.loss == "mse":
+                self.y = empty(self._pre[-1].shape, self.dtypes.z[-1])
+            else:
+                self.y = empty(self._lead + (n,), np.int64)
+
+    def forward(self, params, x: np.ndarray) -> np.ndarray:
+        """The network's output for ``x``, in the plan's last pre-activation array."""
+        h, stacked = x, bool(self._lead)
+        for (w, b), prod, pre, post in zip(self._names, self._prods, self._pre, self._post):
+            bias = params[b]
+            np.matmul(h, params[w], out=prod)
+            np.add(prod, bias[:, None] if stacked else bias, out=pre)
+            if post is not pre:
+                np.maximum(pre, 0.0, out=post)
+            h = post
+        return h
+
+    def step(self, params, x: np.ndarray, y: np.ndarray, grads, want_loss: bool = False,
+             input_grad: bool = False):
+        """A forward and a backward pass; gradients go into ``grads`` (name -> array).
+
+        Returns ``(loss, dx)``: the mean loss if ``want_loss`` and d/d(input)
+        if ``input_grad``, each None otherwise.
+        """
+        out = self.forward(params, x)
+        if self._head is None:
+            self._head = _Head(self._spec, out.shape, out.dtype, self._empty)
+        loss = self._head(out, y, want_loss)
+        return loss, self.backprop(params, x, self._head.grad, grads, input_grad)
+
+    def backprop(self, params, x: np.ndarray, delta: np.ndarray, grads, input_grad: bool = False):
+        """Gradients of a scalar whose d/d(output) is ``delta``, after ``forward(params, x)``.
+
+        Writes them into ``grads`` and returns d/d(input) as a new array if
+        ``input_grad``, else None.
+        """
+        if self._deltas is None:
+            dims = self._spec.layer_dims
+            self._deltas = [None] + [
+                self._empty(self._lead + (self._n, dims[layer]), self.dtypes.delta[layer - 1])
+                for layer in range(1, self._spec.n_layers)
+            ]
+            self._masks = [self._empty(pre.shape, bool) for pre in self._pre[:-1]]
+        last = len(self._names) - 1
+        for layer in range(last, -1, -1):
+            w, b = self._names[layer]
+            if layer < last and self._relu:
+                # below the output layer delta is one of the plan's arrays,
+                # never the caller's, so the mask applies in place
+                mask = np.greater(self._pre[layer], 0.0, out=self._masks[layer])
+                np.multiply(delta, mask, out=delta)
+            np.matmul(self._postT[layer - 1] if layer else _mT(x), delta, out=grads[w])
+            np.add.reduce(delta, axis=-2, out=grads[b])
+            if layer:
+                delta = np.matmul(delta, _mT(params[w]), out=self._deltas[layer])
+            elif input_grad:
+                return delta @ _mT(params[w])
+        return None
+
+    def grad_arrays(self, out=None) -> dict:
+        """``out`` checked against the gradients, or new arrays for them.
+
+        numpy would broadcast into a larger array or cast to a narrower dtype
+        (a float32 model on float64 features has float64 gradients), so a
+        missing, extra or mismatched array raises :class:`ShapeMismatch`.
+        """
+        dims, shapes = self._spec.layer_dims, {}
+        for layer, (w, b) in enumerate(self._names):
+            shapes[w] = self._lead + dims[layer : layer + 2]
+            shapes[b] = self._lead + dims[layer + 1 : layer + 2]
+        if out is None:
+            return {name: np.empty(shapes[name], dtype) for name, dtype in self.dtypes.grads.items()}
+        if len(out) != len(shapes):
+            raise ShapeMismatch(f"{len(out)} output arrays for {len(shapes)} gradients")
+        for name, dtype in self.dtypes.grads.items():
+            try:
+                arr = out[name]
+            except KeyError:
+                raise ShapeMismatch(f"no output array for gradient {name!r}") from None
+            if arr.shape != shapes[name] or arr.dtype != dtype:
+                raise ShapeMismatch(
+                    f"gradient {name!r} is {dtype.name}{list(shapes[name])}, "
+                    f"output array is {arr.dtype.name}{list(arr.shape)}"
+                )
+        return out
+
+
+class PlannedGrads(dict):
+    """Gradient arrays (name -> writable array) that carry the plan a training step runs in.
+
+    Given one of these as ``out``, :func:`backward` runs ``plan.step``: no
+    check and no loss.  The plan holds only its own work arrays, never this
+    mapping or the arrays in it, so the two form no reference cycle.
+    """
+
+    __slots__ = ("plan",)
+
+    def __init__(self, grads, plan: Plan):
+        super().__init__(grads)
+        self.plan = plan
+
+
+def check_shard(spec: ModelSpec, params, features, labels) -> np.ndarray:
+    """The targets of a training shard, checked once for every batch drawn from it.
+
+    A planned step checks nothing, so this raises what :func:`backward`
+    would raise on a batch of the shard: :class:`DimMismatch` for features
+    of the wrong width or a label that the output layer cannot take, and
+    :class:`ShapeMismatch` where a gradient's dtype is not its parameter's.
+    Returns ``labels`` in the form a plan's ``y`` holds them, copied only
+    where that form differs.
+    """
+    x = _check_features(spec, features)
+    dtypes = _Dtypes(spec, params, x.dtype)
+    targets = _targets(spec, labels, x.shape[:-1], dtypes.z[-1])
+    for name, dtype in dtypes.grads.items():
+        if params[name].dtype != dtype:
+            raise ShapeMismatch(
+                f"gradient {name!r} is {dtype.name}, parameter is {params[name].dtype.name}"
+            )
+    return targets
+
+
+def _plan_for(spec: ModelSpec, params, x, dout=None) -> tuple[np.ndarray, Plan]:
+    x = _check_features(spec, x)
+    return x, Plan(spec, params, x.dtype, x.shape[:-2], x.shape[-2], dout=dout)
+
+
+def forward(spec: ModelSpec, params: ParameterSet, x: np.ndarray) -> np.ndarray:
+    """Network output (n, d_out)."""
+    x, plan = _plan_for(spec, params, x)
+    return plan.forward(params, x)
+
+
+def _loss_and_grad(spec: ModelSpec, out: np.ndarray, y):
+    """(mean loss, d loss / d out); a stack of K outputs gets K losses."""
+    head = _Head(spec, out.shape, out.dtype)
+    loss = head(out, _targets(spec, y, out.shape[:-1], out.dtype), want_loss=True)
+    return loss, head.grad
 
 
 def loss_on(spec: ModelSpec, params, x, y) -> float:
-    out, _, _ = _forward_cache(spec, params, x)
-    loss, _ = _loss_and_grad(spec, out, y)
+    loss, _ = _loss_and_grad(spec, forward(spec, params, x), y)
     return loss
 
 
@@ -226,19 +446,32 @@ def backward(spec: ModelSpec, params, x, y, *, out=None):
     With ``out`` (name -> writable array, one per gradient, of exactly its
     shape and dtype) they are written there and ``out`` itself is returned;
     a missing, extra or mismatched array raises :class:`ShapeMismatch`.
+    Either way the call checks its inputs and runs a one-shot :class:`Plan`.
+
+    A training step passes :class:`PlannedGrads` as ``out``: the call then
+    runs that plan on ``x`` and ``y`` (the plan's own input arrays) with no
+    check, since the caller checked the shard once per round with
+    :func:`check_shard`, and it computes no loss: the loss comes back None.
     """
-    fwd, pre, post = _forward_cache(spec, params, x)
-    loss, dout = _loss_and_grad(spec, fwd, y)
-    grads, _ = _backprop(spec, params, pre, post, dout, out, input_grad=False)
-    return loss, grads
+    if type(out) is PlannedGrads:
+        out.plan.step(params, x, y, out)
+        return None, out
+    x, plan = _plan_for(spec, params, x)
+    y = _targets(spec, y, x.shape[:-1], plan.dtypes.z[-1])
+    grads = plan.grad_arrays(out)
+    loss, _ = plan.step(params, x, y, grads, want_loss=True)
+    if out is None:
+        return loss, ParameterSet((name, grads[name]) for name in params.keys())
+    return loss, out
 
 
 def backward_with_input_grad(spec: ModelSpec, params, x, y):
     """(mean loss, gradient ParameterSet, d loss / d input) for one batch."""
-    out, pre, post = _forward_cache(spec, params, x)
-    loss, dout = _loss_and_grad(spec, out, y)
-    grads, dx = _backprop(spec, params, pre, post, dout, None, input_grad=True)
-    return loss, grads, dx
+    x, plan = _plan_for(spec, params, x)
+    y = _targets(spec, y, x.shape[:-1], plan.dtypes.z[-1])
+    grads = plan.grad_arrays()
+    loss, dx = plan.step(params, x, y, grads, want_loss=True, input_grad=True)
+    return loss, ParameterSet((name, grads[name]) for name in params.keys()), dx
 
 
 def backward_from_output_grad(spec: ModelSpec, params, x, dout: np.ndarray):
@@ -246,11 +479,14 @@ def backward_from_output_grad(spec: ModelSpec, params, x, dout: np.ndarray):
 
     Returns (output, gradient ParameterSet, input gradient).
     """
-    out, pre, post = _forward_cache(spec, params, x)
-    if np.asarray(dout).shape != out.shape:
-        raise DimMismatch(f"output grad {np.asarray(dout).shape} vs outputs {out.shape}")
-    grads, dx = _backprop(spec, params, pre, post, np.asarray(dout), None, input_grad=True)
-    return out, grads, dx
+    dout = np.asarray(dout)
+    x, plan = _plan_for(spec, params, x, dout=dout.dtype)
+    out = plan.forward(params, x)
+    if dout.shape != out.shape:
+        raise DimMismatch(f"output grad {dout.shape} vs outputs {out.shape}")
+    grads = plan.grad_arrays()
+    dx = plan.backprop(params, x, dout, grads, input_grad=True)
+    return out, ParameterSet((name, grads[name]) for name in params.keys()), dx
 
 
 # ---------------------------------------------------------------------------

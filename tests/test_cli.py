@@ -89,6 +89,41 @@ def test_validate_config_checks_kwargs_and_layer_dims(config_path, tmp_path, cap
     assert named in capsys.readouterr().err
 
 
+def write_variant(config_path, tmp_path, edit):
+    doc = yaml.safe_load(config_path.read_text())
+    edit(doc)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(doc))
+    return bad
+
+
+@pytest.mark.parametrize("key, value", [("activation", "tanh"), ("loss", "hinge")])
+def test_validate_config_names_an_unknown_activation_or_loss(config_path, tmp_path, capsys, key, value):
+    bad = write_variant(
+        config_path, tmp_path, lambda doc: doc["server_configs"]["model_configs"].update({key: value})
+    )
+    assert main(["validate-config", "--config", str(bad)]) == 2
+    assert f"model_configs.{key}" in capsys.readouterr().err
+
+
+def test_validate_config_names_a_non_numeric_aggregator_kwarg(config_path, tmp_path, capsys):
+    def edit(doc):
+        doc["server_configs"]["aggregator"] = "FedAdamAggregator"
+        doc["server_configs"]["aggregator_kwargs"] = {"server_lr": "x"}
+
+    bad = write_variant(config_path, tmp_path, edit)
+    assert main(["validate-config", "--config", str(bad)]) == 2
+    assert "aggregator_kwargs.server_lr" in capsys.readouterr().err
+
+
+def test_validate_config_names_a_non_numeric_batch_time(config_path, tmp_path, capsys):
+    bad = write_variant(
+        config_path, tmp_path, lambda doc: doc.update(sim={"mean_batch_times": {"alpha": "x"}})
+    )
+    assert main(["validate-config", "--config", str(bad)]) == 2
+    assert "mean_batch_times.alpha" in capsys.readouterr().err
+
+
 def test_readme_example_config_validates_and_builds(tmp_path, capsys):
     text = README.read_text()
     block = re.search(r"A complete working example:\n\n```yaml\n(.*?)```", text, re.S)

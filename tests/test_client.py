@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 import threading
@@ -13,7 +14,7 @@ from fedkit.client import (
     local_train,
     train_cohort,
 )
-from fedkit.errors import ConfigError, ShapeMismatch
+from fedkit.errors import ConfigError, DimMismatch, ShapeMismatch
 from fedkit.models import Dataset, ModelSpec, backward, dataset_metrics, init_params, make_blobs
 from fedkit.optim import Adam
 from fedkit.params import ParameterSet, norms
@@ -362,7 +363,10 @@ def cohort_states(dtype=np.float64, configs=None, spec=SPEC, **cfg_kw):
             np.arange(rows)
         )
         if spec.loss == "mse":
-            ds = Dataset(ds.features, ds.features.sum(axis=1) + ds.labels, "regression")
+            target = ds.features.sum(axis=1) + ds.labels
+            if spec.layer_dims[-1] > 1:  # one column per output unit
+                target = np.outer(target, np.arange(1, spec.layer_dims[-1] + 1))
+            ds = Dataset(ds.features, target, "regression")
         kw = dict(lr=0.05, batch_size=16, seed=30 + i)
         kw.update(configs[i] if configs else cfg_kw)
         cfg = TrainConfig(**kw)
@@ -448,6 +452,79 @@ def test_cohort_stacks_equal_batches_into_one_backward(monkeypatch):
     assert calls == [(4, 16, 4)] * 3 + [(3, 16, 4), (12, 4), (3, 16, 4), (6, 4)]
 
 
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+@pytest.mark.parametrize("loss,dims", [("softmax_cross_entropy", (4, 8, 3)), ("mse", (4, 6, 2))])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_planned_cohort_equals_per_tensor_oracle(monkeypatch, activation, loss, dims, dtype, mu):
+    # the five steps run every kind of group through a plan: blocks of all
+    # four rows, the gathered rows {0, 2, 3}, the block {0, 1, 2} and two
+    # lone rows whose batches are the partial last ones of their epochs
+    calls = []
+    real = client_module.backward
+
+    def counting(spec, params, x, y, out):
+        calls.append(np.shape(x))
+        return real(spec, params, x, y, out=out)
+
+    monkeypatch.setattr(client_module, "backward", counting)
+    spec = ModelSpec(dims, activation=activation, loss=loss)
+    cohort, alone = cohort_states(dtype, spec=spec, prox_mu=mu)
+    bases = [init_params(spec, seed=40 + i, dtype=dtype) for i in range(4)]
+    got = train_cohort([(st, base, 5, 0) for st, base in zip(cohort, bases)])
+    d_in = dims[0]
+    assert calls == [(4, 16, d_in)] * 3 + [(3, 16, d_in), (12, d_in), (3, 16, d_in), (6, d_in)]
+    for ref, base, update in zip(alone, bases, got):
+        want = oracle_round(ref, OracleSGD(ref.cfg.lr), base, 5, mu)
+        assert update.params == ParameterSet(want.items())
+    assert [st.steps_taken for st in cohort] == [5] * 4
+
+
+def test_a_negative_zero_pre_activation_keeps_the_old_bits():
+    # products that underflow make hidden unit 0's pre-activation exactly
+    # -0.0 on every row, where np.maximum(z, 0.0) and z * mask disagree on
+    # the sign.  Each such zero then meets only products and sums, which
+    # start from +0.0, so the gradients must equal the oracle's bit for bit
+    spec = ModelSpec((2, 3, 2))
+    tiny = 1e-200
+    x = np.full((6, 2), tiny)
+    x[:, 1] *= np.arange(1, 7)
+    base = ParameterSet([
+        ("W0", np.array([[-tiny, 0.5, -0.25], [-tiny, 0.75, 0.5]])),
+        ("b0", np.array([-0.0, 0.1, -0.2])),
+        ("W1", np.array([[0.3, -0.7], [0.9, 0.2], [-0.4, 0.6]])),
+        ("b1", np.array([0.05, -0.05])),
+    ])
+    pre = x @ base["W0"] + base["b0"]
+    if not np.all(np.signbit(pre[:, 0]) & (pre[:, 0] == 0.0)):
+        pytest.skip("this BLAS rounds the underflowed products to +0.0")
+    y = np.array([0, 1, 1, 0, 1, 0])
+    loss_oracle, want = oracle_backward(spec, base, x, y)
+    loss, grads = backward(spec, base, x, y)
+    assert loss == loss_oracle and grads == ParameterSet(want.items())
+    cfg = TrainConfig(lr=0.5, batch_size=6, prox_mu=0.5, seed=1)
+    ds = Dataset(x, y)
+    state, shadow = ClientState("c0", ds, spec, cfg), ClientState("c0", ds, spec, cfg)
+    update = local_train(state, base, steps=3)
+    assert update.params == ParameterSet(oracle_round(shadow, OracleSGD(0.5), base, 3, 0.5).items())
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_a_label_out_of_range_anywhere_fails_the_round_before_any_step(bad):
+    cohort, _ = cohort_states()
+    ds = cohort[3].dataset
+    labels = ds.labels.copy()
+    labels[-1] = bad  # one row of 70, which a batch of 16 may not draw
+    cohort[3].dataset = Dataset(ds.features, labels)
+    rngs = [st.rng.bit_generator.state for st in cohort]
+    base = init_params(SPEC, seed=0)
+    for jobs in ([(cohort[3], base, 1, 0)], [(st, base, 7, 0) for st in cohort]):
+        with pytest.raises(DimMismatch):
+            train_cohort(jobs)
+        assert [st.steps_taken for st in cohort] == [0] * 4
+        assert [st.rng.bit_generator.state for st in cohort] == rngs
+
+
 def test_cohort_rejects_a_client_twice():
     st = make_state()
     base = init_params(SPEC, seed=0)
@@ -493,12 +570,18 @@ def test_cohort_memory_stays_near_one_client(monkeypatch):
         cfg = TrainConfig(lr=0.01, batch_size=4, prox_mu=0.5, seed=i)
         jobs.append((ClientState(f"c{i}", ds, spec, cfg), base, 1, 0))
     workers = client_module._worker_count(len(jobs))
+    # with the cyclic collector off, an array kept alive by a reference
+    # cycle (a plan and its gradient stack, say) stays in the peak every time
+    gc_was_on = gc.isenabled()
+    gc.disable()
     tracemalloc.start()
     try:
         updates = train_cohort(jobs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+        if gc_was_on:
+            gc.enable()
     assert len(updates) == 8
     # 8 rows of results, 3 transient rows per worker and 3 rows of slack: 17
     # on two workers; with every stack eight rows deep it would be 32

@@ -65,7 +65,7 @@ def test_input_gradient_matches_finite_differences():
     params = M.init_params(spec, seed=5)
     x = rng.normal(size=(3, 4))
     y = rng.normal(size=(3, 3))
-    out, _, _ = M._forward_cache(spec, params, x)
+    out = M.forward(spec, params, x)
     _, dout = M._loss_and_grad(spec, out, y)
     _, _, dx = M.backward_from_output_grad(spec, params, x, dout)
     h = 1e-6
@@ -84,7 +84,7 @@ def test_backward_from_output_grad_agrees_with_backward():
     params = M.init_params(spec, seed=9)
     x, y = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
     loss, grads = M.backward(spec, params, x, y)
-    out, _, _ = M._forward_cache(spec, params, x)
+    out = M.forward(spec, params, x)
     _, dout = M._loss_and_grad(spec, out, y)
     _, grads2, _ = M.backward_from_output_grad(spec, params, x, dout)
     assert grads.allclose(grads2, rtol=0, atol=1e-15)
