@@ -133,8 +133,7 @@ _STACK_BYTES = 1 << 22
 def _openblas() -> list:
     """``(get, set)`` thread-count functions of each loaded OpenBLAS; empty if none.
 
-    Found on first use from the libraries mapped into the process, so that
-    importing fedkit loads no ctypes.
+    Found on first use, from the libraries mapped into the process by then.
     """
     import ctypes
 

@@ -345,11 +345,12 @@ def _unpack_indices(buf, count: int, bits: int) -> np.ndarray:
 def _reconstruct_into(out: np.ndarray, k: np.ndarray, vmin: float, vmax: float, w: float) -> np.ndarray:
     """Write ``clip(min + k*w, min, max)``, computed in float64, into ``out``
     and return ``out``.  Addition commutes in IEEE arithmetic, so adding min
-    in place gives the same bits as ``min + k*w``."""
+    in place gives the same bits as ``min + k*w``.  Indices are not negative,
+    so ``k*w >= 0`` and only the upper bound of the clip can bind."""
     recon = out if out.dtype == np.float64 else np.empty(out.shape, dtype=np.float64)
     np.multiply(k, w, out=recon, dtype=np.float64)
     recon += vmin
-    np.clip(recon, vmin, vmax, out=recon)
+    np.minimum(recon, vmax, out=recon)
     if recon is not out:
         out[...] = recon
     return out
@@ -398,27 +399,41 @@ def _qz_encode(arr: np.ndarray, eb_rel: float):
         return None
     k_top = int(np.ceil(r / w)) + 2
     bound = eb_rel * r
-    top_d, bottom_d = dtype.type(vmax), dtype.type(vmin)
+    # The reconstruction of index k, rounded to the dtype, is monotone in k,
+    # and it is max from k_hi up, the least such index, found by bisection.
+    # Every index from k_hi up is written as the canonical k_top.  Only index
+    # 0 lands on min: a dtype step is at most w/4 (checked above), so index 1
+    # lands at least 7w/8 above it.
+    top_d = dtype.type(vmax)
+    lo, k_hi = 0, k_top
+    while lo < k_hi:
+        mid = (lo + k_hi) // 2
+        if dtype.type(min(mid * w + vmin, vmax)) == top_d:
+            k_hi = mid
+        else:
+            lo = mid + 1
+    # an element equal to max rounds to rint(r / w), which may reconstruct
+    # below it: give max itself index k_top, which reconstructs to it exactly
+    fix_max = np.rint(r / w) < k_hi
     k = np.empty(x.size, dtype=_index_dtype(k_top.bit_length()))
+    kbuf = np.empty(min(x.size, _QZ_BLOCK))
+    xhat_buf = np.empty(kbuf.size, dtype)
     exc_idx = []
     for s in range(0, x.size, _QZ_BLOCK):
         xb = x[s : s + _QZ_BLOCK]
         xb64 = xb.astype(np.float64, copy=False)
         # indices as float64 whole numbers, read exactly later: x lies in
         # [vmin, vmax] and rounding is monotone, so they lie in [0, ceil(r/w)]
-        kb = np.subtract(xb64, vmin)
+        kb = np.subtract(xb64, vmin, out=kbuf[: xb.size])
         kb /= w
         np.rint(kb, out=kb)
-        kb[xb64 == vmax] = k_top
-        kb[xb64 == vmin] = 0
-        xhat = _reconstruct_into(np.empty(xb.size, dtype), kb, vmin, vmax, w)
+        if fix_max:
+            kb[xb64 == vmax] = k_top
+        xhat = _reconstruct_into(xhat_buf[: xb.size], kb, vmin, vmax, w)
         kn = k[s : s + _QZ_BLOCK]
         kn[...] = kb
-        # canonical index for anything that lands on an endpoint after rounding
-        kn[xhat == top_d] = k_top
-        kn[xhat == bottom_d] = 0
-        err = xhat.astype(np.float64, copy=False)
-        err -= xb64
+        kn[kn >= k_hi] = k_top
+        err = np.subtract(xhat, xb64, out=kb)  # in float64, as xhat's float64 twin
         np.abs(err, out=err)
         far = err > bound
         if far.any():

@@ -39,6 +39,10 @@ without a copy; :func:`serialize_params` joins those views for callers that
 need one bytes object.  :func:`deserialize_params` reads each tensor's bytes
 straight into its slice of a fresh buffer of its dtype, from a buffer or
 from a :class:`ByteStream` that hands them to a hasher as they land.
+
+Memory: importing this module caps glibc's malloc at one arena, so that a
+model-sized block freed on one thread is reused on every other; see
+:func:`_one_malloc_arena`.
 """
 from __future__ import annotations
 
@@ -60,6 +64,42 @@ from .errors import (
     TrailingBytes,
     Truncated,
 )
+
+_M_ARENA_MAX = -8  # glibc's mallopt parameter for the most malloc arenas
+
+
+def _one_malloc_arena() -> None:
+    """Cap glibc's malloc at one arena for the whole process.
+
+    fedkit hands model-sized buffers from thread to thread: a reply is
+    deserialized on a client thread, an update is decoded on a server
+    connection thread, and a cohort trains on ``fedkit-train`` workers.  By
+    default glibc gives each thread its own arena, and each arena keeps the
+    model-sized blocks it freed for that thread alone, so the process holds
+    several models' worth of freed memory that the others cannot reuse.  With
+    one arena, every thread reuses every freed block: a ``run_local`` over
+    loopback peaks near 190 MB instead of 280-300 MB.
+
+    Runs once, when this module is imported, which every entry point does
+    before it starts a thread.  Does nothing where the C library has no
+    ``mallopt`` (it is not glibc), or where ``MALLOC_ARENA_MAX`` or a
+    ``glibc.malloc.arena_max`` tunable is set: that is glibc's own setting,
+    and the user's choice wins.
+    """
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    if "MALLOC_ARENA_MAX" in os.environ or "malloc.arena_max" in tunables:
+        return
+    import ctypes  # numpy has imported it already
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no dlopen(NULL)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
+
+
+_one_malloc_arena()
 
 _DTYPE_TO_TAG = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}

@@ -161,10 +161,10 @@ class CompassScheduler:
         if qmin < 1 or qmax < qmin:
             raise InvalidBounds(f"need 1 <= qmin <= qmax, got [{qmin}, {qmax}]")
         self.clients = sorted(client_ids)
-        self.qmin = int(qmin)
-        self.qmax = int(qmax)
-        self.latitude = float(latitude)
-        self.speed_ema = float(speed_ema)
+        self.qmin = qmin
+        self.qmax = qmax
+        self.latitude = latitude
+        self.speed_ema = speed_ema
         self.speeds: dict[str, SpeedEstimate] = {}
         self.groups: dict[int, GroupRecord] = {}
         self.assignment: dict[str, int] = {}

@@ -76,6 +76,8 @@ def test_validate_config_bad_strategy_exits_2(config_path, tmp_path, capsys):
         ("aggregator_kwargs", {"server_lrr": 0.1}, "server_lrr"),
         ("scheduler_kwargs", {"qmin": "x"}, "qmin"),
         ("scheduler_kwargs", {"qmin": 5, "qmax": 3}, "qmin"),
+        ("scheduler_kwargs", {"qmin": 2.5}, "scheduler_kwargs.qmin"),
+        ("scheduler_kwargs", {"latitude": True}, "scheduler_kwargs.latitude"),
         ("model_configs", {"layer_dims": ["a", 3], "loss": "mse"}, "layer_dims"),
     ],
 )

@@ -1,7 +1,10 @@
 """Config loading: schema validation, merge semantics, scenario assembly."""
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from fedkit.errors import (
 from fedkit.models import build_dataset
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src"
 
 SERVER_DOC = {
     "server_configs": {
@@ -172,6 +176,24 @@ class TestValidation:
         path = write_server(tmp_path, SERVER_DOC, **{"server_configs.scheduler": "Cyclic"})
         with pytest.raises(UnknownStrategyName, match="Cyclic"):
             load_config(path)
+
+    def test_an_unknown_compass_kwarg_is_an_unknown_key(self, tmp_path):
+        path = write_server(
+            tmp_path, SERVER_DOC,
+            **{"server_configs.scheduler": "CompassScheduler", "server_configs.scheduler_kwargs": {"qmn": 5}},
+        )
+        with pytest.raises(UnknownKey, match=r"scheduler_kwargs\.qmn"):
+            load_config(path)
+
+    def test_compass_kwargs_keep_their_types(self, tmp_path):
+        kwargs = {"qmin": 3, "qmax": 9, "latitude": 1, "speed_ema": None}
+        path = write_server(
+            tmp_path, SERVER_DOC,
+            **{"server_configs.scheduler": "CompassScheduler", "server_configs.scheduler_kwargs": kwargs},
+        )
+        cfg = load_config(path)
+        assert cfg.scheduler_kwargs == {"qmin": 3, "qmax": 9, "latitude": 1.0}
+        assert type(cfg.scheduler_kwargs["latitude"]) is float
 
     def test_unknown_trainer(self, tmp_path):
         path = write_server(
@@ -425,3 +447,20 @@ def test_dataset_kwargs_drop_nulls_at_every_level():
     plain = build_dataset("blobs", dict(kwargs, partition=part))
     nulls = build_dataset("blobs", dict(kwargs, spread=None, partition=dict(part, seed=None)))
     assert np.array_equal(plain.features, nulls.features)
+
+
+def test_importing_fedkit_leaves_yaml_unloaded_until_a_config_is_read(tmp_path):
+    path = write_server(tmp_path, SERVER_DOC)
+    probe = (
+        "import sys\n"
+        "import fedkit.config, fedkit.runner, fedkit.sim, fedkit.transport\n"
+        "assert 'yaml' not in sys.modules, 'yaml imported with fedkit'\n"
+        "cfg = fedkit.config.load_config(sys.argv[1])\n"
+        "print(cfg.aggregator, *(p.client_id for p in cfg.clients))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["FedAvgAggregator", "alpha", "beta"]
