@@ -6,6 +6,11 @@ result is bit-identical under permutation of the input list.  Updates may
 carry full weights or deltas; each rule derives whichever form it needs
 relative to the current global model.
 
+A sum is folded term by term: every update's structure and staleness are
+checked first, then each update's params are read once, folded in and let
+go before the next is read.  A simulated update's params are trained at
+that read and taken by it, so a round holds one such update at a time.
+
 Per-coordinate formulas, with ``dbar`` the sample-weighted mean delta:
 
 - weighted_avg:  g = sum_i w_i * full_i
@@ -77,21 +82,21 @@ def _full_of(state: AggregatorState, u: ModelUpdate) -> tuple:
     return tuple(a + d for a, d in zip(g._bufs, u.params._bufs))
 
 
-def _terms(state: AggregatorState, ups, weights, delta: bool) -> list[tuple]:
-    """Accumulation terms giving each update as a delta or as full weights.
+def _terms(state: AggregatorState, ups, weights, delta: bool):
+    """Accumulation terms giving each update as a delta or as full weights, made one by one.
 
     A delta becomes full weights as ``delta + g`` and full weights become a
-    delta as ``full - g``, with ``g`` the current global model.
+    delta as ``full - g``, with ``g`` the current global model.  Every
+    update's structure is checked before the first term is made.
     """
     g = state.global_params
-    terms = []
-    for u, w in zip(ups, weights):
+    for u in ups:
         g.check_structure(u.params)
-        if u.is_delta == delta:
-            terms.append((w, u.params, None, None))
-        else:
-            terms.append((w, u.params, np.subtract if delta else np.add, g))
-    return terms
+    return (
+        (w, u.params, None, None) if u.is_delta == delta
+        else (w, u.params, np.subtract if delta else np.add, g)
+        for u, w in zip(ups, weights)
+    )
 
 
 def _sample_weights(updates: Sequence[ModelUpdate]) -> np.ndarray:

@@ -31,17 +31,19 @@ input arrays, and the step computes no loss.  The call still goes through
 ``backward``, with the plan carried in its ``out`` mapping.
 
 A cohort is cut into slices whose transient stacks stay within
-``_STACK_BYTES``, so a large model trains one client per worker.  Only the
-weight buffer outlives the call, as the rows that the returned updates are
-sets over; nothing is kept per client besides the optimizer state, and
-plans belong to the slice that made them.
+``_STACK_BYTES`` (:func:`cohort_slices`), so a large model trains one client
+per worker.  Only the weight buffer outlives the call, as the rows that the
+returned updates are sets over; nothing is kept per client besides the
+optimizer state, and plans belong to the slice that made them.
 
 Every training call, the simulator's and each socket client's alike, holds
 OpenBLAS at one thread while it runs, so the products of both paths are the
 same single-threaded products and the cores go to clients instead of to
 BLAS.  A cohort of two or more slices trains them on one worker thread per
-core.  Where no OpenBLAS can be found, nothing is capped and the slices run
-one after another on the caller's thread.
+core (:func:`train_ahead`, which the simulator also uses to fold each
+update in while the next ones train).  Where no OpenBLAS can be found,
+nothing is capped and the slices run one after another on the caller's
+thread.
 """
 from __future__ import annotations
 
@@ -253,10 +255,6 @@ def train_cohort(jobs, clock=time.monotonic) -> list[ModelUpdate]:
             raise ConfigError("a cohort trains one model spec")
         base.check_structure(like)
         targets[i] = check_shard(spec, base, st.dataset.features, st.dataset.labels)
-    # consecutive slices, each with transient stacks of at most _STACK_BYTES
-    row_bytes = sum(a.nbytes for _, a in jobs[busy[0]][1].items())
-    size = max(1, _STACK_BYTES // max(row_bytes, 1))
-    slices = [busy[lo : lo + size] for lo in range(0, len(busy), size)]
 
     def train(part: list) -> None:
         trained = _train_rows([jobs[i] for i in part], [targets[i] for i in part])
@@ -266,26 +264,56 @@ def train_cohort(jobs, clock=time.monotonic) -> list[ModelUpdate]:
             updates[i] = _package(jobs[i], params, start, end)
 
     with _ONE_BLAS_THREAD:
-        _run_slices(train, slices, _worker_count(len(slices)))
+        for _ in train_ahead(train, *cohort_slices(like, busy)):
+            pass
     return updates
 
 
-def _run_slices(train, slices: list, workers: int) -> None:
-    """``train(part)`` for every slice: on the caller's thread, or on ``workers`` threads.
+def cohort_slices(like: ParameterSet, items: list) -> tuple[list, int]:
+    """``items``, one per client of ``like``'s structure, cut as :func:`train_cohort` cuts a cohort.
 
-    An exception of a slice reaches the caller; slices not yet started then
-    never start.  Every worker has ended when this returns or raises.
+    Returns the consecutive slices, each with transient stacks of at most
+    ``_STACK_BYTES``, and the number of threads that train them.
+    """
+    layout = like._layout
+    row_bytes = sum(dt.itemsize * n for dt, n in zip(layout.dtypes, layout.sizes))
+    size = max(1, _STACK_BYTES // max(row_bytes, 1))
+    slices = [items[lo : lo + size] for lo in range(0, len(items), size)]
+    return slices, _worker_count(len(slices))
+
+
+def train_ahead(train, slices: list, workers: int):
+    """Calls ``train(part)`` for every slice, in order, and yields each slice once it is trained.
+
+    With one worker the slices train on the caller's thread as it asks for
+    them.  Otherwise ``workers`` threads train them, at most ``workers``
+    slices ahead of the last one yielded.  A slice's exception is raised in
+    its turn.  Closing the generator, or an exception, waits for the slices
+    started, starts no other and ends every worker; ``close`` raises the
+    exception of a started slice not yet yielded.
     """
     if workers == 1:
         for part in slices:
             train(part)
+            yield part
         return
     from concurrent.futures import ThreadPoolExecutor
 
     pool = ThreadPoolExecutor(workers, thread_name_prefix="fedkit-train")
+    futures = []
     try:
-        for future in [pool.submit(train, part) for part in slices]:
-            future.result()
+        futures += [pool.submit(train, part) for part in slices[:workers]]
+        for i, part in enumerate(slices):
+            futures[i].result()
+            if i + workers < len(slices):
+                futures.append(pool.submit(train, slices[i + workers]))
+            yield part
+    except GeneratorExit:
+        pool.shutdown(wait=True, cancel_futures=True)
+        for future in futures:
+            if not future.cancelled():
+                future.result()
+        raise
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

@@ -25,7 +25,9 @@ layout, built once per structure and shared by the sets of that structure,
 so a structure check is mostly an identity test.  Whole-model operations (sums,
 norms, clipping, noise, optimizer and aggregation steps) run once per
 buffer.  A :class:`FlatStack` holds ``k`` models of one layout as the rows
-of one (k, n) buffer per dtype, and its row ``i`` is a set.
+of one (k, n) buffer per dtype, and its row ``i`` is a set.  A
+:class:`DeferredSet` knows its layout at once and gets its buffers when they
+are first read, and that read takes them.
 
 Ownership: a set owns its buffers, and no set is ever mutated after it is
 returned.  The public constructor and :meth:`ParameterSet.map` copy their
@@ -225,7 +227,7 @@ class ParameterSet:
         return self._layout.names
 
     def __len__(self) -> int:
-        return len(self._views)
+        return len(self._layout.names)
 
     def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
         return iter(zip(self._layout.names, self._views))
@@ -247,7 +249,7 @@ class ParameterSet:
         return sum(self._layout.sizes)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{n}:{a.dtype.name}{list(a.shape)}" for n, a in self)
+        inner = ", ".join(f"{n}:{dt.name}{list(shape)}" for n, dt, shape in self._layout.key)
         return f"ParameterSet({inner})"
 
     # -- structure / equality ------------------------------------------------
@@ -319,53 +321,85 @@ class FlatStack:
         return ParameterSet._wrap(self.layout, [buf[i] for buf in self.bufs])
 
 
+class DeferredSet(ParameterSet):
+    """A set of a known layout whose buffers come from ``make()``, a set, on their first read.
+
+    A structure check reads only the layout.  The first read takes the
+    buffers: the set holds none afterwards, so they are freed once the
+    reader lets go of them, and a second read raises.
+    """
+
+    __slots__ = ("_make",)
+
+    def __init__(self, layout: _Layout, make):
+        self._layout = layout
+        self._make = make
+
+    @property
+    def _bufs(self) -> tuple:
+        make, self._make = self._make, None
+        if make is None:
+            raise RuntimeError("a deferred set's buffers were already taken")
+        p = make()
+        self.check_structure(p)
+        return p._bufs
+
+    @property
+    def _views(self) -> tuple:
+        return self._layout.views(self._bufs)
+
+
 def zeros_like(p: ParameterSet) -> ParameterSet:
     return ParameterSet._wrap(p._layout, [np.zeros_like(b) for b in p._bufs])
 
 
-# elements per accumulation block: a block of the accumulator and the scratch
-# buffer stay in cache while every term streams through them
+# elements per accumulation block: a block of a term, of the accumulator and
+# of the scratch buffer stay in cache while the term is folded in
 _ACC_BLOCK = 1 << 16
 
 
 def _weighted_accumulate(like: ParameterSet, terms) -> list[np.ndarray]:
-    """Per buffer of ``like``, ``sum_i w_i * x_i`` accumulated from zero in term order.
+    """Per buffer of ``like``'s layout, ``sum_i w_i * x_i`` accumulated from zero in term order.
 
     Each term is ``(w, x, op, base)``: its buffers are those of the set
     ``x``, or ``op(x, base)`` when ``op`` is given (``np.add`` for
-    delta-to-full, ``np.subtract`` for full-to-delta).  There is at least one
-    term, and terms must share ``like``'s structure.  The result is never
-    zero-filled: the first term is written straight into it, and every later
-    step goes through one small scratch buffer, so the only model-sized
+    delta-to-full, ``np.subtract`` for full-to-delta).  ``terms`` is any
+    iterable of at least one term, and terms share ``like``'s structure.
+    They are folded in one at a time: a term's buffers are read once, folded
+    in block by block and let go before the next term is read, so a
+    :class:`DeferredSet` is freed as soon as it is folded in.  The result is
+    never zero-filled: the first term is written straight into it, and every
+    later one goes through one small scratch buffer, so the only model-sized
     allocation is the result: fresh buffers the caller may finish in place
-    and then wrap.  Each element sees exactly ``acc = acc + w * x`` in term
-    order from ``+0.0``: the first step is ``w0 * x0 + 0.0``, which IEEE
-    addition makes equal to ``0.0 + w0 * x0`` (a lone ``-0.0`` becomes
-    ``+0.0``, a NaN stays that NaN), so results are bit-identical to summing
-    whole sets one term at a time.
+    and then wrap.
+    Each element sees exactly ``acc = acc + w * x`` in term order from
+    ``+0.0``: the first step is ``w0 * x0 + 0.0``, which IEEE addition makes
+    equal to ``0.0 + w0 * x0`` (a lone ``-0.0`` becomes ``+0.0``, a NaN stays
+    that NaN), so results are bit-identical to summing whole sets one term at
+    a time.
     """
     scratch = np.empty(_ACC_BLOCK * 8, dtype=np.uint8)  # fits any float dtype
-    out = []
-    for j, ref in enumerate(like._bufs):
-        acc = np.empty_like(ref)
-        tmp = scratch.view(ref.dtype)
-        (w0, x0, op0, b0), *rest = [
-            (acc.dtype.type(w), x._bufs[j], op, None if op is None else base._bufs[j])
-            for w, x, op, base in terms
-        ]
+    out = like._layout.empty()
+    first = True
+    for w, x, op, base in terms:
+        _fold(out, w, x, op, base, first, scratch)
+        first = False
+        del x  # let go of this term before the next one is read
+    return out
+
+
+def _fold(out: list, w, x: ParameterSet, op, base, first: bool, scratch) -> None:
+    """One term of :func:`_weighted_accumulate` into the accumulators ``out``."""
+    for acc, xj, bj in zip(out, x._bufs, out if op is None else base._bufs):
+        wj = acc.dtype.type(w)
+        tmp = scratch.view(acc.dtype)
         for lo in range(0, acc.size, _ACC_BLOCK):
             hi = lo + _ACC_BLOCK
             a = acc[lo:hi]
-            t = tmp[: a.size]
-            term = x0[lo:hi] if op0 is None else op0(x0[lo:hi], b0[lo:hi], out=a)
-            np.multiply(term, w0, out=a)
-            a += 0.0
-            for w, x, op, b in rest:
-                term = x[lo:hi] if op is None else op(x[lo:hi], b[lo:hi], out=t)
-                np.multiply(term, w, out=t)
-                a += t
-        out.append(acc)
-    return out
+            t = a if first else tmp[: a.size]
+            term = xj[lo:hi] if op is None else op(xj[lo:hi], bj[lo:hi], out=t)
+            np.multiply(term, wj, out=t)
+            a += 0.0 if first else t
 
 
 def weighted_sum(sets: Sequence[ParameterSet], weights: Sequence[float]) -> ParameterSet:
@@ -655,7 +689,7 @@ class ModelUpdate:
     wall_meta: Optional[tuple[float, float]] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricRecord:
     timestamp: float
     entity: str

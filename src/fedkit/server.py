@@ -16,7 +16,9 @@ aggregation, its recipients are the clients whose updates it held, and the
 agent asks ``scheduler.assign`` for their step counts.  An update is checked
 against the global model (structure, and a base epoch no later than the
 server's) before the scheduler holds it, so a bad update is refused on its
-own and never costs the round it would have joined.  An update counts
+own and never costs the round it would have joined.  The structure check
+reads only the update's layout, so it never trains a simulated update whose
+params are deferred.  An update counts
 towards ``target_updates`` once the scheduler has accepted it.
 """
 from __future__ import annotations

@@ -7,18 +7,23 @@ transfer costs ``fixed_latency + bytes / bandwidth``.  Events are processed
 in ``(time, kind, subject, seq)`` order, which makes runs bit-reproducible:
 the same scenario yields the same final model and the same metric stream.
 
-A round is trained when its result is first needed, not when it is
-dispatched.  Dispatch stamps the round's virtual start and end and queues it.
-With infinite bandwidth the arrival time needs no upload size, so the
-arrival is queued at once, and when the arrival of an untrained round comes
-up, every queued round trains as one cohort (``client.train_cohort``: all
-clients' steps stacked).  With finite bandwidth the upload size sets the
-arrival time, so the rounds that one event dispatched train together at the
-end of that event and their arrivals are queued then, in dispatch order.
-Either way the heap sees the same pushes in the same order as when every
-round trained alone at dispatch, and each client trains its rounds in order,
-so the results are the same bit for bit; a round the run never uses is never
-trained.
+A round is trained when an aggregation rule first reads its params.
+Dispatch stamps the round's virtual start and end and makes its update with
+every field but the params, a :class:`~fedkit.params.DeferredSet` of the
+model's layout; the server and the scheduler need no more.  The first read
+trains every pending round, the read one first, one ``client.train_cohort``
+slice at a time (``client.train_ahead``).  A small model's slice holds them
+all, trained stacked on the reader's thread.  A large model's slice is one
+client, and one worker per core trains a few slices ahead of the rule while
+it folds each update in and lets it go, so a round holds a few models, not
+one per client.  Training stops with the event that started it.  A round
+still pending when its client is dispatched again trains first, so each
+client trains its rounds in order, even under FedBuff, which replies before
+it aggregates.  With finite bandwidth the upload size sets the arrival time,
+so the rounds one event dispatched train at its end.  The heap sees the same
+pushes in the same order as when every round trained alone at dispatch, so
+the results are the same bit for bit; rounds the run never needs train only
+alongside ones it does.
 
 Termination is the server's: ``server.make_server_agent`` decides whether
 the run is counted in aggregations or in processed updates, and the
@@ -26,7 +31,6 @@ simulation stops when the agent is done.
 """
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -36,12 +40,13 @@ from typing import Optional
 import numpy as np
 
 # local_train stays bound here: perfbench's tracer wraps fedkit.sim.local_train
-from .client import ClientState, TrainConfig, local_train, train_cohort  # noqa: F401
+from .client import ClientState, TrainConfig, cohort_slices, local_train  # noqa: F401
+from .client import train_ahead, train_cohort
 from .compression import CodecConfig, compress_params, decompress_params
 from .errors import InvalidBounds, NonTerminating
 from .metrics import write_table
 from .models import Dataset, ModelSpec, dataset_metrics
-from .params import MetricRecord, ModelUpdate, ParameterSet, serialized_size
+from .params import DeferredSet, MetricRecord, ModelUpdate, ParameterSet, serialized_size
 from .privacy import PrivacyConfig
 from .server import Reply, ServerAgent, make_server_agent
 
@@ -168,16 +173,62 @@ def draw_batch_times(n: int, fastest: float = 0.2, spread: float = 10.0, seed: i
 
 @dataclass
 class _Job:
-    """One dispatched round: what to train, and when it runs in virtual time."""
+    """A dispatched round: what to train, and once trained, its params until they are read."""
 
-    cid: str
+    state: ClientState
     base: ParameterSet
-    epoch: int
     steps: int
-    start: float
-    end: float
-    update: Optional[ModelUpdate] = None  # set once trained
-    nbytes: int = 0  # upload size of ``update``
+    epoch: int
+    params: Optional[ParameterSet] = None
+    nbytes: Optional[int] = None  # upload size, set once trained
+
+
+def _train_slice(codec: Optional[CodecConfig], part: list) -> None:
+    """Train the jobs of ``part`` as one cohort; each gets its params, through the codec, and its size."""
+    trained = train_cohort([(j.state, j.base, j.steps, j.epoch) for j in part])
+    for job, update in zip(part, trained):
+        if codec is None:
+            job.params, job.nbytes = update.params, serialized_size(update.params)
+        else:
+            blob = compress_params(update.params, codec)
+            job.params, job.nbytes = decompress_params(blob), len(blob)
+
+
+class _Rounds:
+    """The dispatched rounds of a run, each trained when it is first needed.
+
+    It refers to no update, so the deferred params of every update can refer
+    to it without making a reference cycle.
+    """
+
+    def __init__(self, codec: Optional[CodecConfig]):
+        self.codec = codec
+        self.pending: dict[str, _Job] = {}  # client id -> its round not yet trained, in dispatch order
+        self.training = None  # a client.train_ahead over pending rounds, while it runs
+
+    def take(self, job: _Job) -> ParameterSet:
+        """``job``'s params, trained if they are not yet; ``job`` holds them no more."""
+        self.train(job)
+        params, job.params = job.params, None
+        return params
+
+    def train(self, job: _Job) -> None:
+        """Have ``job`` trained; training not under way starts on every pending round, ``job`` first."""
+        while job.nbytes is None:
+            if self.training is None:
+                codec = self.codec
+                jobs = [job, *(j for j in self.pending.values() if j is not job)]
+                slices, workers = cohort_slices(job.base, jobs)
+                self.training = train_ahead(lambda part: _train_slice(codec, part), slices, workers)
+            if next(self.training, None) is None:
+                self.settle()
+
+    def settle(self) -> None:
+        """Stop training: the slices started finish, and the rounds not trained stay pending."""
+        if self.training is not None:
+            self.training.close()
+            self.training = None
+        self.pending = {cid: j for cid, j in self.pending.items() if j.nbytes is None}
 
 
 class _Sim:
@@ -196,7 +247,8 @@ class _Sim:
         self.rng = np.random.default_rng(sc.seed)
         self.heap: list = []
         self.seq = 0
-        self.pending: list[_Job] = []  # dispatched rounds not trained yet
+        self.rounds = _Rounds(sc.codec)
+        self.dispatched: list[tuple[ModelUpdate, _Job]] = []  # by this event; arrivals not pushed yet
         self.segments: list[tuple[str, float, float]] = []
         self.metrics: list[MetricRecord] = []
         self.model_bytes = serialized_size(self.agent.global_params)
@@ -213,46 +265,40 @@ class _Sim:
         return self.sc.fixed_latency + nbytes / self.sc.bandwidth
 
     def _schedule_round(self, cid: str, params: ParameterSet, epoch: int, steps: int, now: float):
-        """Stamp a round's virtual times and queue its job; training waits.
+        """Stamp a round's virtual times and make its update; training waits.
 
-        With infinite bandwidth the arrival time needs no payload size, so the
-        arrival is pushed now and the job trains when it pops.  Otherwise the
-        caller trains the pending jobs at the end of the event and pushes
-        their arrivals then, in dispatch order.
+        A round of ``cid`` still pending trains first.  The arrival is pushed
+        at the end of the event (:meth:`_push_arrivals`).
         """
+        rounds = self.rounds
+        if cid in rounds.pending:
+            rounds.train(rounds.pending.pop(cid))
         start = now + self._transfer(self.model_bytes)
         duration = steps * self.clients[cid].mean_batch_time
         if self.sc.jitter > 0.0:
             duration *= float(self.rng.uniform(1.0 - self.sc.jitter, 1.0 + self.sc.jitter))
         end = start + duration
-        job = _Job(cid, params, epoch, steps, start, end)
         self.segments.append((cid, start, end))
-        self.pending.append(job)
-        if math.isinf(self.sc.bandwidth):
-            self._push(end + self._transfer(0), _ARRIVE, cid, job)
-
-    def _train_pending(self) -> list:
-        """Train every pending job as one cohort; returns those jobs."""
-        jobs, self.pending = self.pending, []
-        updates = train_cohort(
-            [(self.states[j.cid], j.base, j.steps, j.epoch) for j in jobs]
+        st = self.states[cid]
+        job = rounds.pending[cid] = _Job(st, params, steps, epoch)
+        update = ModelUpdate(
+            cid, DeferredSet(params._layout, lambda: rounds.take(job)),
+            st.cfg.send_delta, len(st.dataset), steps, epoch, wall_meta=(start, end),
         )
-        for job, update in zip(jobs, updates):
-            update = dataclasses.replace(update, wall_meta=(job.start, job.end))
-            if self.sc.codec is not None:
-                blob = compress_params(update.params, self.sc.codec)
-                update = dataclasses.replace(update, params=decompress_params(blob))
-                job.nbytes = len(blob)
-            else:
-                job.nbytes = serialized_size(update.params)
-            job.update = update
-        return jobs
+        self.dispatched.append((update, job))
 
-    def _push_trained(self) -> None:
-        """With finite bandwidth: train what this event dispatched, push arrivals."""
-        if self.pending and not math.isinf(self.sc.bandwidth):
-            for job in self._train_pending():
-                self._push(job.end + self._transfer(job.nbytes), _ARRIVE, job.cid, job)
+    def _push_arrivals(self) -> None:
+        """Push the arrivals of the rounds this event dispatched, in dispatch order.
+
+        With infinite bandwidth the arrival time needs no upload size.
+        Otherwise the upload size sets it, so each round trains first.
+        """
+        for update, job in self.dispatched:
+            if not math.isinf(self.sc.bandwidth):
+                self.rounds.train(job)
+            arrival = update.wall_meta[1] + self._transfer(job.nbytes or 0)
+            self._push(arrival, _ARRIVE, update.client_id, update)
+        self.dispatched = []
 
     def _refresh_deadline(self, now: float) -> None:
         nxt = self.agent.next_deadline()
@@ -279,7 +325,8 @@ class _Sim:
         """Start each replied client's next round, in client id order."""
         for cid, rep in sorted(replies.items()):
             self._schedule_round(cid, rep.params, rep.epoch, rep.next_steps, now)
-        self._push_trained()
+        self._push_arrivals()
+        self.rounds.settle()
         self._refresh_deadline(now)
 
     def run(self) -> SimResult:
@@ -297,9 +344,8 @@ class _Sim:
                 self._pending_deadlines.discard(now)
                 replies = self.agent.check_deadlines(now)
             else:
-                if payload.update is None:
-                    self._train_pending()
-                replies = self.agent.process_update(payload.update, now)
+                replies = self.agent.process_update(payload, now)
+            self.rounds.settle()
             self._evaluate(now)
             if self.agent.done:
                 break
@@ -309,6 +355,7 @@ class _Sim:
                 raise NonTerminating("event queue drained before the run completed")
 
         self.agent.finalize(now)
+        self.rounds.settle()
         self._evaluate(now)
 
         report = self._utilization(t_end=now)

@@ -12,6 +12,7 @@ from fedkit.client import (
     ClientState,
     TrainConfig,
     local_train,
+    train_ahead,
     train_cohort,
 )
 from fedkit.errors import ConfigError, DimMismatch, ShapeMismatch
@@ -757,3 +758,36 @@ def test_without_openblas_slices_run_serially_with_the_same_updates(monkeypatch)
     assert ran_on_workers(names[0]) == bool(client_module._openblas())
     assert names[1] == {threading.current_thread().name}
     assert runs[0] == runs[1]
+
+
+@pytest.mark.usefixtures("no_thread_left")
+def test_train_ahead_yields_in_order_and_trains_a_few_slices_ahead():
+    lock, started = threading.Lock(), []
+
+    def train(part):
+        with lock:
+            started.append(part)
+
+    slices = [[i] for i in range(8)]
+    ahead = train_ahead(train, slices, 2)
+    assert [next(ahead), next(ahead)] == [[0], [1]]
+    ahead.close()
+    # at most two slices past the last one yielded started, and no other after the close
+    assert 2 <= len(started) <= 4
+    assert sorted(started) == slices[: len(started)]
+
+
+@pytest.mark.usefixtures("no_thread_left")
+def test_closing_train_ahead_raises_the_failure_of_a_slice_it_started():
+    second = threading.Event()
+
+    def train(part):
+        if part == [1]:
+            second.set()
+            raise RuntimeError("slice failed")
+        assert second.wait(timeout=30)
+
+    ahead = train_ahead(train, [[0], [1], [2]], 2)
+    assert next(ahead) == [0]
+    with pytest.raises(RuntimeError, match="slice failed"):
+        ahead.close()

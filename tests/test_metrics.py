@@ -1,4 +1,7 @@
 """Metric export/import roundtrips."""
+import dataclasses
+import pickle
+
 import pytest
 
 from fedkit.errors import ParseError
@@ -60,6 +63,16 @@ def test_blank_jsonl_lines_skipped(tmp_path):
     with path.open("a") as fh:
         fh.write("\n\n")
     assert read_metrics(path) == RECORDS
+
+
+def test_a_record_is_small_frozen_and_pickles_equal():
+    # a server appends one record per aggregation for as long as it runs
+    r = RECORDS[1]
+    assert not hasattr(r, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.value = 0.0
+    assert pickle.loads(pickle.dumps(r)) == r
+    assert hash(r) == hash(MetricRecord(0.1 + 0.2, "server", "val_loss", 1.0 / 3.0))
 
 
 def test_filter_by_kind():

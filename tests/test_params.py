@@ -1,5 +1,6 @@
 import doctest
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -294,6 +295,59 @@ def test_lone_negative_zero_term_gives_positive_zero(dtype):
     assert (_bits(acc) == 0).all()
     (_, want), = zero_start_accumulate(x, [(1.0, x, None, None)])
     assert (_bits(acc) == _bits(want)).all()
+
+
+@pytest.mark.parametrize("op", [None, np.subtract], ids=["none", "subtract"])
+def test_accumulation_holds_at_most_one_term(acc_block, op):
+    # the terms come from a generator that checks, as it makes each term,
+    # that the buffers of the one before are gone: the kernel let go of it
+    rng = np.random.default_rng(11)
+    like = P.ParameterSet([
+        ("v", rng.standard_normal(2 * acc_block + 3)),
+        ("h", rng.standard_normal(5).astype(np.float32)),
+    ])
+    weights = [0.5, -1.25, 3.0, 0.75]
+    held, copies = [], []
+
+    def term(w):
+        x = P.ParameterSet((n, rng.standard_normal(a.shape).astype(a.dtype)) for n, a in like)
+        held[:] = [weakref.ref(b) for b in x._bufs]
+        copies.append(x.map(lambda _, a: a))
+        return w, x, op, None if op is None else like
+
+    def terms():
+        for w in weights:
+            assert all(r() is None for r in held), "the previous term is still held"
+            yield term(w)
+
+    got = P._weighted_accumulate(like, terms())
+    assert len(copies) == len(weights) and all(r() is None for r in held)
+    want = zero_start_accumulate(
+        like, [(w, x, op, None if op is None else like) for w, x in zip(weights, copies)])
+    for g, (_, w) in zip(got, want):
+        assert (_bits(g) == _bits(w.reshape(-1))).all()
+
+
+def test_a_deferred_set_is_made_by_its_first_read_which_takes_it():
+    like = P.ParameterSet([("a", np.arange(3.0)), ("b", np.ones((2, 2), dtype=np.float32))])
+    made = []
+
+    def make():
+        made.append(None)
+        return like.map(lambda _, a: a + 1)
+
+    d = P.DeferredSet(like._layout, make)
+    # the structure, and what is known from it, need no buffers
+    like.check_structure(d)
+    assert (len(d), d.names, d.param_count, repr(d)) == (2, ("a", "b"), 7, repr(like))
+    assert made == []
+    bufs = d._bufs
+    assert len(made) == 1
+    assert [b.tolist() for b in bufs] == [[1.0, 2.0, 3.0], [2.0, 2.0, 2.0, 2.0]]
+    with pytest.raises(RuntimeError, match="already taken"):
+        d._bufs
+    with pytest.raises(ShapeMismatch):
+        P.DeferredSet(like._layout, lambda: pset(a=np.zeros(3)))._bufs
 
 
 def test_axpy_zero_alpha_returns_y():

@@ -1,21 +1,24 @@
 """Simulator tests: exact utilization laws, conservation, determinism."""
 import dataclasses
+import gc
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fedkit import client as client_module
 from fedkit import sim as sim_module
 from fedkit.client import TrainConfig, local_train
 from fedkit.compression import CodecConfig, compress_params, decompress_params
-from fedkit.errors import InvalidBounds, NonTerminating
+from fedkit.errors import DimMismatch, InvalidBounds, NonTerminating
 from fedkit.models import ModelSpec, PartitionSpec, make_blobs, partition
 from fedkit.params import serialize_params, serialized_size
 from fedkit.sim import (
     _ARRIVE,
     SimClient,
     SimScenario,
-    _Job,
     _Sim,
     draw_batch_times,
     run_simulation,
@@ -233,8 +236,10 @@ class EagerSim(_Sim):
             update_bytes = serialized_size(update.params)
         self.segments.append((cid, start, end))
         self.trained += 1
-        job = _Job(cid, params, epoch, steps, start, end, update, update_bytes)
-        self._push(end + self._transfer(update_bytes), _ARRIVE, cid, job)
+        self._push(end + self._transfer(update_bytes), _ARRIVE, cid, update)
+
+
+AGGREGATOR_KWARGS = {"FedBuffAggregator": {"buffer_size": 2}, "FedAdamAggregator": {"server_lr": 0.05}}
 
 
 def oracle_scenario(scheduler, aggregator, codec, bandwidth, jitter, configs=None):
@@ -245,14 +250,14 @@ def oracle_scenario(scheduler, aggregator, codec, bandwidth, jitter, configs=Non
     for i, n in enumerate(rows):
         ds = make_blobs(classes=3, dim=5, per_class=20, seed=60 + i).subset(np.arange(n))
         kw = dict(optimizer="sgd", lr=0.05, batch_size=8, local_steps=9, seed=70 + i,
-                  prox_mu=0.5, send_delta=aggregator == "FedBuffAggregator")
+                  prox_mu=0.5, send_delta=aggregator in ("FedBuffAggregator", "FedAdamAggregator"))
         kw.update(configs[i] if configs else {})
         speed = (1.0, 1.7, 2.9)[i]
         clients.append(SimClient(f"c{i}", ds, TrainConfig(**kw), mean_batch_time=speed))
     return SimScenario(
         model_spec=SPEC, clients=clients, num_global_epochs=3 if compass is None else 6,
         scheduler=scheduler, aggregator=aggregator, scheduler_kwargs=compass or {},
-        aggregator_kwargs={"buffer_size": 2} if aggregator == "FedBuffAggregator" else {},
+        aggregator_kwargs=AGGREGATOR_KWARGS.get(aggregator, {}),
         eval_dataset=shard(7), fixed_latency=0.25, bandwidth=bandwidth, jitter=jitter, seed=3,
         codec=codec, max_updates=8 if scheduler == "AsyncScheduler" else None,
     )
@@ -272,24 +277,44 @@ ORACLE_MODES = [
     ("AsyncScheduler", "FedAsyncAggregator"),
     ("CompassScheduler", "FedCompassAggregator"),
     ("AsyncScheduler", "FedBuffAggregator"),
+    ("SyncScheduler", "FedAdamAggregator"),
 ]
 
 
 QZ = CodecConfig(lossy="qz", eb_rel=0.01, small_tensor_threshold=0)
 
 
+@pytest.fixture(params=[None, 1, 3], ids=["cohort", "one", "ahead"])
+def cores(request, monkeypatch):
+    """How the simulator trains: the small test model's whole cohort stacked,
+    or as a large model is trained, one client per slice, on the reader's
+    thread (one core) or three slices ahead of it (three cores, more than a
+    2-core box has, with threads switching as often as they can)."""
+    if request.param is None:
+        yield None
+        return
+    monkeypatch.setattr(client_module, "_STACK_BYTES", 1)
+    monkeypatch.setattr(client_module, "_cores", lambda: request.param)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("scheduler,aggregator", ORACLE_MODES)
 @pytest.mark.parametrize("codec", [None, QZ], ids=["raw", "qz"])
 @pytest.mark.parametrize("bandwidth", [math.inf, 1e4])
 @pytest.mark.parametrize("jitter", [0.0, 0.3])
-def test_cohort_simulator_equals_eager_simulator(scheduler, aggregator, codec, bandwidth, jitter):
+def test_cohort_simulator_equals_eager_simulator(scheduler, aggregator, codec, bandwidth, jitter, cores):
     sc = oracle_scenario(scheduler, aggregator, codec, bandwidth, jitter)
     eager = EagerSim(sc)
     assert_same_run(run_simulation(sc), eager.run())
 
 
 @pytest.mark.parametrize("scheduler,aggregator", ORACLE_MODES)
-def test_cohort_simulator_with_per_client_settings(scheduler, aggregator):
+def test_cohort_simulator_with_per_client_settings(scheduler, aggregator, cores):
     configs = [dict(optimizer="adam", lr=0.01), dict(lr=0.02, prox_mu=0.0), {}]
     sc = oracle_scenario(scheduler, aggregator, None, math.inf, 0.3, configs)
     assert_same_run(run_simulation(sc), EagerSim(sc).run())
@@ -310,6 +335,79 @@ def test_rounds_the_run_never_uses_are_not_trained(monkeypatch):
     eager.run()
     # eager training also trained the rounds still in flight at the end
     assert res.updates_processed <= sum(trained) < eager.trained
+
+
+def test_fedbuff_trains_a_deferred_round_before_its_client_goes_again(cores, monkeypatch):
+    # FedBuff replies before it aggregates, so a client is dispatched again
+    # while its last update waits, not yet trained, in the buffer
+    again, cohorts = [], []
+    schedule, train = _Sim._schedule_round, sim_module.train_cohort
+
+    def recording_schedule(self, cid, *args):
+        if cid in self.rounds.pending:
+            again.append(cid)
+        return schedule(self, cid, *args)
+
+    def recording_train(jobs):
+        cohorts.append([st.client_id for st, _, _, _ in jobs])
+        return train(jobs)
+
+    monkeypatch.setattr(_Sim, "_schedule_round", recording_schedule)
+    monkeypatch.setattr(sim_module, "train_cohort", recording_train)
+    sc = oracle_scenario("AsyncScheduler", "FedBuffAggregator", None, math.inf, 0.3)
+    lazy = run_simulation(sc)
+    assert again
+    assert all(len(set(ids)) == len(ids) for ids in cohorts)
+    assert_same_run(lazy, EagerSim(sc).run())
+
+
+@pytest.mark.parametrize("scheduler,aggregator", ORACLE_MODES)
+def test_a_run_leaves_no_reference_cycle(scheduler, aggregator, cores):
+    # a cycle would keep a finished run's models until the collector runs
+    sc = oracle_scenario(scheduler, aggregator, None, math.inf, 0.3)
+    gc.collect()
+    gc.disable()
+    try:
+        run_simulation(sc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.usefixtures("no_thread_left")
+@pytest.mark.parametrize("cores", [1, 3], ids=["one", "ahead"], indirect=True)
+def test_a_training_error_ends_the_run_and_its_workers(cores):
+    sc = oracle_scenario("SyncScheduler", "FedAvgAggregator", None, math.inf, 0.0)
+    bad = sc.clients[2].dataset
+    sc.clients[2].dataset = dataclasses.replace(bad, labels=np.full_like(bad.labels, 3))
+    with pytest.raises(DimMismatch):
+        run_simulation(sc)
+
+
+def test_a_sync_round_holds_a_few_models_not_one_per_client(monkeypatch):
+    # one Sync+FedAdam round of 12 clients of a 1M-parameter float64 model,
+    # one client per slice, trained two slices ahead of the rule: each update
+    # is folded in and let go, so the peak does not grow with the clients.
+    # Holding every update until the round closes peaks at 19 models here.
+    monkeypatch.setattr(client_module, "_cores", lambda: 2)
+    k = 12
+    spec = ModelSpec((784, 1024, 200, 10), "relu", "softmax_cross_entropy")
+    shards = partition(make_blobs(classes=10, dim=784, per_class=k, seed=1), PartitionSpec("iid", k, seed=2))
+    cfg = TrainConfig(optimizer="sgd", lr=0.05, batch_size=16, local_steps=1, send_delta=True)
+    sc = SimScenario(
+        model_spec=spec, clients=[SimClient(f"c{i:02d}", shards[i], cfg, 1.0 + i) for i in range(k)],
+        num_global_epochs=1, aggregator="FedAdamAggregator", aggregator_kwargs={"server_lr": 0.01},
+    )
+    model = 8 * sum(a * b + b for a, b in zip(spec.layer_dims, spec.layer_dims[1:]))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        res = run_simulation(sc)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert res.updates_processed == k
+    assert peak <= 8 * model, f"peak of {peak / model:.2f} models"
 
 
 def unreached_group_scenario(seed, latitude=0.2):
