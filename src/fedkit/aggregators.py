@@ -1,10 +1,14 @@
-"""Server-side aggregation rules and the strategy registry.
+"""Server-side aggregation rules, one strategy class each, and their registry.
 
-All rules mutate an :class:`AggregatorState` in place and bump its epoch by
-exactly one per aggregation.  Updates are summed in client-id order so the
-result is bit-identical under permutation of the input list.  Updates may
-carry full weights or deltas; each rule derives whichever form it needs
-relative to the current global model.
+Each class in ``AGGREGATORS`` is one rule.  Its ``apply`` does the rule's
+arithmetic, the rule's own state (FedAvgM's momentum, the FedOpt moments,
+FedBuff's buffer) lives on the strategy object, and its constructor takes
+exactly the settings the rule reads.  Every rule replaces the global model
+of an :class:`AggregatorState` and bumps its epoch by exactly one per
+aggregation.  Updates are summed in client-id order so the result is
+bit-identical under permutation of the input list.  Updates may carry full
+weights or deltas; each rule derives whichever form it needs relative to
+the current global model.
 
 A sum is folded term by term: every update's structure and staleness are
 checked first, then each update's params are read once, folded in and let
@@ -13,16 +17,23 @@ that read and taken by it, so a round holds one such update at a time.
 
 Per-coordinate formulas, with ``dbar`` the sample-weighted mean delta:
 
-- weighted_avg:  g = sum_i w_i * full_i
-- fedavgm:       v = beta * v + dbar;                 g += v
-- fedadagrad:    u += dbar^2;                         g += lr * dbar / (sqrt(u) + tau)
-- fedadam:       m = b1*m + (1-b1)*dbar
-                 u = b2*u + (1-b2)*dbar^2;            g += lr * m / (sqrt(u) + tau)
-- fedyogi:       as fedadam but u -= (1-b2) * dbar^2 * sign(u - dbar^2)
-- async:         g = (1-a_s)*g + a_s*full,  a_s = alpha * (s+1)^-exp
-- buffered:      g += lr * mean_i[(s_i+1)^-exp * delta_i]
+- FedAvg:      g = sum_i w_i * full_i
+- FedAvgM:     v = beta * v + dbar;                 g += lr * v
+- FedAdagrad:  u += dbar^2;                         g += lr * dbar / (sqrt(u) + tau)
+- FedAdam:     m = b1*m + (1-b1)*dbar
+               u = b2*u + (1-b2)*dbar^2;            g += lr * m / (sqrt(u) + tau)
+- FedYogi:     as FedAdam but u -= (1-b2) * dbar^2 * sign(u - dbar^2)
+- FedAsync:    g = (1-a_s)*g + a_s*full,  a_s = alpha * (s+1)^-exp, per update
+- FedBuff:     g += lr * mean_i[(s_i+1)^-exp * delta_i], once buffer_size are held
+- FedCompass:  FedAvg for an arrival group, FedBuff's step for a late straggler
 
-``s`` is staleness: server epoch minus the update's base epoch.
+``s`` is staleness: server epoch minus the update's base epoch.  A rule's
+state starts at zeros.  The server optimizers run once per dtype buffer of
+the model; their state sets and the global model are fresh buffers every
+round.  ``dbar^2`` is the one scratch buffer, and ``dbar``, fresh from the
+accumulator, becomes the step once the rule has read it.  Every product and
+sum keeps the operand order of the formulas above, so the result equals
+them computed tensor by tensor, bit for bit.
 """
 from __future__ import annotations
 
@@ -31,11 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyUpdateList,
-    NegativeStaleness,
-    UnknownStrategyName,
-)
+from .errors import EmptyUpdateList, InvalidBounds, NegativeStaleness, UnknownStrategyName
 from .params import ModelUpdate, ParameterSet, _weighted_accumulate
 
 # shared hyperparameter defaults
@@ -53,9 +60,6 @@ TAU = 1e-3  # adaptivity floor
 class AggregatorState:
     global_params: ParameterSet
     epoch: int = 0
-    momentum: Optional[ParameterSet] = None  # fedavgm velocity
-    m: Optional[ParameterSet] = None  # first moment
-    u: Optional[ParameterSet] = None  # second moment / accumulator
 
 
 def _ordered(updates: Sequence[ModelUpdate]) -> list[ModelUpdate]:
@@ -71,15 +75,6 @@ def _staleness(state: AggregatorState, u: ModelUpdate) -> int:
             f"update from {u.client_id} has base epoch {u.base_epoch} > server epoch {state.epoch}"
         )
     return s
-
-
-def _full_of(state: AggregatorState, u: ModelUpdate) -> tuple:
-    """The update's full weights, one buffer per dtype."""
-    g = state.global_params
-    g.check_structure(u.params)
-    if not u.is_delta:
-        return u.params._bufs
-    return tuple(a + d for a, d in zip(g._bufs, u.params._bufs))
 
 
 def _terms(state: AggregatorState, ups, weights, delta: bool):
@@ -117,110 +112,14 @@ def _weighted_mean(state: AggregatorState, updates: Sequence[ModelUpdate], delta
     return _weighted_accumulate(state.global_params, terms)
 
 
-def _state_buf(p: Optional[ParameterSet], j: int, like: np.ndarray) -> np.ndarray:
-    """Buffer ``j`` of an optimizer state set, or zeros before its first round."""
-    return np.zeros_like(like) if p is None else p._bufs[j]
-
-
-def agg_weighted_avg(state: AggregatorState, updates: Sequence[ModelUpdate]) -> ParameterSet:
-    """Sample-weighted average of full client models."""
-    g = state.global_params
-    state.global_params = ParameterSet._wrap(g._layout, _weighted_mean(state, updates, delta=False))
+def _advance(state: AggregatorState, bufs) -> None:
+    """Make ``bufs``, one buffer per dtype, the global model, and count the aggregation."""
+    state.global_params = ParameterSet._wrap(state.global_params._layout, bufs)
     state.epoch += 1
-    return state.global_params
 
 
-def agg_server_opt(
-    state: AggregatorState,
-    updates: Sequence[ModelUpdate],
-    variant: str,
-    server_lr: float = SERVER_LR,
-    beta: float = BETA,
-    beta1: float = BETA1,
-    beta2: float = BETA2,
-    tau: float = TAU,
-) -> ParameterSet:
-    """Server-side optimizer step on the weighted mean delta.
-
-    The rule runs once per dtype buffer of the model.  The state sets and
-    the global model are fresh buffers every round.  ``dbar^2`` is the one
-    scratch buffer, and ``dbar``, fresh from the accumulator, becomes the
-    step once the rule has read it.  Every product and sum keeps the operand
-    order of the formulas above, so the result equals them computed tensor
-    by tensor, bit for bit.
-    """
-    if variant not in ("fedavgm", "fedadagrad", "fedadam", "fedyogi"):
-        raise UnknownStrategyName(f"unknown server-opt variant {variant!r}")
-    g = state.global_params
-    vs, ms, us, out = [], [], [], []
-    for j, (gb, d) in enumerate(zip(g._bufs, _weighted_mean(state, updates, delta=True))):
-        t = gb.dtype.type
-        if variant == "fedavgm":
-            v = np.multiply(_state_buf(state.momentum, j, gb), t(beta))
-            v += d
-            vs.append(v)
-            step = np.multiply(v, t(server_lr), out=d)
-        else:
-            d2 = np.multiply(d, d)
-            u0 = _state_buf(state.u, j, gb)
-            if variant == "fedadagrad":
-                u = u0 + d2
-                step = np.multiply(d, t(server_lr), out=d)
-            else:
-                m = np.multiply(_state_buf(state.m, j, gb), t(beta1))
-                m += np.multiply(d, t(1 - beta1), out=d)
-                ms.append(m)
-                if variant == "fedadam":
-                    u = np.multiply(u0, t(beta2))
-                    u += np.multiply(d2, t(1 - beta2), out=d2)
-                else:  # fedyogi: u0 - ((1-b2) * dbar^2) * sign(u0 - dbar^2)
-                    sign = np.sign(np.subtract(u0, d2, out=d), out=d)
-                    pull = np.multiply(d2, t(1 - beta2), out=d2)
-                    pull *= sign
-                    u = u0 - pull
-                step = np.multiply(m, t(server_lr), out=d)
-            us.append(u)
-            # (lr * direction) / (sqrt(u) + tau)
-            den = np.sqrt(u, out=d2)
-            den += t(tau)
-            step /= den
-        out.append(gb + step)
-    if variant == "fedavgm":
-        state.momentum = ParameterSet._wrap(g._layout, vs)
-    else:
-        state.u = ParameterSet._wrap(g._layout, us)
-        if variant != "fedadagrad":
-            state.m = ParameterSet._wrap(g._layout, ms)
-    state.global_params = ParameterSet._wrap(g._layout, out)
-    state.epoch += 1
-    return state.global_params
-
-
-def agg_async(
-    state: AggregatorState,
-    update: ModelUpdate,
-    alpha: float = ALPHA,
-    staleness_exponent: float = STALENESS_EXPONENT,
-) -> ParameterSet:
-    """Staleness-discounted interpolation toward one client's model."""
-    s = _staleness(state, update)
-    a_s = alpha * (s + 1) ** (-staleness_exponent)
-    g = state.global_params
-    state.global_params = ParameterSet._wrap(g._layout, [
-        a.dtype.type(1 - a_s) * a + a.dtype.type(a_s) * f
-        for a, f in zip(g._bufs, _full_of(state, update))
-    ])
-    state.epoch += 1
-    return state.global_params
-
-
-def agg_buffered(
-    state: AggregatorState,
-    updates: Sequence[ModelUpdate],
-    server_lr: float = SERVER_LR,
-    staleness_exponent: float = STALENESS_EXPONENT,
-) -> ParameterSet:
-    """Mean staleness-discounted delta over a buffer, applied in one step."""
+def _buffered_step(state: AggregatorState, updates, server_lr: float, staleness_exponent: float):
+    """FedBuff's step: ``g += lr * mean_i[(s_i+1)^-exp * delta_i]``."""
     ups = _ordered(updates)
     scale = 1.0 / len(ups)
     discounts = [(_staleness(state, u) + 1) ** (-staleness_exponent) for u in ups]
@@ -230,20 +129,32 @@ def agg_buffered(
     for a, t in zip(acc, g._bufs):
         np.multiply(a, t.dtype.type(server_lr * scale), out=a)
         np.add(t, a, out=a)
-    state.global_params = ParameterSet._wrap(g._layout, acc)
-    state.epoch += 1
-    return state.global_params
+    _advance(state, acc)
 
 
-# ---------------------------------------------------------------------------
-# strategies
+def _state_bufs(p: Optional[ParameterSet], g: ParameterSet):
+    """The buffers of a rule's state set, one by one; before its first round, zeros like ``g``'s.
+
+    A zeros buffer is made when it is taken, and a rule takes each buffer
+    where it reads it, so the zeros are let go at once.
+    """
+    return map(np.zeros_like, g._bufs) if p is None else iter(p._bufs)
+
+
+def _adaptive(step: np.ndarray, u: np.ndarray, scratch: np.ndarray, tau: float) -> np.ndarray:
+    """``step / (sqrt(u) + tau)``, in ``step``'s buffer."""
+    den = np.sqrt(u, out=scratch)
+    den += den.dtype.type(tau)
+    step /= den
+    return step
 
 
 class _Strategy:
-    """Maps scheduler Aggregate actions onto the rule functions above.
+    """One aggregation rule, with its settings and its state.
 
-    ``apply`` returns True when an aggregation actually happened (FedBuff
-    may only absorb the update into its buffer).
+    ``apply`` folds in the updates of a scheduler Aggregate action and
+    returns True when an aggregation actually happened (FedBuff may only
+    absorb the update into its buffer).
     """
 
     def apply(self, state: AggregatorState, updates: Sequence[ModelUpdate], late: bool = False) -> bool:
@@ -256,44 +167,96 @@ class _Strategy:
 
 class FedAvgAggregator(_Strategy):
     def apply(self, state, updates, late=False):
-        agg_weighted_avg(state, updates)
+        _advance(state, _weighted_mean(state, updates, delta=False))
         return True
 
 
-class _ServerOptAggregator(_Strategy):
-    variant = ""
-
-    def __init__(self, server_lr: float = SERVER_LR, beta: float = BETA,
-                 beta1: float = BETA1, beta2: float = BETA2, tau: float = TAU):
+class FedAvgMAggregator(_Strategy):
+    def __init__(self, server_lr: float = SERVER_LR, beta: float = BETA):
         self.server_lr = server_lr
         self.beta = beta
+        self.momentum: Optional[ParameterSet] = None
+
+    def apply(self, state, updates, late=False):
+        g = state.global_params
+        dbar = _weighted_mean(state, updates, delta=True)
+        v0s, vs, out = _state_bufs(self.momentum, g), [], []
+        for gb, d in zip(g._bufs, dbar):
+            t = gb.dtype.type
+            v = np.multiply(next(v0s), t(self.beta))
+            v += d
+            vs.append(v)
+            out.append(gb + np.multiply(v, t(self.server_lr), out=d))
+        self.momentum = ParameterSet._wrap(g._layout, vs)
+        _advance(state, out)
+        return True
+
+
+class FedAdagradAggregator(_Strategy):
+    def __init__(self, server_lr: float = SERVER_LR, tau: float = TAU):
+        self.server_lr = server_lr
+        self.tau = tau
+        self.u: Optional[ParameterSet] = None
+
+    def apply(self, state, updates, late=False):
+        g = state.global_params
+        dbar = _weighted_mean(state, updates, delta=True)
+        u0s, us, out = _state_bufs(self.u, g), [], []
+        for gb, d in zip(g._bufs, dbar):
+            d2 = np.multiply(d, d)
+            u = next(u0s) + d2
+            us.append(u)
+            step = np.multiply(d, gb.dtype.type(self.server_lr), out=d)
+            out.append(gb + _adaptive(step, u, d2, self.tau))
+        self.u = ParameterSet._wrap(g._layout, us)
+        _advance(state, out)
+        return True
+
+
+class FedAdamAggregator(_Strategy):
+    def __init__(self, server_lr: float = SERVER_LR, beta1: float = BETA1,
+                 beta2: float = BETA2, tau: float = TAU):
+        self.server_lr = server_lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.tau = tau
+        self.m: Optional[ParameterSet] = None
+        self.u: Optional[ParameterSet] = None
 
     def apply(self, state, updates, late=False):
-        agg_server_opt(
-            state, updates, self.variant,
-            server_lr=self.server_lr, beta=self.beta,
-            beta1=self.beta1, beta2=self.beta2, tau=self.tau,
-        )
+        g = state.global_params
+        dbar = _weighted_mean(state, updates, delta=True)
+        m0s, u0s = _state_bufs(self.m, g), _state_bufs(self.u, g)
+        ms, us, out = [], [], []
+        for gb, d in zip(g._bufs, dbar):
+            t = gb.dtype.type
+            d2 = np.multiply(d, d)
+            m = np.multiply(next(m0s), t(self.beta1))
+            m += np.multiply(d, t(1 - self.beta1), out=d)
+            ms.append(m)
+            u = self._second_moment(next(u0s), d2, d)
+            us.append(u)
+            step = np.multiply(m, t(self.server_lr), out=d)
+            out.append(gb + _adaptive(step, u, d2, self.tau))
+        self.m = ParameterSet._wrap(g._layout, ms)
+        self.u = ParameterSet._wrap(g._layout, us)
+        _advance(state, out)
         return True
 
-
-class FedAvgMAggregator(_ServerOptAggregator):
-    variant = "fedavgm"
-
-
-class FedAdagradAggregator(_ServerOptAggregator):
-    variant = "fedadagrad"
+    def _second_moment(self, u0, d2, scratch):
+        """``b2*u + (1-b2)*dbar^2``, spending ``d2``; ``scratch`` is free."""
+        u = np.multiply(u0, u0.dtype.type(self.beta2))
+        u += np.multiply(d2, u0.dtype.type(1 - self.beta2), out=d2)
+        return u
 
 
-class FedAdamAggregator(_ServerOptAggregator):
-    variant = "fedadam"
-
-
-class FedYogiAggregator(_ServerOptAggregator):
-    variant = "fedyogi"
+class FedYogiAggregator(FedAdamAggregator):
+    def _second_moment(self, u0, d2, scratch):
+        """``u0 - ((1-b2) * dbar^2) * sign(u0 - dbar^2)``, spending ``d2`` and ``scratch``."""
+        sign = np.sign(np.subtract(u0, d2, out=scratch), out=scratch)
+        pull = np.multiply(d2, u0.dtype.type(1 - self.beta2), out=d2)
+        pull *= sign
+        return u0 - pull
 
 
 class FedAsyncAggregator(_Strategy):
@@ -303,7 +266,15 @@ class FedAsyncAggregator(_Strategy):
 
     def apply(self, state, updates, late=False):
         for u in updates:
-            agg_async(state, u, self.alpha, self.staleness_exponent)
+            a_s = self.alpha * (_staleness(state, u) + 1) ** (-self.staleness_exponent)
+            g = state.global_params
+            g.check_structure(u.params)
+            full = u.params._bufs
+            if u.is_delta:
+                full = tuple(a + d for a, d in zip(g._bufs, full))
+            _advance(state, [
+                a.dtype.type(1 - a_s) * a + a.dtype.type(a_s) * f for a, f in zip(g._bufs, full)
+            ])
         return True
 
 
@@ -311,7 +282,7 @@ class FedBuffAggregator(_Strategy):
     def __init__(self, buffer_size: int = BUFFER_SIZE, server_lr: float = SERVER_LR,
                  staleness_exponent: float = STALENESS_EXPONENT):
         if buffer_size < 1:
-            raise UnknownStrategyName(f"buffer_size must be positive, got {buffer_size}")
+            raise InvalidBounds(f"buffer_size must be positive, got {buffer_size}")
         self.buffer_size = buffer_size
         self.server_lr = server_lr
         self.staleness_exponent = staleness_exponent
@@ -319,16 +290,13 @@ class FedBuffAggregator(_Strategy):
 
     def apply(self, state, updates, late=False):
         self._buffer.extend(updates)
-        if len(self._buffer) < self.buffer_size:
-            return False
-        agg_buffered(state, self._buffer, self.server_lr, self.staleness_exponent)
-        self._buffer = []
-        return True
+        return len(self._buffer) >= self.buffer_size and self.finalize(state)
 
     def finalize(self, state):
+        """Take the buffered step on whatever the buffer holds."""
         if not self._buffer:
             return False
-        agg_buffered(state, self._buffer, self.server_lr, self.staleness_exponent)
+        _buffered_step(state, self._buffer, self.server_lr, self.staleness_exponent)
         self._buffer = []
         return True
 
@@ -343,9 +311,9 @@ class FedCompassAggregator(_Strategy):
 
     def apply(self, state, updates, late=False):
         if late:
-            agg_buffered(state, updates, self.server_lr, self.staleness_exponent)
+            _buffered_step(state, updates, self.server_lr, self.staleness_exponent)
         else:
-            agg_weighted_avg(state, updates)
+            _advance(state, _weighted_mean(state, updates, delta=False))
         return True
 
 

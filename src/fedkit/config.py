@@ -220,7 +220,15 @@ def _parse_codec(comm_configs, path: str) -> Optional[CodecConfig]:
     section = _check_keys(comm.get("compressor_configs"), _COMPRESSOR_KEYS, path)
     if not section.pop("enable_compression", False):
         return None
-    return CodecConfig(**{_CODEC_FIELDS.get(k, k): v for k, v in section.items()})
+    kwargs = {}
+    for key, value in section.items():
+        field = _CODEC_FIELDS.get(key, key)
+        try:  # one value at a time, so that an error names its key
+            CodecConfig(**{field: value})
+        except UnknownStrategyName as e:
+            raise ParseError(f"{path}.{key}: {str(e).removeprefix(field + ' ')}") from None
+        kwargs[field] = value
+    return CodecConfig(**kwargs)
 
 
 def _parse_data(section, path: str) -> tuple[str, dict]:

@@ -74,7 +74,7 @@ class DuplicateUpdate(FedkitError):
 
 
 class InvalidBounds(FedkitError):
-    """Scheduler step bounds are empty or inverted."""
+    """Scheduler step bounds are empty or inverted, or a buffer size is not positive."""
 
 
 class UnknownClient(FedkitError):

@@ -37,20 +37,20 @@ def val(st):
 
 def test_weighted_avg_golden():
     st = state(0.0)
-    A.agg_weighted_avg(st, [upd("a", 1.0, count=1), upd("b", 3.0, count=3)])
+    assert A.FedAvgAggregator().apply(st, [upd("a", 1.0, count=1), upd("b", 3.0, count=3)])
     assert val(st) == pytest.approx(0.25 * 1.0 + 0.75 * 3.0, abs=1e-15)
     assert st.epoch == 1
 
 
 def test_weighted_avg_equal_counts():
     st = state(0.0)
-    A.agg_weighted_avg(st, [upd("a", 2.0, count=5), upd("b", 4.0, count=5)])
+    A.FedAvgAggregator().apply(st, [upd("a", 2.0, count=5), upd("b", 4.0, count=5)])
     assert val(st) == pytest.approx(3.0, abs=1e-15)
 
 
 def test_weighted_avg_accepts_deltas():
     st = state(10.0)
-    A.agg_weighted_avg(
+    A.FedAvgAggregator().apply(
         st, [upd("a", 1.0, count=1, is_delta=True), upd("b", -1.0, count=1, is_delta=True)]
     )
     assert val(st) == pytest.approx(10.0, abs=1e-15)
@@ -65,20 +65,20 @@ def test_weighted_avg_permutation_invariant_bitwise():
     st1, st2 = state(0.0), state(0.0)
     st1.global_params = ParameterSet([("w", np.zeros(17))])
     st2.global_params = ParameterSet([("w", np.zeros(17))])
-    A.agg_weighted_avg(st1, ups)
-    A.agg_weighted_avg(st2, list(reversed(ups)))
+    A.FedAvgAggregator().apply(st1, ups)
+    A.FedAvgAggregator().apply(st2, list(reversed(ups)))
     assert st1.global_params == st2.global_params
 
 
 def test_empty_update_list_rejected():
     with pytest.raises(EmptyUpdateList):
-        A.agg_weighted_avg(state(), [])
+        A.FedAvgAggregator().apply(state(), [])
 
 
 def test_negative_staleness_rejected():
     st = state(0.0, epoch=1)
     with pytest.raises(NegativeStaleness):
-        A.agg_weighted_avg(st, [upd("a", 1.0, base_epoch=5)])
+        A.FedAvgAggregator().apply(st, [upd("a", 1.0, base_epoch=5)])
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_negative_staleness_rejected():
 
 def test_fedavgm_zero_beta_equals_weighted_delta_step():
     st = state(1.0)
-    A.agg_server_opt(st, [upd("a", 2.0, count=1), upd("b", 4.0, count=3)], "fedavgm", beta=0.0)
+    A.FedAvgMAggregator(beta=0.0).apply(st, [upd("a", 2.0, count=1), upd("b", 4.0, count=3)])
     # deltas: 1 and 3, weighted mean = 0.25*1 + 0.75*3 = 2.5
     assert val(st) == pytest.approx(1.0 + 2.5, abs=1e-15)
 
@@ -95,28 +95,32 @@ def test_fedavgm_zero_beta_equals_weighted_delta_step():
 def test_fedavgm_momentum_two_rounds():
     st = state(0.0)
     beta = 0.9
+    agg = A.FedAvgMAggregator(beta=beta)
     # round 1: clients deliver full weights equal to 1.0 -> dbar = 1.0
-    A.agg_server_opt(st, [upd("a", 1.0)], "fedavgm", beta=beta)
+    agg.apply(st, [upd("a", 1.0)])
     v1 = 1.0
     g1 = v1
     assert val(st) == pytest.approx(g1, abs=1e-15)
     # round 2: client weight 2.0 -> dbar = 2.0 - g1 = 1.0
-    A.agg_server_opt(st, [upd("a", 2.0)], "fedavgm", beta=beta)
+    agg.apply(st, [upd("a", 2.0)])
     v2 = beta * v1 + (2.0 - g1)
     g2 = g1 + v2
     assert val(st) == pytest.approx(g2, abs=1e-15)
+    assert float(agg.momentum["w"][0]) == pytest.approx(v2, abs=1e-15)
     assert st.epoch == 2
 
 
 def test_fedadagrad_scalar_trace():
     st = state(0.0)
     lr, tau = 0.5, 1e-3
-    A.agg_server_opt(st, [upd("a", 2.0)], "fedadagrad", server_lr=lr, tau=tau)
+    agg = A.FedAdagradAggregator(server_lr=lr, tau=tau)
+    agg.apply(st, [upd("a", 2.0)])
     u1 = 4.0
     g1 = lr * 2.0 / (math.sqrt(u1) + tau)
     assert val(st) == pytest.approx(g1, rel=1e-12)
-    A.agg_server_opt(st, [upd("a", g1 + 1.0)], "fedadagrad", server_lr=lr, tau=tau)
+    agg.apply(st, [upd("a", g1 + 1.0)])
     u2 = u1 + 1.0
+    np.testing.assert_allclose(agg.u["w"], [u2], rtol=1e-12)
     g2 = g1 + lr * 1.0 / (math.sqrt(u2) + tau)
     assert val(st) == pytest.approx(g2, rel=1e-12)
 
@@ -124,7 +128,7 @@ def test_fedadagrad_scalar_trace():
 def test_fedadam_scalar_trace():
     st = state(0.0)
     lr, b1, b2, tau = 1.0, 0.9, 0.99, 1e-3
-    A.agg_server_opt(st, [upd("a", 1.0)], "fedadam", server_lr=lr, beta1=b1, beta2=b2, tau=tau)
+    A.FedAdamAggregator(server_lr=lr, beta1=b1, beta2=b2, tau=tau).apply(st, [upd("a", 1.0)])
     m1 = (1 - b1) * 1.0
     u1 = (1 - b2) * 1.0
     g1 = lr * m1 / (math.sqrt(u1) + tau)
@@ -134,10 +138,11 @@ def test_fedadam_scalar_trace():
 def test_fedyogi_second_moment_moves_toward_square():
     st = state(0.0)
     b2 = 0.99
-    A.agg_server_opt(st, [upd("a", 2.0)], "fedyogi", beta2=b2)
+    agg = A.FedYogiAggregator(beta2=b2)
+    agg.apply(st, [upd("a", 2.0)])
     # u starts at 0, dbar^2 = 4: sign(0 - 4) = -1 so u increases by (1-b2)*4
     u1 = (1 - b2) * 4.0
-    np.testing.assert_allclose(st.u["w"], [u1], rtol=1e-12)
+    np.testing.assert_allclose(agg.u["w"], [u1], rtol=1e-12)
     m1 = 0.1 * 2.0
     g1 = m1 / (math.sqrt(u1) + 1e-3)
     assert val(st) == pytest.approx(g1, rel=1e-12)
@@ -146,20 +151,16 @@ def test_fedyogi_second_moment_moves_toward_square():
 def test_fedyogi_differs_from_fedadam_when_variance_shrinks():
     ups = [upd("a", 5.0)]
     st_adam, st_yogi = state(0.0), state(0.0)
-    A.agg_server_opt(st_adam, ups, "fedadam")
-    A.agg_server_opt(st_yogi, ups, "fedyogi")
+    adam, yogi = A.FedAdamAggregator(), A.FedYogiAggregator()
+    adam.apply(st_adam, ups)
+    yogi.apply(st_yogi, ups)
     # second round with a much smaller delta
     u2a = [upd("a", val(st_adam) + 0.01)]
     u2y = [upd("a", val(st_yogi) + 0.01)]
-    A.agg_server_opt(st_adam, u2a, "fedadam")
-    A.agg_server_opt(st_yogi, u2y, "fedyogi")
+    adam.apply(st_adam, u2a)
+    yogi.apply(st_yogi, u2y)
     # adam decays u multiplicatively, yogi subtracts additively: they diverge
-    assert not np.allclose(st_adam.u["w"], st_yogi.u["w"])
-
-
-def test_unknown_variant():
-    with pytest.raises(UnknownStrategyName):
-        A.agg_server_opt(state(), [upd("a", 1.0)], "fedlamb")
+    assert not np.allclose(adam.u["w"], yogi.u["w"])
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,7 @@ def test_unknown_variant():
 
 def test_async_fresh_update_golden():
     st = state(1.0)
-    A.agg_async(st, upd("a", 3.0), alpha=0.9)
+    A.FedAsyncAggregator(alpha=0.9).apply(st, [upd("a", 3.0)])
     # staleness 0: a_s = 0.9, g = 0.1*1 + 0.9*3
     assert val(st) == pytest.approx(0.1 * 1.0 + 0.9 * 3.0, abs=1e-15)
     assert st.epoch == 1
@@ -176,17 +177,15 @@ def test_async_fresh_update_golden():
 
 def test_async_stale_update_discounted():
     st = state(1.0, epoch=3)
-    A.agg_async(st, upd("a", 3.0, base_epoch=0), alpha=0.9, staleness_exponent=0.5)
+    A.FedAsyncAggregator(alpha=0.9, staleness_exponent=0.5).apply(st, [upd("a", 3.0, base_epoch=0)])
     a_s = 0.9 * (3 + 1) ** -0.5  # 0.45
     assert val(st) == pytest.approx((1 - a_s) * 1.0 + a_s * 3.0, rel=1e-12)
 
 
 def test_async_is_order_sensitive():
     st1, st2 = state(0.0), state(0.0)
-    for u in (upd("a", 1.0), upd("b", -1.0)):
-        A.agg_async(st1, u)
-    for u in (upd("b", -1.0), upd("a", 1.0)):
-        A.agg_async(st2, u)
+    A.FedAsyncAggregator().apply(st1, [upd("a", 1.0), upd("b", -1.0)])
+    A.FedAsyncAggregator().apply(st2, [upd("b", -1.0), upd("a", 1.0)])
     assert val(st1) != val(st2)
 
 
@@ -197,7 +196,7 @@ def test_buffered_hand_formula():
         upd("b", 1.0, is_delta=True, base_epoch=1),  # staleness 1 -> 2^-.5
         upd("c", 1.0, is_delta=True, base_epoch=0),  # staleness 2 -> 3^-.5
     ]
-    A.agg_buffered(st, ups, server_lr=1.0, staleness_exponent=0.5)
+    assert A.FedBuffAggregator(buffer_size=3, server_lr=1.0, staleness_exponent=0.5).apply(st, ups)
     want = (1.0 + 2 ** -0.5 + 3 ** -0.5) / 3.0
     assert val(st) == pytest.approx(want, rel=1e-12)
     assert st.epoch == 3
@@ -211,8 +210,8 @@ def test_buffered_permutation_invariant():
     ]
     st1 = A.AggregatorState(ParameterSet([("w", np.zeros(9))]), epoch=1)
     st2 = A.AggregatorState(ParameterSet([("w", np.zeros(9))]), epoch=1)
-    A.agg_buffered(st1, ups)
-    A.agg_buffered(st2, ups[::-1])
+    A.FedBuffAggregator(buffer_size=4).apply(st1, ups)
+    A.FedBuffAggregator(buffer_size=4).apply(st2, ups[::-1])
     assert st1.global_params == st2.global_params
 
 
@@ -272,9 +271,9 @@ def test_fedavgm_beta_zero_equals_fedavg_on_deltas_vector():
         for i in range(6)
     ]
     st_m = A.AggregatorState(g0, epoch=0)
-    A.agg_server_opt(st_m, ups, "fedavgm", beta=0.0)
+    A.FedAvgMAggregator(beta=0.0).apply(st_m, ups)
     st_a = A.AggregatorState(g0, epoch=0)
-    A.agg_weighted_avg(st_a, ups)
+    A.FedAvgAggregator().apply(st_a, ups)
     for n in g0.names:
         np.testing.assert_allclose(st_m.global_params[n], st_a.global_params[n], atol=1e-12)
 
@@ -298,28 +297,33 @@ def random_round(seed, n=5):
     return g, ups[::-1]  # out of client-id order on purpose
 
 
+# a strategy per rule, and the updates of a round that it takes (async: a full, a delta)
 AGGREGATIONS = {
-    "weighted_avg": lambda st, ups: A.agg_weighted_avg(st, ups),
-    "fedavgm": lambda st, ups: A.agg_server_opt(st, ups, "fedavgm"),
-    "fedadagrad": lambda st, ups: A.agg_server_opt(st, ups, "fedadagrad"),
-    "fedadam": lambda st, ups: A.agg_server_opt(st, ups, "fedadam", server_lr=0.1),
-    "fedyogi": lambda st, ups: A.agg_server_opt(st, ups, "fedyogi"),
-    "async": lambda st, ups: [A.agg_async(st, u) for u in ups[:2]][-1],  # a full, a delta
-    "buffered": lambda st, ups: A.agg_buffered(st, ups, server_lr=0.5),
+    "weighted_avg": (A.FedAvgAggregator, {}, slice(None)),
+    "fedavgm": (A.FedAvgMAggregator, {}, slice(None)),
+    "fedadagrad": (A.FedAdagradAggregator, {}, slice(None)),
+    "fedadam": (A.FedAdamAggregator, {"server_lr": 0.1}, slice(None)),
+    "fedyogi": (A.FedYogiAggregator, {}, slice(None)),
+    "async": (A.FedAsyncAggregator, {}, slice(2)),
+    "buffered": (A.FedBuffAggregator, {"buffer_size": 1, "server_lr": 0.5}, slice(None)),
 }
+# the optimizer state sets each rule keeps on its strategy
+STATE_SETS = {"fedavgm": ("momentum",), "fedadagrad": ("u",), "fedadam": ("m", "u"), "fedyogi": ("m", "u")}
 
 
 @pytest.mark.parametrize("name", sorted(AGGREGATIONS))
 def test_aggregation_result_is_owned(check_owned, name):
     g, ups = random_round(11)
     st = A.AggregatorState(g, epoch=3)
+    cls, kwargs, taken = AGGREGATIONS[name]
+    agg = cls(**kwargs)
     inputs = [g] + [u.params for u in ups]
     for _ in range(2):  # the second round also reads the optimizer state
-        prev = [p for p in (st.global_params, st.momentum, st.m, st.u) if p is not None]
-        check_owned(lambda: AGGREGATIONS[name](st, ups), *inputs, *prev)
-        for p in (st.momentum, st.m, st.u):
-            if p is not None:
-                check_owned(lambda: p, *inputs, *prev)
+        sets = [getattr(agg, n) for n in STATE_SETS.get(name, ())]
+        prev = [p for p in (st.global_params, *sets) if p is not None]
+        check_owned(lambda: agg.apply(st, ups[taken]) and st.global_params, *inputs, *prev)
+        for n in STATE_SETS.get(name, ()):
+            check_owned(lambda: getattr(agg, n), *inputs, *prev)
 
 
 def oracle_weights(ups):
@@ -356,7 +360,7 @@ def acc_block(request, monkeypatch):
 def test_weighted_avg_bit_identical_to_loop_oracle(acc_block):
     g, ups = random_round(21)
     st = A.AggregatorState(g, epoch=3)
-    A.agg_weighted_avg(st, ups)
+    A.FedAvgAggregator().apply(st, ups)
     ordered = sorted(ups, key=lambda u: u.client_id)
     want = oracle_sum(g, ordered, oracle_weights(ordered), delta=False)
     assert st.global_params == ParameterSet(want.items())
@@ -366,6 +370,7 @@ def test_fedadam_bit_identical_to_loop_oracle(acc_block):
     g, ups = random_round(22)
     lr, b1, b2, tau = 0.1, A.BETA1, A.BETA2, A.TAU
     st = A.AggregatorState(g, epoch=3)
+    agg = A.FedAdamAggregator(server_lr=lr)
     ordered = sorted(ups, key=lambda u: u.client_id)
     want = {n: a.copy() for n, a in g.items()}
     m = {n: np.zeros_like(a) for n, a in g.items()}
@@ -380,15 +385,16 @@ def test_fedadam_bit_identical_to_loop_oracle(acc_block):
                 u2[n][it] = b2 * float(u2[n][it]) + (1 - b2) * (d * d)
                 step = lr * float(m[n][it]) / (math.sqrt(float(u2[n][it])) + tau)
                 want[n][it] = float(want[n][it]) + step
-        A.agg_server_opt(st, ordered, "fedadam", server_lr=lr)
+        agg.apply(st, ordered)
         assert st.global_params == ParameterSet(want.items())
+        assert agg.m == ParameterSet(m.items()) and agg.u == ParameterSet(u2.items())
         st.epoch = 3  # keep every staleness non-negative for the second round
 
 
 def test_buffered_bit_identical_to_loop_oracle(acc_block):
     g, ups = random_round(23)
     st = A.AggregatorState(g, epoch=3)
-    A.agg_buffered(st, ups, server_lr=0.5, staleness_exponent=0.5)
+    A.FedBuffAggregator(buffer_size=len(ups), server_lr=0.5, staleness_exponent=0.5).apply(st, ups)
     ordered = sorted(ups, key=lambda u: u.client_id)
     discounts = [(3 - u.base_epoch + 1) ** -0.5 for u in ordered]
     acc = oracle_sum(g, ordered, discounts, delta=True)

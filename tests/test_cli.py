@@ -71,19 +71,28 @@ def test_validate_config_bad_strategy_exits_2(config_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value, named",
+    "aggregator, key, value, named",
     [
-        ("aggregator_kwargs", {"server_lrr": 0.1}, "server_lrr"),
-        ("scheduler_kwargs", {"qmin": "x"}, "qmin"),
-        ("scheduler_kwargs", {"qmin": 5, "qmax": 3}, "qmin"),
-        ("scheduler_kwargs", {"qmin": 2.5}, "scheduler_kwargs.qmin"),
-        ("scheduler_kwargs", {"latitude": True}, "scheduler_kwargs.latitude"),
-        ("model_configs", {"layer_dims": ["a", 3], "loss": "mse"}, "layer_dims"),
+        ("FedAvgAggregator", "aggregator_kwargs", {"server_lrr": 0.1}, "server_lrr"),
+        ("FedAvgAggregator", "scheduler_kwargs", {"qmin": "x"}, "qmin"),
+        ("FedAvgAggregator", "scheduler_kwargs", {"qmin": 5, "qmax": 3}, "qmin"),
+        ("FedAvgAggregator", "scheduler_kwargs", {"qmin": 2.5}, "scheduler_kwargs.qmin"),
+        ("FedAvgAggregator", "scheduler_kwargs", {"latitude": True}, "scheduler_kwargs.latitude"),
+        ("FedAvgAggregator", "model_configs", {"layer_dims": ["a", 3], "loss": "mse"}, "layer_dims"),
+        # each rule takes only the settings it reads
+        ("FedAvgMAggregator", "aggregator_kwargs", {"tau": 5.0}, "aggregator_kwargs.tau"),
+        ("FedAdagradAggregator", "aggregator_kwargs", {"beta1": 0.1}, "aggregator_kwargs.beta1"),
+        ("FedAdamAggregator", "aggregator_kwargs", {"beta": 0.3}, "aggregator_kwargs.beta"),
+        ("FedYogiAggregator", "aggregator_kwargs", {"beta": 0.3}, "aggregator_kwargs.beta"),
+        ("FedBuffAggregator", "aggregator_kwargs", {"buffer_size": 0}, "server_configs.aggregator_kwargs"),
     ],
 )
-def test_validate_config_checks_kwargs_and_layer_dims(config_path, tmp_path, capsys, key, value, named):
+def test_validate_config_checks_kwargs_and_layer_dims(
+    config_path, tmp_path, capsys, aggregator, key, value, named
+):
     doc = yaml.safe_load(config_path.read_text())
     doc["server_configs"]["scheduler"] = "CompassScheduler"
+    doc["server_configs"]["aggregator"] = aggregator
     doc["server_configs"][key] = value
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(doc))
@@ -116,6 +125,20 @@ def test_validate_config_names_a_non_numeric_aggregator_kwarg(config_path, tmp_p
     bad = write_variant(config_path, tmp_path, edit)
     assert main(["validate-config", "--config", str(bad)]) == 2
     assert "aggregator_kwargs.server_lr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("error_bound", 2.0), ("small_tensor_threshold", -1)])
+def test_validate_config_names_an_out_of_range_compressor_setting(config_path, tmp_path, capsys, key, value):
+    def edit(doc):
+        doc["client_configs"]["comm_configs"] = {
+            "compressor_configs": {"enable_compression": True, key: value}
+        }
+
+    bad = write_variant(config_path, tmp_path, edit)
+    assert main(["validate-config", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"clients[0].comm_configs.compressor_configs.{key}: must be" in err
+    assert "eb_rel" not in err
 
 
 def test_validate_config_names_a_non_numeric_batch_time(config_path, tmp_path, capsys):

@@ -231,14 +231,15 @@ class Oracle:
             self.g = {n: a + step[n] for n, a in self.g.items()}
 
 
+# the strategy of each rule, and the updates of a round that it takes
 RULES = {
-    "weighted_avg": lambda st, ups: A.agg_weighted_avg(st, ups),
-    "fedavgm": lambda st, ups: A.agg_server_opt(st, ups, "fedavgm"),
-    "fedadagrad": lambda st, ups: A.agg_server_opt(st, ups, "fedadagrad"),
-    "fedadam": lambda st, ups: A.agg_server_opt(st, ups, "fedadam", server_lr=0.1),
-    "fedyogi": lambda st, ups: A.agg_server_opt(st, ups, "fedyogi"),
-    "async": lambda st, ups: [A.agg_async(st, u) for u in ups[:2]][-1],
-    "buffered": lambda st, ups: A.agg_buffered(st, ups, server_lr=0.5),
+    "weighted_avg": (A.FedAvgAggregator, {}, slice(None)),
+    "fedavgm": (A.FedAvgMAggregator, {}, slice(None)),
+    "fedadagrad": (A.FedAdagradAggregator, {}, slice(None)),
+    "fedadam": (A.FedAdamAggregator, {"server_lr": 0.1}, slice(None)),
+    "fedyogi": (A.FedYogiAggregator, {}, slice(None)),
+    "async": (A.FedAsyncAggregator, {}, slice(2)),
+    "buffered": (A.FedBuffAggregator, {"buffer_size": 1, "server_lr": 0.5}, slice(None)),
 }
 
 
@@ -246,6 +247,8 @@ RULES = {
 def test_aggregation_rules_over_two_rounds(rule):
     g = mixed(10)
     st = A.AggregatorState(g, epoch=3)
+    cls, kwargs, taken = RULES[rule]
+    agg = cls(**kwargs)  # one strategy for both rounds: it keeps the rule's state
     oracle = Oracle(g)
     for r in range(2):
         ups = [
@@ -253,10 +256,10 @@ def test_aggregation_rules_over_two_rounds(rule):
             for i in range(4)
         ][::-1]  # a delta first, out of client-id order
         oracle.round(rule, ups, st.epoch)
-        RULES[rule](st, ups)
+        assert agg.apply(st, ups[taken])
         assert_bits(st.global_params, oracle.g)
         for name, want in oracle.state.items():
-            assert_bits(getattr(st, name), want)
+            assert_bits(getattr(agg, name), want)
 
 
 # ---------------------------------------------------------------------------

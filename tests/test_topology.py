@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedkit.aggregators import AggregatorState, agg_weighted_avg
+from fedkit.aggregators import AggregatorState, FedAvgAggregator
 from fedkit.errors import DisconnectedNodeWarning, InvalidTopology, MissingLeafUpdate
 from fedkit.params import ModelUpdate, ParameterSet, weighted_sum, zeros_like
 from fedkit.topology import NeighborGraph, TreeTopology, dfl_round, hier_round
@@ -170,7 +170,7 @@ class TestDflRound:
         models = {n: rand_params(rng) for n in nodes}
         out = dfl_round(g, models)
         state = AggregatorState(global_params=zeros_like(models["n0"]), epoch=0)
-        agg_weighted_avg(state, [leaf_update(n, models[n], 17) for n in nodes])
+        FedAvgAggregator().apply(state, [leaf_update(n, models[n], 17) for n in nodes])
         for n in nodes:
             for name in state.global_params.names:
                 np.testing.assert_allclose(
