@@ -38,6 +38,7 @@ them computed tensor by tensor, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -65,7 +66,7 @@ class AggregatorState:
 def _ordered(updates: Sequence[ModelUpdate]) -> list[ModelUpdate]:
     if not updates:
         raise EmptyUpdateList("aggregation requires at least one update")
-    return sorted(updates, key=lambda u: u.client_id)
+    return sorted(updates, key=attrgetter("client_id"))
 
 
 def _staleness(state: AggregatorState, u: ModelUpdate) -> int:
@@ -94,7 +95,9 @@ def _terms(state: AggregatorState, ups, weights, delta: bool):
     )
 
 
-def _sample_weights(updates: Sequence[ModelUpdate]) -> np.ndarray:
+def _sample_weights(updates: Sequence[ModelUpdate]):
+    if len(updates) == 1:
+        return (1.0,)  # c / c for a positive count, 1 / 1 otherwise
     counts = np.array([max(u.sample_count, 0) for u in updates], dtype=np.float64)
     total = counts.sum()
     if total <= 0:

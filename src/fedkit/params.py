@@ -22,7 +22,8 @@ Representation: a set is one flat buffer per dtype, in order of first
 appearance of the dtype, and one view of it per name; a dtype's tensors lie
 back to back in its buffer in entry order.  That placement is the set's
 layout, built once per structure and shared by the sets of that structure,
-so a structure check is mostly an identity test.  Whole-model operations (sums,
+so a structure check is mostly an identity test.  The views by name are made
+when a tensor is first read by name.  Whole-model operations (sums,
 norms, clipping, noise, optimizer and aggregation steps) run once per
 buffer.  A :class:`FlatStack` holds ``k`` models of one layout as the rows
 of one (k, n) buffer per dtype, and its row ``i`` is a set.  A
@@ -40,7 +41,10 @@ of a set's own read-only tensors, so a body is hashed, staged or sent
 without a copy; :func:`serialize_params` joins those views for callers that
 need one bytes object.  :func:`deserialize_params` reads each tensor's bytes
 straight into its slice of a fresh buffer of its dtype, from a buffer or
-from a :class:`ByteStream` that hands them to a hasher as they land.
+from a :class:`ByteStream` that hands them to a hasher as they land.  A
+layout builds its structure's headers once (:class:`_Wire`); given the
+structure it expects, :func:`deserialize_params` reads a body with those
+headers by offset, into buffers sized from the layout.
 
 Memory: importing this module caps glibc's malloc at one arena, so that a
 model-sized block freed on one thread is reused on every other; see
@@ -129,10 +133,11 @@ class _Layout:
     ``e`` is ``bufs[j][lo:hi]`` for ``(j, lo, hi, shape) = spans[e]``.
     """
 
-    __slots__ = ("key", "names", "index", "dtypes", "sizes", "spans")
+    __slots__ = ("key", "names", "index", "dtypes", "sizes", "spans", "_wire")
 
     def __init__(self, key: tuple):
         self.key = key
+        self._wire = None
         self.names = tuple(name for name, _, _ in key)
         self.index: dict[str, int] = {}
         sizes: dict[np.dtype, int] = {}
@@ -153,11 +158,15 @@ class _Layout:
         return [np.empty((*rows, n), dtype=dt) for dt, n in zip(self.dtypes, self.sizes)]
 
     def views(self, bufs) -> tuple:
-        """Per entry, its view of ``bufs``; leading axes (the rows of a stack) are kept."""
-        return tuple(
-            bufs[j][..., lo:hi].reshape(bufs[j].shape[:-1] + shape)
-            for j, lo, hi, shape in self.spans
-        )
+        """Per entry, its view of ``bufs``; leading axes (a stack's rows) are kept."""
+        rows = bufs[0].shape[:-1] if bufs else ()
+        return tuple([bufs[j][..., lo:hi].reshape(rows + shape) for j, lo, hi, shape in self.spans])
+
+    def wire(self) -> "_Wire":
+        """The fixed parts of this structure's serialized bytes, built on first use."""
+        if self._wire is None:
+            self._wire = _Wire(self)
+        return self._wire
 
 
 @functools.lru_cache(maxsize=256)
@@ -215,10 +224,16 @@ class ParameterSet:
 
     def _own(self, layout: _Layout, bufs) -> None:
         for buf in bufs:
-            buf.flags.writeable = False
+            buf.setflags(write=False)
         self._layout = layout
         self._bufs = tuple(bufs)
-        self._views = layout.views(self._bufs)
+        self._views = None
+
+    def _tensors(self) -> tuple:
+        """Per entry, its view of the buffers, made when a tensor is first read by name."""
+        if self._views is None:
+            self._views = self._layout.views(self._bufs)
+        return self._views
 
     # -- container protocol -------------------------------------------------
 
@@ -230,10 +245,10 @@ class ParameterSet:
         return len(self._layout.names)
 
     def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(zip(self._layout.names, self._views))
+        return iter(zip(self._layout.names, self._tensors()))
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._views[self._layout.index[name]]
+        return self._tensors()[self._layout.index[name]]
 
     def __contains__(self, name: str) -> bool:
         return name in self._layout.index
@@ -290,7 +305,7 @@ class ParameterSet:
     def astype(self, dtype) -> "ParameterSet":
         key = tuple((n, _stored_dtype(n, np.dtype(dtype)), s) for n, _, s in self._layout.key)
         layout = _layout(key)
-        return ParameterSet._wrap(layout, _filled(layout, self._views))
+        return ParameterSet._wrap(layout, _filled(layout, self._tensors()))
 
 
 class FlatStack:
@@ -344,8 +359,7 @@ class DeferredSet(ParameterSet):
         self.check_structure(p)
         return p._bufs
 
-    @property
-    def _views(self) -> tuple:
+    def _tensors(self) -> tuple:
         return self._layout.views(self._bufs)
 
 
@@ -369,37 +383,42 @@ def _weighted_accumulate(like: ParameterSet, terms) -> list[np.ndarray]:
     in block by block and let go before the next term is read, so a
     :class:`DeferredSet` is freed as soon as it is folded in.  The result is
     never zero-filled: the first term is written straight into it, and every
-    later one goes through one small scratch buffer, so the only model-sized
-    allocation is the result: fresh buffers the caller may finish in place
-    and then wrap.
+    later one goes through one small scratch buffer, made when the second
+    term comes, so the only model-sized allocation is the result: fresh
+    buffers the caller may finish in place and then wrap.
     Each element sees exactly ``acc = acc + w * x`` in term order from
     ``+0.0``: the first step is ``w0 * x0 + 0.0``, which IEEE addition makes
     equal to ``0.0 + w0 * x0`` (a lone ``-0.0`` becomes ``+0.0``, a NaN stays
     that NaN), so results are bit-identical to summing whole sets one term at
     a time.
     """
-    scratch = np.empty(_ACC_BLOCK * 8, dtype=np.uint8)  # fits any float dtype
-    out = like._layout.empty()
-    first = True
+    layout = like._layout
+    out = layout.empty()
+    scratch, first = None, True  # the first term needs no scratch
     for w, x, op, base in terms:
-        _fold(out, w, x, op, base, first, scratch)
+        if not first and scratch is None:  # a block of any float dtype
+            scratch = np.empty(min(_ACC_BLOCK, max(layout.sizes, default=0)) * 8, dtype=np.uint8)
+        _fold(out, w, x, op, base, scratch)
         first = False
         del x  # let go of this term before the next one is read
     return out
 
 
-def _fold(out: list, w, x: ParameterSet, op, base, first: bool, scratch) -> None:
-    """One term of :func:`_weighted_accumulate` into the accumulators ``out``."""
+def _fold(out: list, w, x: ParameterSet, op, base, scratch) -> None:
+    """One term of :func:`_weighted_accumulate` into the accumulators ``out``.
+
+    ``scratch`` is None for the first term, which is written straight into ``out``.
+    """
     for acc, xj, bj in zip(out, x._bufs, out if op is None else base._bufs):
         wj = acc.dtype.type(w)
-        tmp = scratch.view(acc.dtype)
+        tmp = None if scratch is None else scratch.view(acc.dtype)
         for lo in range(0, acc.size, _ACC_BLOCK):
             hi = lo + _ACC_BLOCK
             a = acc[lo:hi]
-            t = a if first else tmp[: a.size]
+            t = a if tmp is None else tmp[: a.size]
             term = xj[lo:hi] if op is None else op(xj[lo:hi], bj[lo:hi], out=t)
             np.multiply(term, wj, out=t)
-            a += 0.0 if first else t
+            a += 0.0 if tmp is None else t
 
 
 def weighted_sum(sets: Sequence[ParameterSet], weights: Sequence[float]) -> ParameterSet:
@@ -452,11 +471,7 @@ def norms(p: ParameterSet) -> tuple[float, float, float]:
 
 def serialized_size(p: ParameterSet) -> int:
     """Exact byte length ``serialize_params`` will produce, without building it."""
-    total = 4
-    for name, arr in p:
-        nbytes = len(name.encode("utf-8"))
-        total += 2 + nbytes + 1 + 1 + 4 * arr.ndim + arr.dtype.itemsize * arr.size
-    return total
+    return p._layout.wire().size
 
 
 class Pieces:
@@ -481,10 +496,10 @@ class Pieces:
 
 
 def serialize_pieces(p: ParameterSet) -> Pieces:
-    """The bytes of :func:`serialize_params` as small headers plus a view of each tensor.
+    """The bytes of :func:`serialize_params` as the layout's headers plus a view of each tensor.
 
     Nothing is copied: each tensor's piece is a byte view of the set's own
-    (read-only) array, so the pieces are valid as long as the set is.
+    (read-only) buffer, so the pieces are valid as long as the set is.
     """
     return Pieces(_serial_parts(p))
 
@@ -501,21 +516,67 @@ def _name_header(name: str) -> bytes:
     return struct.pack(">H", len(raw)) + raw
 
 
+class _Wire:
+    """The parts of a structure's serialized bytes that its values do not change.
+
+    ``size`` is the body's byte length, ``count`` its u32 entry count and
+    ``heads[e]`` entry ``e``'s header (name, dtype tag, ndim, dims).  A set's
+    buffer ``j`` is stored as ``(dtype, elements) = buffers[j]``, its dtype
+    little-endian.  Entry ``e``'s elements are bytes ``[blo, bhi)`` of
+    buffer ``j`` and start at byte ``off`` of the body, for ``(j, blo, bhi,
+    off) = places[e]``.  ``checks`` holds ``(lo, hi, expected bytes)`` for
+    the count and each header.
+    """
+
+    __slots__ = ("size", "count", "heads", "buffers", "places", "checks")
+
+    def __init__(self, layout: _Layout):
+        self.count = struct.pack(">I", len(layout.key))
+        self.heads, self.places, self.checks = [], [], [(0, 4, self.count)]
+        self.buffers = [(dt.newbyteorder("<"), n) for dt, n in zip(layout.dtypes, layout.sizes)]
+        pos = 4
+        for (name, dt, shape), (j, lo, hi, _) in zip(layout.key, layout.spans):
+            if len(shape) > 0xFF:
+                raise ShapeMismatch(f"tensor {name!r} has {len(shape)} dims (max 255)")
+            head = _name_header(name) + struct.pack(
+                f">BB{len(shape)}I", _DTYPE_TO_TAG[dt], len(shape), *shape
+            )
+            self.heads.append(head)
+            self.checks.append((pos, pos + len(head), head))
+            pos += len(head)
+            self.places.append((j, lo * dt.itemsize, hi * dt.itemsize, pos))
+            pos += (hi - lo) * dt.itemsize
+        self.size = pos
+
+    def read(self, view: memoryview) -> Optional[list]:
+        """The buffers of the body ``view`` (a ``B`` view), each tensor copied from its offset.
+
+        None, with nothing allocated, unless the body's length and header
+        bytes are this structure's.
+        """
+        if len(view) != self.size:
+            return None
+        for lo, hi, head in self.checks:
+            if view[lo:hi] != head:
+                return None
+        bufs = [np.empty(n, dtype=dt) for dt, n in self.buffers]
+        dest = [memoryview(buf).cast("B") for buf in bufs]
+        for j, blo, bhi, off in self.places:
+            dest[j][blo:bhi] = view[off : off + bhi - blo]
+        return _native(bufs)
+
+
 def _serial_parts(p: ParameterSet) -> list:
-    parts = [struct.pack(">I", len(p))]
-    for name, arr in p:
-        if arr.ndim > 0xFF:
-            raise ShapeMismatch(f"tensor {name!r} has {arr.ndim} dims (max 255)")
-        tag = _DTYPE_TO_TAG[arr.dtype]
-        parts.append(_name_header(name) + struct.pack(f">BB{arr.ndim}I", tag, arr.ndim, *arr.shape))
-        # a no-op on little-endian hosts; elsewhere a swapped copy
-        parts.append(_byte_view(arr.astype(_TAG_TO_DTYPE[tag], copy=False)))
+    w = p._layout.wire()
+    # each buffer as it is stored: itself on little-endian hosts, elsewhere a swapped copy
+    views = [
+        memoryview(buf if buf.dtype == dt else buf.astype(dt)).cast("B")
+        for buf, (dt, _) in zip(p._bufs, w.buffers)
+    ]
+    parts = [w.count]
+    for head, (j, blo, bhi, _) in zip(w.heads, w.places):
+        parts += (head, views[j][blo:bhi])
     return parts
-
-
-def _byte_view(arr: np.ndarray) -> memoryview:
-    """The bytes of a C-contiguous array as a flat, uncopied ``B`` view."""
-    return memoryview(arr.reshape(-1)).cast("B")
 
 
 def _utf8(raw, error: type) -> str:
@@ -614,17 +675,43 @@ class _BufferStream(ByteStream):
         out[:] = self.read(len(out))
 
 
-def deserialize_params(data) -> ParameterSet:
+def deserialize_params(data, expect: Optional[ParameterSet] = None) -> ParameterSet:
     """Inverse of :func:`serialize_params`; rejects trailing bytes.
 
-    ``data`` is a bytes-like buffer or a :class:`ByteStream`.  The stream's
-    bytes of each tensor are read once, straight into the next slice of the
-    buffer of its dtype, after their length is checked against the bytes
-    left.  A dtype's buffer is allocated when its first tensor is met, with
-    room for every byte then left in the stream; the pages past its last
-    tensor are never written, so they never become resident.
+    ``data`` is a bytes-like buffer or a :class:`ByteStream`.  ``expect`` is
+    a set of the structure the body is expected to have; it never changes
+    the result or the error, only how the body is read.
+
+    A buffer whose length and header bytes equal ``expect``'s serialized
+    ones is read by its layout: each tensor's bytes are copied from their
+    known offset into buffers sized from the layout, with no header parsed.
+    Any other body is parsed entry by entry: the stream's bytes of each
+    tensor are read once, straight into the next slice of the buffer of its
+    dtype, after their length is checked against the bytes left.  A dtype's
+    buffer is allocated when its first tensor is met.  Its size is the
+    layout's when the body is ``expect``'s length (it grows, once, if later
+    entries need more), and otherwise room for every byte then left in the
+    stream, of which the pages past its last tensor are never written.
     """
-    src = data if isinstance(data, ByteStream) else ByteStream.over(data)
+    layout = None if expect is None else expect._layout
+    w = None if layout is None else _wire_of(layout)
+    if isinstance(data, ByteStream):
+        return _parse(data, layout if w is not None and data.left == w.size else None)
+    view = memoryview(data).cast("B")
+    bufs = None if w is None else w.read(view)
+    if bufs is None:
+        return _parse(ByteStream.over(view), None)
+    return ParameterSet._wrap(layout, bufs)
+
+
+def _native(bufs) -> list:
+    """``bufs``, each in its dtype's native byte order: a swapped copy of any that is not."""
+    return [buf if buf.dtype.isnative else buf.astype(buf.dtype.newbyteorder("=")) for buf in bufs]
+
+
+def _parse(src: "ByteStream", layout: Optional[_Layout]) -> ParameterSet:
+    """:func:`deserialize_params` entry by entry; ``layout``, if given, sizes the buffers."""
+    sizes = {} if layout is None else dict(zip(layout.dtypes, layout.sizes))
     (count,) = struct.unpack(">I", src.read(4))
     key = []
     filled: dict[np.dtype, list] = {}  # dtype -> [buffer, elements filled]
@@ -642,16 +729,28 @@ def deserialize_params(data) -> ParameterSet:
             raise Truncated(f"tensor {name!r} needs {dt.itemsize * n} bytes, only {src.left} left")
         slot = filled.get(dt)
         if slot is None:
-            slot = filled[dt] = [np.empty(src.left // dt.itemsize, dtype=dt), 0]
+            cap = sizes.get(dt.newbyteorder("="), src.left // dt.itemsize)
+            slot = filled[dt] = [np.empty(cap, dtype=dt), 0]
         buf, lo = slot
-        src.readinto(_byte_view(buf[lo : lo + n]))
+        if lo + n > len(buf):  # a body of the layout's length but not of its structure
+            slot[0] = np.empty(lo + src.left // dt.itemsize, dtype=dt)
+            slot[0][:lo] = buf[:lo]
+            buf = slot[0]
+        src.readinto(memoryview(buf[lo : lo + n]).cast("B"))
         slot[1] = lo + n
         key.append((name, dt.newbyteorder("="), shape))
     if src.left:
         raise TrailingBytes(f"{src.left} bytes left after last entry")
-    bufs = [buf[:used] if dt.isnative else buf[:used].astype(dt.newbyteorder("="))
-            for dt, (buf, used) in filled.items()]
+    bufs = _native([buf[:used] for buf, used in filled.values()])
     return ParameterSet._wrap(_layout(tuple(key)), bufs)
+
+
+def _wire_of(layout: _Layout) -> Optional[_Wire]:
+    """``layout.wire()``, or None for a structure that no body can have."""
+    try:
+        return layout.wire()
+    except (NameTooLong, ShapeMismatch):
+        return None
 
 
 def save_params(p: ParameterSet, path) -> None:

@@ -20,7 +20,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import DuplicateUpdate, InvalidBounds, UnknownClient, UnknownStrategyName
+from .errors import (
+    DuplicateUpdate,
+    InvalidBounds,
+    NonFiniteValue,
+    UnknownClient,
+    UnknownStrategyName,
+)
 from .params import ModelUpdate
 
 QMIN = 20
@@ -35,12 +41,17 @@ class Aggregate:
     mode: str = "round"  # round | late
 
 
+# the fewest seconds per step a speed sample is taken to claim
+MIN_PER_STEP = 1e-12
+
+
 @dataclass
 class SpeedEstimate:
     per_step_time: float
 
-    def observe(self, per_step_time: float, ema: float = SPEED_EMA) -> None:
-        self.per_step_time = ema * per_step_time + (1.0 - ema) * self.per_step_time
+    def observed(self, per_step_time: float, ema: float = SPEED_EMA) -> float:
+        """The estimate after one more sample, without taking it in."""
+        return ema * per_step_time + (1.0 - ema) * self.per_step_time
 
 
 @dataclass
@@ -194,15 +205,28 @@ class CompassScheduler:
         return steps
 
     def _observe_speed(self, update: ModelUpdate) -> None:
+        """Take the update's seconds per step into its client's estimate.
+
+        A group's arrival is ``now + qmax * pst`` and a step count is
+        ``(arrival - now) / pst``, with every estimate ``pst`` at least
+        ``MIN_PER_STEP``.  A sample that leaves ``qmax * pst / MIN_PER_STEP``
+        non-finite could make either non-finite, so it raises
+        :class:`NonFiniteValue` before anything changes.
+        """
         if update.wall_meta is None or update.local_steps <= 0:
             return
         start, end = update.wall_meta
-        per_step = max((end - start) / update.local_steps, 1e-12)
+        per_step = max((end - start) / update.local_steps, MIN_PER_STEP)
         est = self.speeds.get(update.client_id)
+        pst = per_step if est is None else est.observed(per_step, self.speed_ema)
+        if not math.isfinite(self.qmax * pst / MIN_PER_STEP):
+            raise NonFiniteValue(
+                f"{update.client_id!r} claims {per_step} s per step over {update.wall_meta}"
+            )
         if est is None:
-            self.speeds[update.client_id] = SpeedEstimate(per_step)
+            self.speeds[update.client_id] = SpeedEstimate(pst)
         else:
-            est.observe(per_step, self.speed_ema)
+            est.per_step_time = pst
 
     # -- protocol -------------------------------------------------------------
 

@@ -17,6 +17,7 @@ scheduler on both paths.
 """
 from __future__ import annotations
 
+import math
 import socket
 import threading
 import time
@@ -88,7 +89,10 @@ def decode_update(
     a staged raw body must be ``serialized_size(expect)`` bytes long, checked
     before it is opened, and a qz blob is checked by its entry headers.  An
     inline raw body allocates no more than its own length, and the agent
-    checks its structure.
+    checks its structure; one of ``expect``'s structure is read by its
+    layout (see :func:`~fedkit.params.deserialize_params`).  Wall times
+    that are not finite or run backwards, and negative counts, raise
+    :class:`ProtocolError`.
     """
     env = decode_envelope(payload)
     meta = env.meta
@@ -103,19 +107,16 @@ def decode_update(
         if enc == "qz":
             params = decompress_params(fetch_body(env, connectors), expect)
         else:
-            params = fetch_body(env, connectors, deserialize_params)
+            params = fetch_body(env, connectors, lambda body: deserialize_params(body, expect))
         wall = None
         if "wall_start" in meta and "wall_end" in meta:
             wall = (float(meta["wall_start"]), float(meta["wall_end"]))
-        return ModelUpdate(
-            client_id=meta["client_id"],
-            params=params,
-            is_delta=meta.get("delta") == "1",
-            sample_count=int(meta["samples"]),
-            local_steps=int(meta["steps"]),
-            base_epoch=int(meta["base_epoch"]),
-            wall_meta=wall,
-        )
+            if not (math.isfinite(wall[0]) and math.isfinite(wall[1]) and wall[0] <= wall[1]):
+                raise ProtocolError(f"wall times {wall} are not a finite start and end")
+        counts = int(meta["samples"]), int(meta["steps"]), int(meta["base_epoch"])
+        if min(counts) < 0:
+            raise ProtocolError(f"negative samples, steps or base epoch: {counts}")
+        return ModelUpdate(meta["client_id"], params, meta.get("delta") == "1", *counts, wall)
     except (KeyError, ValueError) as e:
         raise ProtocolError(f"malformed update payload: {e}") from e
 
@@ -132,11 +133,14 @@ def encode_model_reply(
     return stage_body(meta, serialize_pieces(params), connector, inline_limit)
 
 
-def decode_model_reply(payload: bytes, connectors: Optional[dict] = None):
+def decode_model_reply(
+    payload: bytes, connectors: Optional[dict] = None, expect: Optional[ParameterSet] = None
+):
+    """``(params, epoch, steps, done)``; a body of ``expect``'s structure is read by its layout."""
     env = decode_envelope(payload)
     try:
         return (
-            fetch_body(env, connectors, deserialize_params),
+            fetch_body(env, connectors, lambda body: deserialize_params(body, expect)),
             int(env.meta["epoch"]),
             int(env.meta["steps"]),
             env.meta.get("done") == "1",
@@ -254,19 +258,21 @@ class SocketServer:
             self._conn_threads.append(t)
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        """Answer frames until the peer ends; an error the agent raises ends this thread with it."""
         stream = conn.makefile("rwb")
         try:
             while True:
                 try:
                     frame = read_frame(stream, self.max_payload)
                 except FedkitError as e:
-                    send_frame(stream, encode_frame(MessageType.ERROR_REPLY, _error_payload(e)))
+                    self._send(stream, encode_frame(MessageType.ERROR_REPLY, _error_payload(e)))
                     return
+                except (OSError, ValueError):
+                    return  # peer went away mid-read
                 if frame is None or frame.msg_type == MessageType.SHUTDOWN:
                     return
-                send_frame(stream, self._handle(frame))
-        except (OSError, ValueError):
-            pass  # peer went away mid-write
+                if not self._send(stream, self._handle(frame)):
+                    return
         finally:
             try:
                 stream.close()
@@ -274,18 +280,24 @@ class SocketServer:
                 pass
             conn.close()
 
+    @staticmethod
+    def _send(stream, frame) -> bool:
+        """Send ``frame``; False if the peer went away mid-write."""
+        try:
+            send_frame(stream, frame)
+        except (OSError, ValueError):
+            return False
+        return True
+
     def _handle(self, frame):
         try:
             if not self.auth.verify(frame.token):
                 self.unauthorized_count += 1
                 raise Unauthenticated("bad or missing auth token")
-            handler = {
-                MessageType.MODEL_REQUEST: self._on_model_request,
-                MessageType.UPDATE_SUBMIT: self._on_update_submit,
-            }.get(frame.msg_type)
+            handler = self._HANDLERS.get(frame.msg_type)
             if handler is None:
                 raise ProtocolError(f"unexpected message type {frame.msg_type.name}")
-            return handler(frame.payload)
+            return handler(self, frame.payload)
         except FedkitError as e:
             return encode_frame(MessageType.ERROR_REPLY, _error_payload(e))
 
@@ -320,6 +332,13 @@ class SocketServer:
             mine = self._ready.pop(cid, None) or Reply(self.agent.global_params, self.agent.epoch, 0)
             done = self.agent.done
         return self._model_reply(mine, done)
+
+    # plain functions, not bound methods: a server holding its own bound methods
+    # would be a reference cycle, freed with its model only by the cycle collector
+    _HANDLERS = {
+        MessageType.MODEL_REQUEST: _on_model_request,
+        MessageType.UPDATE_SUBMIT: _on_update_submit,
+    }
 
     def _model_reply(self, mine: Reply, done: bool):
         reply = encode_model_reply(
@@ -436,4 +455,5 @@ class Communicator:
     ):
         payload = encode_update(update, codec, connector, inline_limit)
         frame = self.request(MessageType.UPDATE_SUBMIT, payload)
-        return decode_model_reply(frame.payload, self.connectors)
+        # the server took the update only if its structure is the model's
+        return decode_model_reply(frame.payload, self.connectors, update.params)

@@ -18,7 +18,9 @@ as unknown types.
 :func:`decode_frame` (over a buffer) and :func:`read_frame` (over a stream)
 share one header parser, so both check the magic, the version, the type,
 the token and the declared payload length in that order, and reject a
-payload above ``max_payload`` before reading it.
+payload above ``max_payload`` before reading it.  Frames and envelopes are
+read with precompiled ``struct`` formats at running offsets, one check per
+field, and written the same way.
 
 Payloads are envelopes: a small string-to-string metadata table plus a body
 that is either inline bytes or a :class:`DataRef` to a body staged in a
@@ -54,6 +56,7 @@ the keys it issues, and removes the file of a ``put`` that fails.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import os
@@ -65,7 +68,7 @@ import uuid
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     BadMagic,
@@ -79,7 +82,7 @@ from .errors import (
     UnknownConnector,
     UnsupportedVersion,
 )
-from .params import _HASHED_READ, ByteStream, Pieces, _utf8
+from .params import _HASHED_READ, ByteStream, Pieces
 
 MAGIC = b"APFL"
 PROTOCOL_VERSION = 2
@@ -91,6 +94,12 @@ _SHA256_LEN = 32
 _LEAF = _HASHED_READ
 # bytes hashed per read when a rejected staged payload is hashed to its end
 _DRAIN_CHUNK = 1 << 20
+# magic, version, message type and token length: a frame's first fields
+_FRAME_HEAD = struct.Struct(">4sBBH")
+_ENV_HEAD = struct.Struct(">BH")  # an envelope's flags and meta count
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
 
 
 class MessageType(IntEnum):
@@ -102,8 +111,10 @@ class MessageType(IntEnum):
     ERROR_REPLY = 8
 
 
-@dataclass(frozen=True)
-class Frame:
+_MESSAGE_TYPES = {t.value: t for t in MessageType}
+
+
+class Frame(NamedTuple):
     """A decoded frame; ``token`` and ``payload`` are bytes-like."""
 
     version: int
@@ -119,18 +130,14 @@ def encode_frame(
     version: int = PROTOCOL_VERSION,
 ) -> Union[bytes, Pieces]:
     """The frame's bytes; a payload in :class:`Pieces` gives a frame in pieces."""
-    msg_type = MessageType(msg_type)
+    # an int that is no message type raises ValueError
+    msg_type = _MESSAGE_TYPES.get(msg_type) or MessageType(msg_type)
     if len(token) > 0xFFFF:
         raise LengthMismatch(f"token too long: {len(token)} > 65535")
     if len(payload) > MAX_PAYLOAD:
         raise OversizedPayload(f"payload {len(payload)} exceeds {MAX_PAYLOAD}")
     head = b"".join(
-        [
-            MAGIC,
-            struct.pack(">BBH", version, int(msg_type), len(token)),
-            token,
-            struct.pack(">I", len(payload)),
-        ]
+        [_FRAME_HEAD.pack(MAGIC, version, msg_type, len(token)), token, _U32.pack(len(payload))]
     )
     if isinstance(payload, Pieces):
         return Pieces((head, *payload.parts))
@@ -146,36 +153,53 @@ def send_frame(stream, frame: Union[bytes, Pieces]) -> None:
     stream.flush()
 
 
-def _parse_frame(magic, read, max_payload: int) -> Frame:
-    """The frame whose first four bytes are ``magic`` and whose rest ``read(n)`` returns.
+def _parse_frame(head, read, max_payload: int) -> Frame:
+    """The frame whose first bytes are ``head`` and whose rest ``read(n)`` returns.
 
-    ``read(n)`` returns exactly the next ``n`` bytes or raises
-    :class:`Truncated`.  The declared payload length is checked against
-    ``max_payload`` before the payload is read.
+    ``head`` is the frame's first ``_FRAME_HEAD.size`` bytes and ``read(n)``
+    the next ``n``, either shorter only where the bytes end.  Each field is
+    checked once its bytes are there.
     """
-    if magic != MAGIC:
+    if len(head) < 4:
+        raise Truncated("frame ends inside its magic")
+    if head[:4] != MAGIC:
         raise BadMagic("frame does not start with APFL")
-    version, raw_type = struct.unpack(">BB", read(2))
+    if len(head) < 6:
+        raise Truncated("frame ends inside its version and type")
+    version, raw_type = head[4], head[5]
     if version != PROTOCOL_VERSION:
         raise UnsupportedVersion(f"version {version}, expected {PROTOCOL_VERSION}")
-    try:
-        msg_type = MessageType(raw_type)
-    except ValueError:
-        raise ProtocolError(f"unknown message type {raw_type}") from None
-    (token_len,) = struct.unpack(">H", read(2))
-    token = read(token_len)
-    (payload_len,) = struct.unpack(">I", read(4))
+    msg_type = _MESSAGE_TYPES.get(raw_type)
+    if msg_type is None:
+        raise ProtocolError(f"unknown message type {raw_type}")
+    if len(head) < _FRAME_HEAD.size:
+        raise Truncated("frame ends inside its token length")
+    (token_len,) = _U16.unpack_from(head, 6)
+    rest = read(token_len + 4)  # the token, then the payload length
+    if len(rest) < token_len + 4:
+        raise Truncated("frame ends inside its token or payload length")
+    (payload_len,) = _U32.unpack_from(rest, token_len)
     if payload_len > max_payload:
         raise OversizedPayload(f"payload {payload_len} exceeds {max_payload}")
-    return Frame(version, msg_type, token, read(payload_len))
+    payload = read(payload_len)
+    if len(payload) < payload_len:
+        raise Truncated(f"frame ends {payload_len - len(payload)} bytes short")
+    return Frame(version, msg_type, rest[:token_len], payload)
 
 
 def decode_frame(buf: bytes, max_payload: int = MAX_PAYLOAD) -> Frame:
     """The one frame that is all of ``buf``; its token and payload are slices of ``buf``."""
-    cur = ByteStream.over(buf)
-    frame = _parse_frame(cur.read(4), cur.read, max_payload)
-    if cur.left:
-        raise LengthMismatch(f"{cur.left} trailing bytes after frame")
+    view = memoryview(buf).cast("B")
+    pos = _FRAME_HEAD.size
+
+    def read(n: int) -> memoryview:
+        nonlocal pos
+        pos += n
+        return view[pos - n : pos]
+
+    frame = _parse_frame(view[:pos], read, max_payload)
+    if pos < len(view):
+        raise LengthMismatch(f"{len(view) - pos} trailing bytes after frame")
     return frame
 
 
@@ -186,23 +210,20 @@ def read_frame(stream, max_payload: int = MAX_PAYLOAD) -> Optional[Frame]:
     connection drops mid-frame.
     """
 
-    def exactly(n: int) -> bytes:
-        chunks = []
-        got = 0
-        while got < n:
-            piece = stream.read(n - got)
-            if not piece:
-                raise Truncated(f"stream ended {n - got} bytes short")
+    def read(n: int) -> bytes:
+        piece = stream.read(n)
+        if len(piece) == n or not piece:
+            return piece
+        chunks, got = [piece], len(piece)  # a raw stream may return less than was asked
+        while got < n and (piece := stream.read(n - got)):
             chunks.append(piece)
             got += len(piece)
         return b"".join(chunks)
 
-    head = stream.read(4)
+    head = read(_FRAME_HEAD.size)
     if not head:
         return None
-    if len(head) < 4:
-        raise Truncated("stream ended inside magic")
-    return _parse_frame(head, exactly, max_payload)
+    return _parse_frame(head, read, max_payload)
 
 
 # -- payload staging ----------------------------------------------------------
@@ -433,7 +454,8 @@ def _read_verified(raw, ref: DataRef, read):
 _FLAG_REF = 0x01
 
 
-@dataclass(frozen=True)
+# not frozen: one is built per message, and a frozen dataclass takes three times as long
+@dataclass(slots=True)
 class Envelope:
     """Metadata plus either an inline ``body`` (bytes-like or :class:`Pieces`) or a ``ref``."""
 
@@ -446,55 +468,86 @@ class Envelope:
             raise ProtocolError("envelope needs exactly one of body or ref")
 
 
-def encode_envelope(env: Envelope) -> Union[bytes, Pieces]:
-    """The envelope's bytes; a body in :class:`Pieces` gives an envelope in pieces."""
-    parts = [struct.pack(">BH", _FLAG_REF if env.ref is not None else 0, len(env.meta))]
-    for key in sorted(env.meta):
+@functools.lru_cache(maxsize=64)
+def _meta_keys(keys: tuple) -> tuple:
+    """``keys`` in their order on the wire, each with its encoding: a u16 byte count, then UTF-8."""
+    out = []
+    for key in sorted(keys):
         kb = key.encode("utf-8")
-        vb = str(env.meta[key]).encode("utf-8")
         if len(kb) > 0xFFFF:
             raise LengthMismatch(f"meta key too long: {len(kb)}")
-        parts.append(struct.pack(">H", len(kb)) + kb)
-        parts.append(struct.pack(">I", len(vb)) + vb)
-    if env.ref is not None:
-        cb = env.ref.connector_id.encode("utf-8")
-        keyb = env.ref.key.encode("utf-8")
-        parts.append(struct.pack(">H", len(cb)) + cb)
-        parts.append(struct.pack(">H", len(keyb)) + keyb)
-        parts.append(struct.pack(">Q", env.ref.size))
-        parts.append(env.ref.sha256)
-    elif isinstance(env.body, Pieces):
-        return Pieces((b"".join(parts), *env.body.parts))
+        out.append((key, _U16.pack(len(kb)) + kb))
+    return tuple(out)
+
+
+def encode_envelope(env: Envelope) -> Union[bytes, Pieces]:
+    """The envelope's bytes; a body in :class:`Pieces` gives an envelope in pieces."""
+    meta, body, ref = env.meta, env.body, env.ref
+    parts = [_ENV_HEAD.pack(_FLAG_REF if ref is not None else 0, len(meta))]
+    for key, head in _meta_keys(tuple(meta)):
+        vb = str(meta[key]).encode("utf-8")
+        parts += (head, _U32.pack(len(vb)), vb)
+    if ref is not None:
+        cb = ref.connector_id.encode("utf-8")
+        keyb = ref.key.encode("utf-8")
+        parts += (_U16.pack(len(cb)), cb, _U16.pack(len(keyb)), keyb)
+        parts += (_U64.pack(ref.size), ref.sha256)
+    elif isinstance(body, Pieces):
+        return Pieces((b"".join(parts), *body.parts))
     else:
-        parts.append(env.body)
+        parts.append(body)
     return b"".join(parts)
 
 
 def decode_envelope(buf: bytes) -> Envelope:
-    cur = ByteStream.over(buf)
-    flags, n_meta = cur.unpack(">BH")
-    if flags & ~_FLAG_REF:
-        raise ProtocolError(f"unknown envelope flags 0x{flags:02x}")
-    meta = {}
-    for _ in range(n_meta):
-        (klen,) = cur.unpack(">H")
-        key = _utf8(cur.read(klen), ProtocolError)
-        (vlen,) = cur.unpack(">I")
-        val = _utf8(cur.read(vlen), ProtocolError)
-        if key in meta:
-            raise ProtocolError(f"duplicate meta key {key!r}")
-        meta[key] = val
-    if flags & _FLAG_REF:
-        (clen,) = cur.unpack(">H")
-        connector_id = _utf8(cur.read(clen), ProtocolError)
-        (klen,) = cur.unpack(">H")
-        key = _utf8(cur.read(klen), ProtocolError)
-        (size,) = cur.unpack(">Q")
-        sha = cur.read(_SHA256_LEN)
-        if cur.left:
-            raise LengthMismatch(f"{cur.left} trailing bytes after data reference")
-        return Envelope(meta, ref=DataRef(connector_id, key, size, bytes(sha)))
-    return Envelope(meta, body=cur.read(cur.left))
+    """The envelope that is all of ``buf``; an inline body is a slice of ``buf``.
+
+    Fields are checked in order: one that runs past the end raises
+    :class:`Truncated`, text that is not UTF-8 or a repeated meta key
+    :class:`ProtocolError`, bytes after a data reference :class:`LengthMismatch`.
+    """
+    view = memoryview(buf).cast("B")
+    end = len(view)
+    try:
+        flags, n_meta = _ENV_HEAD.unpack_from(view)
+        if flags & ~_FLAG_REF:
+            raise ProtocolError(f"unknown envelope flags 0x{flags:02x}")
+        pos = _ENV_HEAD.size
+        meta = {}
+        for _ in range(n_meta):
+            (n,) = _U16.unpack_from(view, pos)
+            pos += 2 + n
+            if pos > end:
+                raise Truncated(f"envelope ends {pos - end} bytes early")
+            key = str(view[pos - n : pos], "utf-8")
+            (n,) = _U32.unpack_from(view, pos)
+            pos += 4 + n
+            if pos > end:
+                raise Truncated(f"envelope ends {pos - end} bytes early")
+            val = str(view[pos - n : pos], "utf-8")
+            if key in meta:
+                raise ProtocolError(f"duplicate meta key {key!r}")
+            meta[key] = val
+        if not flags & _FLAG_REF:
+            return Envelope(meta, body=view[pos:])
+        text = []  # the connector id, then the key
+        for _ in range(2):
+            (n,) = _U16.unpack_from(view, pos)
+            pos += 2 + n
+            if pos > end:
+                raise Truncated(f"envelope ends {pos - end} bytes early")
+            text.append(str(view[pos - n : pos], "utf-8"))
+        (size,) = _U64.unpack_from(view, pos)
+        pos += 8 + _SHA256_LEN
+        if pos > end:
+            raise Truncated(f"envelope ends {pos - end} bytes early")
+        if pos < end:
+            raise LengthMismatch(f"{end - pos} trailing bytes after data reference")
+        return Envelope(meta, ref=DataRef(*text, size, bytes(view[pos - _SHA256_LEN : pos])))
+    except struct.error:
+        raise Truncated("envelope ends inside a length field") from None
+    except UnicodeDecodeError as e:
+        raise ProtocolError(f"text is not UTF-8: {e}") from None
 
 
 def stage_body(
@@ -513,12 +566,13 @@ def fetch_body(env: Envelope, connectors: Optional[dict] = None, read=None):
     """An envelope's body, resolving a data reference if needed.
 
     Without ``read`` the result is the body's bytes.  With it, the result is
-    ``read(stream)`` over a :class:`~fedkit.params.ByteStream` of the body,
-    and a staged body is verified as ``read`` consumes it (see
-    ``FilesystemConnector.get``), so it is never held as one bytes object.
+    ``read(body)``: an inline body is passed as its buffer, and a staged one
+    as a :class:`~fedkit.params.ByteStream` that is verified as ``read``
+    consumes it (see ``FilesystemConnector.get``), so it is never held as
+    one bytes object.
     """
     if env.body is not None:
-        return env.body if read is None else read(ByteStream.over(env.body))
+        return env.body if read is None else read(env.body)
     connectors = connectors or {}
     if env.ref.connector_id not in connectors:
         raise UnknownConnector(f"no connector registered as {env.ref.connector_id!r}")

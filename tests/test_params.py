@@ -1,4 +1,5 @@
 import doctest
+import io
 import struct
 import weakref
 
@@ -104,6 +105,39 @@ def test_roundtrip_bit_exact(p):
     q = P.deserialize_params(buf)
     assert q == p
     assert P.serialize_params(q) == buf
+
+
+def _own_size(buf) -> bool:
+    """Whether ``buf`` is all of the memory it lies in."""
+    return (buf if buf.base is None else buf.base).nbytes == buf.nbytes
+
+
+@settings(max_examples=60, deadline=None)
+@given(parameter_sets())
+def test_layout_read_equals_the_parse(p):
+    buf = P.serialize_params(p)
+    for data in (buf, lambda: P.ByteStream(io.BytesIO(buf), len(buf))):
+        read = lambda expect: P.deserialize_params(data() if callable(data) else data, expect)
+        laid_out = read(p)
+        assert laid_out == read(None) == p
+        assert laid_out._layout is p._layout
+        # buffers sized from the layout, not from the bytes left when each dtype is met
+        assert all(_own_size(b) for b in laid_out._bufs)
+
+
+def _two_dtypes(n32, n64):
+    return P.ParameterSet([("a", np.arange(n32, dtype=np.float32)), ("b", np.arange(n64, dtype=np.float64))])
+
+
+@pytest.mark.parametrize("stream", [False, True], ids=["buffer", "stream"])
+def test_a_body_of_the_expected_length_but_another_structure_reads_as_without(stream):
+    # 12 float32 take the 48 bytes of the expected 4 float32 and 4 float64:
+    # a float32 buffer sized from the expected layout is outgrown
+    expect, body = _two_dtypes(4, 4), _two_dtypes(12, 0)
+    buf = P.serialize_params(body)
+    assert len(buf) == P.serialized_size(expect)
+    source = (lambda: P.ByteStream(io.BytesIO(buf), len(buf))) if stream else (lambda: buf)
+    assert P.deserialize_params(source(), expect) == P.deserialize_params(source()) == body
 
 
 def test_name_too_long():

@@ -10,6 +10,7 @@ from fedkit.errors import (
     DuplicateUpdate,
     InvalidBounds,
     NegativeStaleness,
+    NonFiniteValue,
     UnknownClient,
     UnknownStrategyName,
 )
@@ -374,6 +375,24 @@ class TestAgentChecks:
             with pytest.raises(UnknownClient):
                 agent.process_update(upd("zz"), 1.0)
         assert (agent.update_count, agent.epoch, agent.done) == (0, 0, False)
+
+    @pytest.mark.parametrize("end", [math.nan, math.inf, 1e308])
+    def test_compass_refuses_a_speed_it_cannot_schedule_and_changes_nothing(self, end):
+        # a NaN, infinite or overflowing seconds-per-step would make a group's
+        # arrival or a step count non-finite, and fail the next client's update
+        agent = ServerAgent(pset(), CompassScheduler(["a", "b"], qmin=1, qmax=10), FedAvgAggregator())
+        agent.handle_model_request("a", 0.0)
+        agent.handle_model_request("b", 0.0)
+        sched = agent.scheduler
+        before = repr((sched.speeds, sched.groups, sched.assignment))
+        with pytest.raises(NonFiniteValue):
+            agent.process_update(upd("a", end=end), 1.0)
+        assert repr((sched.speeds, sched.groups, sched.assignment)) == before
+        assert (agent.update_count, agent.epoch) == (0, 0)
+        for cid in ("b", "a"):
+            replies = agent.process_update(upd(cid), 2.0)
+            assert list(replies) == [cid]
+        assert agent.epoch == 2
 
 
 class RecordingStrategy:

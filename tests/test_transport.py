@@ -1,18 +1,27 @@
+import dataclasses
+import gc
+import hashlib
+import math
 import socket
 import struct
 import threading
 import time
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedkit.aggregators import FedAvgAggregator
 from fedkit.client import ClientState, TrainConfig, local_train
 from fedkit.compression import CodecConfig
 from fedkit.errors import (
     ChecksumMismatch,
+    FedkitError,
+    NonFiniteValue,
     OversizedPayload,
     ProtocolError,
     ShapeMismatch,
@@ -21,7 +30,7 @@ from fedkit.errors import (
     UnknownClient,
 )
 from fedkit.models import ModelSpec, PartitionSpec, init_params, make_blobs, partition
-from fedkit.params import ModelUpdate, ParameterSet, serialize_params
+from fedkit.params import ModelUpdate, ParameterSet, save_params, serialize_params
 from fedkit.schedulers import AsyncScheduler, CompassScheduler, SyncScheduler
 from fedkit.server import ServerAgent
 from fedkit.transport import (
@@ -34,8 +43,12 @@ from fedkit.transport import (
 )
 from fedkit.wire import (
     DEFAULT_INLINE_LIMIT,
+    DataRef,
+    Envelope,
     FilesystemConnector,
     MessageType,
+    decode_envelope,
+    encode_envelope,
     encode_frame,
     read_frame,
     stage_body,
@@ -524,6 +537,22 @@ class TestSocketRuns:
         assert sched.next_deadline() is not None  # a's group kept its deadline
         assert agent.epoch == 3
 
+    def test_a_stopped_server_is_freed_without_the_cycle_collector(self):
+        # a server in a reference cycle would keep its model until the cycle
+        # collector ran: a benchmark that starts a server per session held a
+        # dozen 16 MB models that way
+        agent, _ = make_setup()
+        gc.disable()
+        try:
+            with SocketServer(agent) as srv:
+                with Communicator(srv.host, srv.port) as com:
+                    com.fetch_model("c0")
+            server = weakref.ref(srv)
+            del srv
+            assert server() is None
+        finally:
+            gc.enable()
+
     def test_a_stopped_server_leaves_none_of_its_threads_running(self):
         # a sync client is parked waiting for the other client when the
         # server stops: it gets an error reply, and every server thread ends
@@ -548,3 +577,155 @@ class TestSocketRuns:
         assert not client.is_alive()
         assert errors == ["server shutting down"]
         assert set(threading.enumerate()) <= before
+
+
+def golden_params():
+    # two dtypes, a matrix, a vector and a scalar, in an order that interleaves the dtypes
+    return ParameterSet([
+        ("W0", (np.arange(12, dtype=np.float32).reshape(3, 4) - 5.5) / 7),
+        ("b0", np.linspace(-1.0, 2.0, 4)),
+        ("W1", (np.arange(8, dtype=np.float32).reshape(4, 2) * 0.375) - 1),
+        ("s", np.array(0.25)),
+    ])
+
+
+def golden_update(wall):
+    return ModelUpdate("client-7", golden_params(), True, 123, 9, 4, wall)
+
+
+# SHA-256 of the bytes the socket path sends and the checkpoint bytes, as the
+# field-by-field encoders wrote them; every faster encoder must write the same
+GOLDEN_SHA256 = {
+    "update_wall": "ddf9d5c198eb90f2d07971296a950c59bad6e0c364a6b334c0cafd2d6e0c1348",
+    "update_nowall": "64bab848935ee86db24a6aa2d0963750596811cd4f9bb242b6f7ad69fc368130",
+    "update_qz": "e408ae2a9c681a0e6539889bc7501ccd8fa4fa6de9d71235453ae5fe8aea3769",
+    "model_reply": "eceba259b13d7968b927b932a9f0a99b06f331507303d6623e20e129601bb78e",
+    "frame_update_wall": "164667cdd040c4aa8ebbe2718799b25a5ef47421592870f932e3fc7fc9662b91",
+    "frame_update_nowall": "ca008be34b7278fe23050c1de9987cb9f7a9b613b8143943bdff48bd59ab936a",
+    "frame_update_qz": "f4eed160385515a7dd22b76b7f51009dc797d310e30f83020bf576cc448b6a0a",
+    "frame_model_reply": "584813a017db004774060fc06bdcbc9916d694c4f876a77738825a56a5368c7b",
+    "envelope_ref": "7649b99bee1b9f701543f55c2ceb73e6d22fa2b11866dd0ddefa7e26dead0d7a",
+    "checkpoint": "c5dfa58c8df7d3ff86c45fc06140dcf1e7e5a823aaa510d1df5e9213b8c60f01",
+}
+
+
+def golden_payloads():
+    return {
+        "update_wall": encode_update(golden_update((1.5, 3.0625))),
+        "update_nowall": encode_update(golden_update(None)),
+        "update_qz": encode_update(golden_update((0.5, 2.0)), CodecConfig(small_tensor_threshold=0)),
+        "model_reply": encode_model_reply(golden_params(), 5, 9, False),
+    }
+
+
+class TestGoldenBytes:
+    def test_payloads_and_their_frames(self):
+        for name, payload in golden_payloads().items():
+            msg = MessageType.MODEL_REPLY if name == "model_reply" else MessageType.UPDATE_SUBMIT
+            frame = encode_frame(msg, payload, token=b"tok")
+            assert hashlib.sha256(bytes(payload)).hexdigest() == GOLDEN_SHA256[name], name
+            assert hashlib.sha256(bytes(frame)).hexdigest() == GOLDEN_SHA256["frame_" + name], name
+
+    def test_envelope_holding_a_data_reference(self):
+        ref = DataRef("fs", "0123456789abcdef" * 2, 4096, hashlib.sha256(b"staged").digest())
+        raw = encode_envelope(Envelope({"epoch": "5", "done": "0"}, ref=ref))
+        assert hashlib.sha256(raw).hexdigest() == GOLDEN_SHA256["envelope_ref"]
+        assert decode_envelope(raw) == Envelope({"done": "0", "epoch": "5"}, ref=ref)
+
+    def test_checkpoint(self, tmp_path):
+        path = tmp_path / "golden.apfm"
+        save_params(golden_params(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256["checkpoint"]
+
+    def test_decoded_with_and_without_the_expected_structure(self):
+        payloads = golden_payloads()
+        for name in ("update_wall", "update_nowall"):
+            for expect in (None, golden_params()):
+                assert decode_update(bytes(payloads[name]), None, expect) == golden_update(
+                    (1.5, 3.0625) if name == "update_wall" else None
+                )
+        for expect in (None, golden_params()):
+            got = decode_model_reply(bytes(payloads["model_reply"]), None, expect)
+            assert got == (golden_params(), 5, 9, False)
+
+
+class TestMalformedUpdates:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("wall_meta", (0.0, math.nan)),
+            ("wall_meta", (math.nan, 1.0)),
+            ("wall_meta", (0.0, math.inf)),
+            ("wall_meta", (-math.inf, 0.0)),
+            ("wall_meta", (3.0, 1.0)),
+            ("sample_count", -1),
+            ("local_steps", -1),
+            ("base_epoch", -1),
+        ],
+    )
+    def test_refused_with_a_protocol_error(self, field, value):
+        bad = dataclasses.replace(toy_update(), **{field: value})
+        with pytest.raises(ProtocolError):
+            decode_update(bytes(encode_update(bad)))
+
+    @pytest.mark.parametrize(
+        "wall, error",
+        [((0.0, math.nan), ProtocolError), ((0.0, math.inf), ProtocolError),
+         ((0.0, 1e308), NonFiniteValue)],
+    )
+    def test_one_compass_client_cannot_break_the_run_for_another(self, wall, error):
+        # the refused update changes nothing: b's update, and then a's next
+        # one, each aggregate as if it had never been sent
+        agent = compass_agent(["a", "b"], target_epochs=10)
+        with SocketServer(agent) as srv:
+            with Communicator(srv.host, srv.port, max_retries=0) as a, \
+                    Communicator(srv.host, srv.port, max_retries=0) as b:
+                for cid, com in (("a", a), ("b", b)):
+                    com.fetch_model(cid)
+                bad = ModelUpdate("a", timed_update("a", 100, 0).params, False, 10, 100, 0, wall)
+                with pytest.raises(error):
+                    a.submit_update(bad)
+                _, epoch_b, _, _ = b.submit_update(timed_update("b", 100, 0))
+                _, epoch_a, _, _ = a.submit_update(timed_update("a", 100, 0))
+        assert (epoch_b, epoch_a, agent.update_count) == (1, 2, 2)
+
+
+def mutated(data, payload: bytes) -> bytes:
+    """``payload`` cut short, with bytes flipped, or with bytes appended."""
+    damage = data.draw(st.sampled_from(["cut", "flip", "append"]))
+    if damage == "cut":
+        return payload[: data.draw(st.integers(0, len(payload) - 1))]
+    if damage == "append":
+        return payload + data.draw(st.binary(min_size=1, max_size=16))
+    buf = bytearray(payload)
+    for _ in range(data.draw(st.integers(1, 4))):
+        buf[data.draw(st.integers(0, len(buf) - 1))] ^= data.draw(st.integers(1, 255))
+    return bytes(buf)
+
+
+def outcome(decode):
+    try:
+        return decode()
+    except FedkitError as e:
+        return type(e)
+
+
+class TestMutatedPayloads:
+    """Damaged envelopes and parameter bodies raise only typed errors, and
+    reading a body by its expected layout never changes what comes out."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), wall=st.sampled_from([None, (1.5, 3.0625)]))
+    def test_update(self, data, wall):
+        buf = mutated(data, bytes(encode_update(golden_update(wall))))
+        plain = outcome(lambda: decode_update(buf))
+        laid_out = outcome(lambda: decode_update(buf, None, golden_params()))
+        assert plain == laid_out
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_model_reply(self, data):
+        buf = mutated(data, bytes(encode_model_reply(golden_params(), 5, 9, False)))
+        plain = outcome(lambda: decode_model_reply(buf))
+        laid_out = outcome(lambda: decode_model_reply(buf, None, golden_params()))
+        assert plain == laid_out
