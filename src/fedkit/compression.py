@@ -72,10 +72,9 @@ from .errors import (
     CorruptBlob,
     NonFiniteValue,
     ShapeMismatch,
-    Truncated,
     UnknownStrategyName,
 )
-from .params import ByteStream, ParameterSet, serialized_size, _layout, _name_header, _utf8
+from .params import ParameterSet, serialized_size, _layout, _name_header, _utf8, _U16, _U32
 from .params import _TAG_TO_DTYPE, _DTYPE_TO_TAG
 from .params import serialize_params  # noqa: F401  (perfbench/tracer.py wraps it on this module)
 
@@ -536,29 +535,35 @@ def decompress_params(blob: bytes, expect: ParameterSet | None = None) -> Parame
     inflating that payload never holds the buffer too.  No payload inflates
     past the largest body its entry's shape allows.
     """
-    r = ByteStream.over(blob)
+    view = memoryview(blob).cast("B")
+    pos = 0
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if n > len(view) - pos:
+            raise CorruptBlob(f"blob truncated: need {n} bytes, only {len(view) - pos} left")
+        pos += n
+        return view[pos - n : pos]
+
     key, entries = [], []
-    try:
-        (count,) = r.unpack(">I")
-        for _ in range(count):
-            (name_len,) = r.unpack(">H")
-            name = _utf8(r.read(name_len), CorruptBlob)
-            scheme, tag, ndim = r.unpack(">BBB")
-            if tag not in _TAG_TO_DTYPE:
-                raise CorruptBlob(f"bad dtype tag {tag} in entry {name!r}")
-            if scheme not in (SCHEME_RAW, SCHEME_LOSSLESS, SCHEME_LOSSY_QZ):
-                raise CorruptBlob(f"unknown scheme {scheme} in entry {name!r}")
-            shape = r.unpack(f">{ndim}I")
-            codec_id, payload_len, crc = r.unpack(">BII")
-            payload = r.read(payload_len)
-            if zlib.crc32(payload) != crc:
-                raise ChecksumMismatch(f"entry {name!r}: stored crc does not match payload")
-            key.append((name, _TAG_TO_DTYPE[tag].newbyteorder("="), shape))
-            entries.append((name, scheme, tag, codec_id, payload))
-    except Truncated as e:
-        raise CorruptBlob(f"blob truncated: {e}") from None
-    if r.left:
-        raise CorruptBlob(f"{r.left} trailing bytes after last entry")
+    (count,) = _U32.unpack(take(4))
+    for _ in range(count):
+        (name_len,) = _U16.unpack(take(2))
+        name = _utf8(take(name_len), CorruptBlob)
+        scheme, tag, ndim = take(3)
+        if tag not in _TAG_TO_DTYPE:
+            raise CorruptBlob(f"bad dtype tag {tag} in entry {name!r}")
+        if scheme not in (SCHEME_RAW, SCHEME_LOSSLESS, SCHEME_LOSSY_QZ):
+            raise CorruptBlob(f"unknown scheme {scheme} in entry {name!r}")
+        shape = struct.unpack(f">{ndim}I", take(4 * ndim))
+        codec_id, payload_len, crc = struct.unpack(">BII", take(9))
+        payload = take(payload_len)
+        if zlib.crc32(payload) != crc:
+            raise ChecksumMismatch(f"entry {name!r}: stored crc does not match payload")
+        key.append((name, _TAG_TO_DTYPE[tag].newbyteorder("="), shape))
+        entries.append((name, scheme, tag, codec_id, payload))
+    if pos < len(view):
+        raise CorruptBlob(f"{len(view) - pos} trailing bytes after last entry")
     if expect is not None and tuple(key) != expect._layout.key:
         raise ShapeMismatch("blob's tensor names, shapes or dtypes differ from the model's")
     layout = _layout(tuple(key))

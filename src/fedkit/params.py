@@ -39,12 +39,12 @@ copied again.  Serialized bytes follow the same rule, so a transfer copies
 each tensor once, on receive.  :func:`serialize_pieces` hands out byte views
 of a set's own read-only tensors, so a body is hashed, staged or sent
 without a copy; :func:`serialize_params` joins those views for callers that
-need one bytes object.  :func:`deserialize_params` reads each tensor's bytes
-straight into its slice of a fresh buffer of its dtype, from a buffer or
-from a :class:`ByteStream` that hands them to a hasher as they land.  A
-layout builds its structure's headers once (:class:`_Wire`); given the
-structure it expects, :func:`deserialize_params` reads a body with those
-headers by offset, into buffers sized from the layout.
+need one bytes object.  A layout builds its structure's headers once
+(:class:`_Wire`).  :func:`deserialize_params` has one reader: it walks a
+body's entry headers by offset, which gives the body's layout, and then
+reads each tensor's bytes from its offset straight into its slice of a
+fresh buffer sized from the layout.  The body is a buffer, or a
+:class:`FileBody` that hands the bytes to a hasher as they land.
 
 Memory: importing this module caps glibc's malloc at one arena, so that a
 model-sized block freed on one thread is reused on every other; see
@@ -468,6 +468,9 @@ def norms(p: ParameterSet) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 # serialization
 
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+
 
 def serialized_size(p: ParameterSet) -> int:
     """Exact byte length ``serialize_params`` will produce, without building it."""
@@ -479,14 +482,17 @@ class Pieces:
 
     ``len()`` is the total byte count and ``bytes()`` joins the buffers.  A
     consumer that takes the buffers one by one (a hash's ``update``, a
-    file's or socket's ``writelines``) never builds the joined string.
+    file's or socket's ``writelines``) never builds the joined string.  A
+    builder that knows the total passes it as ``nbytes``, as does one that
+    puts a header in front of other pieces, so the parts' lengths are
+    summed at most once.
     """
 
     __slots__ = ("parts", "_nbytes")
 
-    def __init__(self, parts):
+    def __init__(self, parts, nbytes: Optional[int] = None):
         self.parts = tuple(parts)
-        self._nbytes = sum(map(len, self.parts))
+        self._nbytes = sum(map(len, self.parts)) if nbytes is None else nbytes
 
     def __len__(self) -> int:
         return self._nbytes
@@ -501,7 +507,7 @@ def serialize_pieces(p: ParameterSet) -> Pieces:
     Nothing is copied: each tensor's piece is a byte view of the set's own
     (read-only) buffer, so the pieces are valid as long as the set is.
     """
-    return Pieces(_serial_parts(p))
+    return Pieces(_serial_parts(p), serialized_size(p))
 
 
 def serialize_params(p: ParameterSet) -> bytes:
@@ -513,7 +519,7 @@ def _name_header(name: str) -> bytes:
     raw = name.encode("utf-8")
     if len(raw) > MAX_NAME_BYTES:
         raise NameTooLong(f"tensor name is {len(raw)} bytes (max {MAX_NAME_BYTES})")
-    return struct.pack(">H", len(raw)) + raw
+    return _U16.pack(len(raw)) + raw
 
 
 class _Wire:
@@ -524,15 +530,14 @@ class _Wire:
     buffer ``j`` is stored as ``(dtype, elements) = buffers[j]``, its dtype
     little-endian.  Entry ``e``'s elements are bytes ``[blo, bhi)`` of
     buffer ``j`` and start at byte ``off`` of the body, for ``(j, blo, bhi,
-    off) = places[e]``.  ``checks`` holds ``(lo, hi, expected bytes)`` for
-    the count and each header.
+    off) = places[e]``, so its header ends at ``off``.
     """
 
-    __slots__ = ("size", "count", "heads", "buffers", "places", "checks")
+    __slots__ = ("size", "count", "heads", "buffers", "places")
 
     def __init__(self, layout: _Layout):
-        self.count = struct.pack(">I", len(layout.key))
-        self.heads, self.places, self.checks = [], [], [(0, 4, self.count)]
+        self.count = _U32.pack(len(layout.key))
+        self.heads, self.places = [], []
         self.buffers = [(dt.newbyteorder("<"), n) for dt, n in zip(layout.dtypes, layout.sizes)]
         pos = 4
         for (name, dt, shape), (j, lo, hi, _) in zip(layout.key, layout.spans):
@@ -542,28 +547,33 @@ class _Wire:
                 f">BB{len(shape)}I", _DTYPE_TO_TAG[dt], len(shape), *shape
             )
             self.heads.append(head)
-            self.checks.append((pos, pos + len(head), head))
             pos += len(head)
             self.places.append((j, lo * dt.itemsize, hi * dt.itemsize, pos))
             pos += (hi - lo) * dt.itemsize
         self.size = pos
 
-    def read(self, view: memoryview) -> Optional[list]:
-        """The buffers of the body ``view`` (a ``B`` view), each tensor copied from its offset.
+    def read(self, body) -> list:
+        """Fresh buffers, sized from the layout, holding the tensors of ``body``.
 
-        None, with nothing allocated, unless the body's length and header
-        bytes are this structure's.
+        ``body`` is a body of this structure: a ``B`` view, from which each
+        tensor is copied at its offset, or a :class:`FileBody`, from which
+        each is read there.  A file body's hasher is handed this
+        structure's count, then each header and the tensor after it: the
+        header encoding is canonical, so these are the header bytes the
+        walk read, and the hasher sees exactly the body of the set returned.
         """
-        if len(view) != self.size:
-            return None
-        for lo, hi, head in self.checks:
-            if view[lo:hi] != head:
-                return None
         bufs = [np.empty(n, dtype=dt) for dt, n in self.buffers]
         dest = [memoryview(buf).cast("B") for buf in bufs]
-        for j, blo, bhi, off in self.places:
-            dest[j][blo:bhi] = view[off : off + bhi - blo]
-        return _native(bufs)
+        if isinstance(body, FileBody):
+            body.hash(self.count)
+            for head, (j, blo, bhi, off) in zip(self.heads, self.places):
+                body.hash(head)
+                body.readinto(off, dest[j][blo:bhi])
+        else:
+            for j, blo, bhi, off in self.places:
+                dest[j][blo:bhi] = body[off : off + bhi - blo]
+        # each in its dtype's native byte order: a swapped copy of any that is not
+        return [b if b.dtype.isnative else b.astype(b.dtype.newbyteorder("=")) for b in bufs]
 
 
 def _serial_parts(p: ParameterSet) -> list:
@@ -587,170 +597,129 @@ def _utf8(raw, error: type) -> str:
         raise error(f"text is not UTF-8: {e}") from None
 
 
-# bytes a hashing ByteStream reads into an array before it hands them to its hasher
+# bytes a FileBody reads into an array before it hands them to its hasher
 _HASHED_READ = 1 << 20
 
 
-class ByteStream:
-    """Reads at most ``size`` bytes of ``raw`` front to back, feeding each to ``hasher``.
+@dataclass(slots=True)
+class FileBody:
+    """The first ``nbytes`` bytes of ``raw``, an open seekable binary file, as a body to read.
 
-    ``raw`` is anything with ``read(n)`` and ``readinto(buffer)``, such as an
-    open binary file; :meth:`over` wraps a bytes-like buffer.  ``left``
-    counts the bytes not yet read.  A read that asks for more than ``left``
-    raises :class:`Truncated` before anything is read or allocated, so
-    ``read`` and ``readinto`` return exactly what was asked for or raise.
-    With a ``hasher`` (anything with ``update``, such as
-    ``hashlib.sha256()``) every byte read is passed to it in the buffer it
-    was read into.
+    ``raw`` is anything with ``seek``, ``read`` and ``readinto`` that reads
+    as many bytes as asked unless the file ends, such as an open file or an
+    :class:`io.BytesIO`.  A slice of the body is read at its offset, and no
+    hasher sees it; :meth:`readinto` reads bytes and passes them to
+    :meth:`hash`, which hands them to ``hasher`` (anything with ``update``,
+    such as ``hashlib.sha256()``) if there is one.
     """
 
-    __slots__ = ("raw", "left", "hasher")
+    raw: object
+    nbytes: int
+    hasher: object = None
 
-    def __init__(self, raw, size: int, hasher=None):
-        self.raw = raw
-        self.left = size
-        self.hasher = hasher
-
-    @classmethod
-    def over(cls, buf) -> "ByteStream":
-        """A stream over a bytes-like buffer; its reads are zero-copy slices."""
-        return _BufferStream(buf)
-
-    def read(self, n: int):
-        """The next ``n`` bytes (bytes-like); a small read, such as a header."""
-        if n > self.left:
-            raise Truncated(f"need {n} bytes, only {self.left} left")
-        self.left -= n
+    def __getitem__(self, span: slice) -> bytes:
+        """Bytes ``[span.start, span.stop)`` of the body."""
+        n = span.stop - span.start
+        self.raw.seek(span.start)
         out = self.raw.read(n)
         if len(out) != n:
-            raise Truncated(f"stream ended {n - len(out)} bytes short")
-        if self.hasher is not None:
-            self.hasher.update(out)
+            raise Truncated(f"file ended {n - len(out)} bytes short")
         return out
 
-    def unpack(self, fmt: str) -> tuple:
-        """The next bytes, as many as ``fmt`` takes, unpacked with :func:`struct.unpack`."""
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+    def hash(self, buf) -> None:
+        """Hand ``buf`` to the hasher as the body's next bytes."""
+        if self.hasher is not None:
+            self.hasher.update(buf)
 
-    def readinto(self, out) -> None:
-        """Fill ``out``, a writable byte view, with the next ``len(out)`` bytes.
+    def readinto(self, off: int, out) -> None:
+        """Fill ``out``, a writable byte view, with the body's bytes from ``off``, and hash them.
 
-        With a hasher the bytes are read and handed to it 1 MiB at a time, so
-        a hasher that works beside the reader (as :mod:`fedkit.wire` uses)
+        The bytes are read and handed to the hasher 1 MiB at a time, so a
+        hasher that works beside the reader (as :mod:`fedkit.wire` uses)
         hashes one piece while the next is read.
         """
-        n = len(out)
-        if n > self.left:
-            raise Truncated(f"need {n} bytes, only {self.left} left")
-        self.left -= n
-        step = n if self.hasher is None else _HASHED_READ
-        got = 0
-        while got < n:
-            piece = out[got : got + step]
-            more = self.raw.readinto(piece)
-            if not more:
-                raise Truncated(f"stream ended {n - got} bytes short")
-            if self.hasher is not None:
-                self.hasher.update(piece[:more])
-            got += more
+        self.raw.seek(off)
+        for lo in range(0, len(out), _HASHED_READ):
+            piece = out[lo : lo + _HASHED_READ]
+            got = self.raw.readinto(piece)
+            if got != len(piece):
+                raise Truncated(f"file ended {len(out) - lo - got} bytes short")
+            self.hash(piece)
 
 
-class _BufferStream(ByteStream):
-    """:meth:`ByteStream.over`: the stream of a buffer, read by slicing it."""
+def _walk(body) -> _Layout:
+    """The layout of ``body``, a ``B`` view or a :class:`FileBody`, read from its entry headers.
 
-    __slots__ = ("buf",)
+    Both kinds of body give their length as ``nbytes`` and their bytes by
+    slicing.  Each header is read at its offset and checked, and each
+    tensor's byte count against the bytes left, before the next header is
+    read; nothing is allocated for the tensors.  A body that ends early raises
+    :class:`Truncated`, a name that is not UTF-8 :class:`BadName`, an
+    unknown dtype tag :class:`BadDtypeTag`, bytes after the last tensor
+    :class:`TrailingBytes`, and a repeated name :class:`ShapeMismatch`.
+    """
+    end, pos = body.nbytes, 0
 
-    def __init__(self, buf):
-        self.buf = memoryview(buf).cast("B")
-        super().__init__(None, len(self.buf))
+    def take(n: int):
+        nonlocal pos
+        if n > end - pos:
+            raise Truncated(f"need {n} bytes, only {end - pos} left")
+        pos += n
+        return body[pos - n : pos]
 
-    def read(self, n: int) -> memoryview:
-        if n > self.left:
-            raise Truncated(f"need {n} bytes, only {self.left} left")
-        lo = len(self.buf) - self.left
-        self.left -= n
-        return self.buf[lo : lo + n]
-
-    def readinto(self, out) -> None:
-        out[:] = self.read(len(out))
+    (count,) = _U32.unpack(take(4))
+    key = []
+    for _ in range(count):
+        (name_len,) = _U16.unpack(take(2))
+        head = take(name_len + 2)  # name, dtype tag, ndim
+        name = _utf8(head[:name_len], BadName)
+        tag, ndim = head[name_len], head[name_len + 1]
+        if tag not in _TAG_TO_DTYPE:
+            raise BadDtypeTag(f"dtype tag {tag} in entry {name!r}")
+        shape = struct.unpack(f">{ndim}I", take(4 * ndim))
+        dt = _TAG_TO_DTYPE[tag]
+        nbytes = dt.itemsize * math.prod(shape)
+        if nbytes > end - pos:
+            raise Truncated(f"tensor {name!r} needs {nbytes} bytes, only {end - pos} left")
+        pos += nbytes
+        key.append((name, dt.newbyteorder("="), shape))
+    if pos < end:
+        raise TrailingBytes(f"{end - pos} bytes left after last entry")
+    return _layout(tuple(key))
 
 
 def deserialize_params(data, expect: Optional[ParameterSet] = None) -> ParameterSet:
     """Inverse of :func:`serialize_params`; rejects trailing bytes.
 
-    ``data`` is a bytes-like buffer or a :class:`ByteStream`.  ``expect`` is
-    a set of the structure the body is expected to have; it never changes
-    the result or the error, only how the body is read.
-
-    A buffer whose length and header bytes equal ``expect``'s serialized
-    ones is read by its layout: each tensor's bytes are copied from their
-    known offset into buffers sized from the layout, with no header parsed.
-    Any other body is parsed entry by entry: the stream's bytes of each
-    tensor are read once, straight into the next slice of the buffer of its
-    dtype, after their length is checked against the bytes left.  A dtype's
-    buffer is allocated when its first tensor is met.  Its size is the
-    layout's when the body is ``expect``'s length (it grows, once, if later
-    entries need more), and otherwise room for every byte then left in the
-    stream, of which the pages past its last tensor are never written.
+    ``data`` is a bytes-like buffer or a :class:`FileBody`.  Its entry
+    headers are walked first (:func:`_walk`), so a malformed body raises
+    before anything is allocated for its tensors.  Then each tensor is
+    copied from its offset into buffers sized from the layout.  ``expect``
+    is a set of the structure the body is expected to have; it never changes
+    the result or the error: a buffer whose length and header bytes are
+    ``expect``'s is not walked, since its layout is ``expect``'s.
     """
-    layout = None if expect is None else expect._layout
-    w = None if layout is None else _wire_of(layout)
-    if isinstance(data, ByteStream):
-        return _parse(data, layout if w is not None and data.left == w.size else None)
-    view = memoryview(data).cast("B")
-    bufs = None if w is None else w.read(view)
-    if bufs is None:
-        return _parse(ByteStream.over(view), None)
-    return ParameterSet._wrap(layout, bufs)
+    if isinstance(data, FileBody):
+        layout = _walk(data)
+    else:
+        data = memoryview(data).cast("B")
+        known = expect is not None and _laid_out(data, expect._layout)
+        layout = expect._layout if known else _walk(data)
+    return ParameterSet._wrap(layout, layout.wire().read(data))
 
 
-def _native(bufs) -> list:
-    """``bufs``, each in its dtype's native byte order: a swapped copy of any that is not."""
-    return [buf if buf.dtype.isnative else buf.astype(buf.dtype.newbyteorder("=")) for buf in bufs]
-
-
-def _parse(src: "ByteStream", layout: Optional[_Layout]) -> ParameterSet:
-    """:func:`deserialize_params` entry by entry; ``layout``, if given, sizes the buffers."""
-    sizes = {} if layout is None else dict(zip(layout.dtypes, layout.sizes))
-    (count,) = struct.unpack(">I", src.read(4))
-    key = []
-    filled: dict[np.dtype, list] = {}  # dtype -> [buffer, elements filled]
-    for _ in range(count):
-        (name_len,) = struct.unpack(">H", src.read(2))
-        head = src.read(name_len + 2)  # name, dtype tag, ndim
-        name = _utf8(head[:name_len], BadName)
-        tag, ndim = head[name_len], head[name_len + 1]
-        if tag not in _TAG_TO_DTYPE:
-            raise BadDtypeTag(f"dtype tag {tag} in entry {name!r}")
-        shape = struct.unpack(f">{ndim}I", src.read(4 * ndim))
-        dt = _TAG_TO_DTYPE[tag]
-        n = math.prod(shape)
-        if dt.itemsize * n > src.left:
-            raise Truncated(f"tensor {name!r} needs {dt.itemsize * n} bytes, only {src.left} left")
-        slot = filled.get(dt)
-        if slot is None:
-            cap = sizes.get(dt.newbyteorder("="), src.left // dt.itemsize)
-            slot = filled[dt] = [np.empty(cap, dtype=dt), 0]
-        buf, lo = slot
-        if lo + n > len(buf):  # a body of the layout's length but not of its structure
-            slot[0] = np.empty(lo + src.left // dt.itemsize, dtype=dt)
-            slot[0][:lo] = buf[:lo]
-            buf = slot[0]
-        src.readinto(memoryview(buf[lo : lo + n]).cast("B"))
-        slot[1] = lo + n
-        key.append((name, dt.newbyteorder("="), shape))
-    if src.left:
-        raise TrailingBytes(f"{src.left} bytes left after last entry")
-    bufs = _native([buf[:used] for buf, used in filled.values()])
-    return ParameterSet._wrap(_layout(tuple(key)), bufs)
-
-
-def _wire_of(layout: _Layout) -> Optional[_Wire]:
-    """``layout.wire()``, or None for a structure that no body can have."""
+def _laid_out(view: memoryview, layout: _Layout) -> bool:
+    """Whether the body ``view`` (a ``B`` view) has ``layout``'s length and header bytes."""
     try:
-        return layout.wire()
-    except (NameTooLong, ShapeMismatch):
-        return None
+        w = layout.wire()
+    except (NameTooLong, ShapeMismatch):  # a structure that no body can have
+        return False
+    if len(view) != w.size or view[:4] != w.count:
+        return False
+    for head, (_, _, _, off) in zip(w.heads, w.places):
+        if view[off - len(head) : off] != head:
+            return False
+    return True
 
 
 def save_params(p: ParameterSet, path) -> None:
@@ -760,7 +729,7 @@ def save_params(p: ParameterSet, path) -> None:
 
 def load_params(path) -> ParameterSet:
     with open(path, "rb") as fh:
-        return deserialize_params(ByteStream(fh, os.fstat(fh.fileno()).st_size))
+        return deserialize_params(FileBody(fh, os.fstat(fh.fileno()).st_size))
 
 
 # ---------------------------------------------------------------------------

@@ -87,11 +87,12 @@ def decode_update(
     Given ``expect`` (a set of the model's structure), an update of another
     structure raises :class:`ShapeMismatch` before its tensors are allocated:
     a staged raw body must be ``serialized_size(expect)`` bytes long, checked
-    before it is opened, and a qz blob is checked by its entry headers.  An
-    inline raw body allocates no more than its own length, and the agent
-    checks its structure; one of ``expect``'s structure is read by its
-    layout (see :func:`~fedkit.params.deserialize_params`).  Wall times
-    that are not finite or run backwards, and negative counts, raise
+    before it is opened, and a qz blob is checked by its entry headers.  A
+    raw body's entry headers are walked before its tensors are allocated,
+    into buffers of its own structure's size, and the agent checks that
+    structure; an inline body with ``expect``'s header bytes is not walked
+    (see :func:`~fedkit.params.deserialize_params`).  Wall times that are
+    not finite or run backwards, and negative counts, raise
     :class:`ProtocolError`.
     """
     env = decode_envelope(payload)

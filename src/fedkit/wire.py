@@ -49,8 +49,11 @@ Hashing.  A staged body's leaves are hashed while the caller writes the
 body (``put``) or reads it into the arrays (``get``), 1 MiB at a time.  One
 helper thread hashes the oldest leaf that waits; when the helper is behind,
 the caller hashes the newest leaf itself between its writes or reads, so
-the two share the hashing.  On receive, the size and the digest are checked
-before the set is returned, so the bytes verified are the bytes used.
+the two share the hashing.  On receive, the reader walks the body's headers
+and then hashes the count and header bytes of the set it builds, and each
+tensor's bytes as they land in its array; the size and the digest are
+checked before the set is returned, so the bytes verified are the bytes
+used.  A body the reader rejects is hashed again from its start.
 Inline bodies are never hashed.  A :class:`FilesystemConnector` opens only
 the keys it issues, and removes the file of a ``put`` that fails.
 """
@@ -82,7 +85,7 @@ from .errors import (
     UnknownConnector,
     UnsupportedVersion,
 )
-from .params import _HASHED_READ, ByteStream, Pieces
+from .params import _HASHED_READ, _U16, _U32, FileBody, Pieces
 
 MAGIC = b"APFL"
 PROTOCOL_VERSION = 2
@@ -90,15 +93,11 @@ MAX_PAYLOAD = 64 * 2**20
 DEFAULT_INLINE_LIMIT = 10 * 2**20
 _SHA256_LEN = 32
 # bytes per leaf of a staged body's hash list, fixed by protocol version 2; equal to
-# a hashing ByteStream's reads, so that each read adds to at most two leaves
+# a FileBody's hashed reads, so that each read adds to at most two leaves
 _LEAF = _HASHED_READ
-# bytes hashed per read when a rejected staged payload is hashed to its end
-_DRAIN_CHUNK = 1 << 20
 # magic, version, message type and token length: a frame's first fields
 _FRAME_HEAD = struct.Struct(">4sBBH")
 _ENV_HEAD = struct.Struct(">BH")  # an envelope's flags and meta count
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 
 
@@ -140,7 +139,7 @@ def encode_frame(
         [_FRAME_HEAD.pack(MAGIC, version, msg_type, len(token)), token, _U32.pack(len(payload))]
     )
     if isinstance(payload, Pieces):
-        return Pieces((head, *payload.parts))
+        return Pieces((head, *payload.parts), len(head) + len(payload))
     return head + payload
 
 
@@ -418,35 +417,48 @@ class FilesystemConnector:
 def _read_verified(raw, ref: DataRef, read):
     """Read a staged payload of ``ref.size`` bytes from ``raw`` and check it against ``ref``.
 
-    ``raw`` is an open binary file or file-like object.  Without ``read``
-    the result is the payload's bytes; with it, the result of
-    ``read(stream)`` over a :class:`~fedkit.params.ByteStream` of the
-    payload, which must consume the stream to its end (as
-    ``deserialize_params`` does).  Every byte read is hashed, by a helper
-    thread or between reads (see :class:`_HashThread`), and nothing is
-    returned until the helper is done and the bytes read were exactly
-    ``ref.size`` bytes with digest ``ref.sha256``: the bytes verified are the
-    bytes used.  When ``read``
-    rejects the payload, the rest of it is hashed too, so damaged bytes
-    raise :class:`ChecksumMismatch` wherever they are.  The helper has
-    ended when this returns or raises.
+    ``raw`` is an open binary file or a seekable file-like object.  Without
+    ``read`` the result is the payload's bytes; with it, the result of
+    ``read(body)`` over a :class:`~fedkit.params.FileBody` of the payload
+    (as ``deserialize_params`` reads one).  The digest covers exactly the
+    bytes handed to the hasher: every byte of the payload when ``read`` is
+    None, and for ``deserialize_params`` the count and header bytes of the
+    set it returns and each tensor's bytes as they land.  They are hashed by
+    a helper thread or between reads (see :class:`_HashThread`), and nothing
+    is returned until the helper is done and their digest is ``ref.sha256``:
+    the bytes verified are the bytes used, all ``ref.size`` of them.  When
+    ``read`` rejects the payload, the whole file is hashed again from its
+    start, so damaged bytes raise :class:`ChecksumMismatch` wherever they
+    are.  The helper has ended when this returns or raises.
     """
     with _HashThread() as hasher:
-        stream = ByteStream(raw, ref.size, hasher)
+        body = FileBody(raw, ref.size, hasher)
         try:
-            out = stream.read(stream.left) if read is None else read(stream)
+            if read is None:
+                out = body[0 : ref.size]
+                hasher.update(out)
+            else:
+                out = read(body)
         except FedkitError as e:
-            try:
-                while stream.left:
-                    stream.read(min(stream.left, _DRAIN_CHUNK))
-            except FedkitError:
-                pass
-            if stream.left or hasher.digest() != ref.sha256:
+            if _rehash(raw, ref.size) != ref.sha256:
                 raise ChecksumMismatch("staged payload fails digest verification") from e
             raise
-        if stream.left or hasher.digest() != ref.sha256:
+        # equal digests mean equal bytes: the hasher saw all ``ref.size`` of them
+        if hasher.digest() != ref.sha256:
             raise ChecksumMismatch("staged payload fails digest verification")
         return out
+
+
+def _rehash(raw, size: int) -> bytes:
+    """The digest of the first ``size`` bytes of ``raw``, read again from its start.
+
+    A file that ends early gives the digest of the bytes it has.
+    """
+    raw.seek(0)
+    with _HashThread() as hasher:
+        for start in range(0, size, _LEAF):
+            hasher.update(raw.read(min(_LEAF, size - start)))
+        return hasher.digest()
 
 
 # -- envelopes -----------------------------------------------------------------
@@ -493,7 +505,8 @@ def encode_envelope(env: Envelope) -> Union[bytes, Pieces]:
         parts += (_U16.pack(len(cb)), cb, _U16.pack(len(keyb)), keyb)
         parts += (_U64.pack(ref.size), ref.sha256)
     elif isinstance(body, Pieces):
-        return Pieces((b"".join(parts), *body.parts))
+        head = b"".join(parts)
+        return Pieces((head, *body.parts), len(head) + len(body))
     else:
         parts.append(body)
     return b"".join(parts)
@@ -567,9 +580,10 @@ def fetch_body(env: Envelope, connectors: Optional[dict] = None, read=None):
 
     Without ``read`` the result is the body's bytes.  With it, the result is
     ``read(body)``: an inline body is passed as its buffer, and a staged one
-    as a :class:`~fedkit.params.ByteStream` that is verified as ``read``
-    consumes it (see ``FilesystemConnector.get``), so it is never held as
-    one bytes object.
+    as a :class:`~fedkit.params.FileBody` of the open spool file, whose
+    bytes are hashed as ``read`` reads them and verified before the result
+    is returned (see :func:`_read_verified`), so it is never held as one
+    bytes object.
     """
     if env.body is not None:
         return env.body if read is None else read(env.body)

@@ -116,13 +116,14 @@ def _own_size(buf) -> bool:
 @given(parameter_sets())
 def test_layout_read_equals_the_parse(p):
     buf = P.serialize_params(p)
-    for data in (buf, lambda: P.ByteStream(io.BytesIO(buf), len(buf))):
+    for data in (buf, lambda: P.FileBody(io.BytesIO(buf), len(buf))):
         read = lambda expect: P.deserialize_params(data() if callable(data) else data, expect)
-        laid_out = read(p)
-        assert laid_out == read(None) == p
-        assert laid_out._layout is p._layout
-        # buffers sized from the layout, not from the bytes left when each dtype is met
-        assert all(_own_size(b) for b in laid_out._bufs)
+        laid_out, walked = read(p), read(None)
+        assert laid_out == walked == p
+        assert laid_out._layout is walked._layout is p._layout
+        # buffers sized from the layout, not from the bytes left when each dtype is met,
+        # with the expected structure and without it
+        assert all(_own_size(b) for b in laid_out._bufs + walked._bufs)
 
 
 def _two_dtypes(n32, n64):
@@ -136,7 +137,7 @@ def test_a_body_of_the_expected_length_but_another_structure_reads_as_without(st
     expect, body = _two_dtypes(4, 4), _two_dtypes(12, 0)
     buf = P.serialize_params(body)
     assert len(buf) == P.serialized_size(expect)
-    source = (lambda: P.ByteStream(io.BytesIO(buf), len(buf))) if stream else (lambda: buf)
+    source = (lambda: P.FileBody(io.BytesIO(buf), len(buf))) if stream else (lambda: buf)
     assert P.deserialize_params(source(), expect) == P.deserialize_params(source()) == body
 
 
@@ -182,6 +183,16 @@ def test_checkpoint_file_roundtrip(tmp_path):
     path = tmp_path / ("model" + P.CHECKPOINT_SUFFIX)
     P.save_params(p, path)
     assert P.load_params(path) == p
+
+
+def test_checkpoint_with_two_dtypes_loads_into_buffers_of_its_own_size(tmp_path):
+    p = _two_dtypes(5, 3)
+    path = tmp_path / ("model" + P.CHECKPOINT_SUFFIX)
+    P.save_params(p, path)
+    q = P.load_params(path)
+    assert q == p and q._layout is p._layout
+    assert [b.size for b in q._bufs] == [5, 3]
+    assert all(_own_size(b) for b in q._bufs)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from fedkit.errors import (
     UnsupportedVersion,
 )
 from fedkit.params import (
-    ByteStream,
+    FileBody,
     ParameterSet,
     Pieces,
     deserialize_params,
@@ -346,6 +346,9 @@ class _FailingRaw:
         self.calls = 0
         self.fail_at = fail_at
 
+    def seek(self, pos):
+        return self.raw.seek(pos)
+
     def read(self, n):
         return self.raw.read(n)
 
@@ -354,6 +357,40 @@ class _FailingRaw:
         if self.calls == self.fail_at:
             raise OSError(errno.EIO, "Input/output error")
         return self.raw.readinto(out)
+
+
+class _RenamingRaw:
+    """A file-like reader whose first read that covers byte ``at`` has ``name`` there.
+
+    Any later read gives the stored bytes, so the header the walk reads is
+    not the one stored, while the fill and a read again from the start see
+    the stored file.
+    """
+
+    def __init__(self, raw, at, name):
+        self.raw = raw
+        self.at = at
+        self.name = name
+        self.pos = 0
+        self.renamed = False
+
+    def seek(self, pos):
+        self.pos = pos
+        return self.raw.seek(pos)
+
+    def read(self, n):
+        out = self.raw.read(n)
+        lo, self.pos = self.pos, self.pos + len(out)
+        if not self.renamed and lo <= self.at < self.pos:
+            self.renamed = True
+            i = self.at - lo
+            out = out[:i] + self.name + out[i + len(self.name) :]
+        return out
+
+    def readinto(self, out):
+        got = self.raw.readinto(out)
+        self.pos += got
+        return got
 
 
 class _BrokenSha256:
@@ -428,12 +465,34 @@ class TestStreamedReceive:
         )
         ref = conn.put(serialize_pieces(p))
         monkeypatch.setattr(
-            wire, "ByteStream",
-            lambda raw, size, hasher=None: ByteStream(_FailingRaw(raw, 2), size, hasher),
+            wire, "FileBody",
+            lambda raw, size, hasher=None: FileBody(_FailingRaw(raw, 2), size, hasher),
         )
         with pytest.raises(OSError) as err:
             conn.get(ref, deserialize_params)
         assert err.value.errno == errno.EIO
+        monkeypatch.undo()
+        assert conn.get(ref, deserialize_params) == p
+
+    @pytest.mark.parametrize("case", ["read returns early", "header changes after the walk"])
+    def test_the_digest_covers_exactly_the_bytes_used(self, conn, monkeypatch, case):
+        p = ParameterSet([("a", np.arange(4, dtype=np.float32)), ("w", np.ones(3))])
+        ref = conn.put(serialize_pieces(p))
+        read = deserialize_params
+        if case == "read returns early":
+            # every byte but the last goes to the hasher
+            read = lambda body: body.readinto(0, memoryview(bytearray(body.nbytes - 1)))
+        else:
+            # the walk reads the name "b" at byte 6, after count(4) + name_len(2): a
+            # valid name of the same length, so the body walks and fills without error
+            monkeypatch.setattr(
+                wire, "FileBody",
+                lambda raw, size, hasher=None: FileBody(_RenamingRaw(raw, 6, b"b"), size, hasher),
+            )
+        got = []
+        with pytest.raises(ChecksumMismatch):
+            got.append(conn.get(ref, read))
+        assert got == []
         monkeypatch.undo()
         assert conn.get(ref, deserialize_params) == p
 
