@@ -29,11 +29,13 @@ Per-coordinate formulas, with ``dbar`` the sample-weighted mean delta:
 
 ``s`` is staleness: server epoch minus the update's base epoch.  A rule's
 state starts at zeros.  The server optimizers run once per dtype buffer of
-the model; their state sets and the global model are fresh buffers every
-round.  ``dbar^2`` is the one scratch buffer, and ``dbar``, fresh from the
-accumulator, becomes the step once the rule has read it.  Every product and
-sum keeps the operand order of the formulas above, so the result equals
-them computed tensor by tensor, bit for bit.
+the model.  Their state sets are updated in place, and reading one (``m``,
+``u`` or ``momentum``) gives a copy; the global model is a fresh buffer
+every round.  ``dbar^2`` is the one scratch buffer, and ``dbar``, fresh from
+the accumulator, becomes the step once the rule has read it, so a round of
+FedAdam or FedYogi makes three model-sized buffers.  Every product and sum
+keeps the operand order of the formulas above, so the result equals them
+computed tensor by tensor, bit for bit.
 """
 from __future__ import annotations
 
@@ -135,13 +137,21 @@ def _buffered_step(state: AggregatorState, updates, server_lr: float, staleness_
     _advance(state, acc)
 
 
-def _state_bufs(p: Optional[ParameterSet], g: ParameterSet):
-    """The buffers of a rule's state set, one by one; before its first round, zeros like ``g``'s.
+class _StateSet:
+    """A rule's optimizer state: one writable buffer per dtype of the model, zeros at first."""
 
-    A zeros buffer is made when it is taken, and a rule takes each buffer
-    where it reads it, so the zeros are let go at once.
-    """
-    return map(np.zeros_like, g._bufs) if p is None else iter(p._bufs)
+    __slots__ = ("layout", "bufs")
+
+    def __init__(self, g: ParameterSet):
+        self.layout = g._layout
+        self.bufs = [np.zeros_like(b) for b in g._bufs]
+
+    @staticmethod
+    def read(state: Optional["_StateSet"]) -> Optional[ParameterSet]:
+        """A copy of ``state`` as a set, or None before the rule's first round."""
+        if state is None:
+            return None
+        return ParameterSet._wrap(state.layout, [b.copy() for b in state.bufs])
 
 
 def _adaptive(step: np.ndarray, u: np.ndarray, scratch: np.ndarray, tau: float) -> np.ndarray:
@@ -178,19 +188,23 @@ class FedAvgMAggregator(_Strategy):
     def __init__(self, server_lr: float = SERVER_LR, beta: float = BETA):
         self.server_lr = server_lr
         self.beta = beta
-        self.momentum: Optional[ParameterSet] = None
+        self._v: Optional[_StateSet] = None
+
+    @property
+    def momentum(self) -> Optional[ParameterSet]:
+        return _StateSet.read(self._v)
 
     def apply(self, state, updates, late=False):
         g = state.global_params
         dbar = _weighted_mean(state, updates, delta=True)
-        v0s, vs, out = _state_bufs(self.momentum, g), [], []
-        for gb, d in zip(g._bufs, dbar):
+        if self._v is None:
+            self._v = _StateSet(g)
+        out = []
+        for gb, d, v in zip(g._bufs, dbar, self._v.bufs):
             t = gb.dtype.type
-            v = np.multiply(next(v0s), t(self.beta))
+            v *= t(self.beta)
             v += d
-            vs.append(v)
             out.append(gb + np.multiply(v, t(self.server_lr), out=d))
-        self.momentum = ParameterSet._wrap(g._layout, vs)
         _advance(state, out)
         return True
 
@@ -199,19 +213,23 @@ class FedAdagradAggregator(_Strategy):
     def __init__(self, server_lr: float = SERVER_LR, tau: float = TAU):
         self.server_lr = server_lr
         self.tau = tau
-        self.u: Optional[ParameterSet] = None
+        self._u: Optional[_StateSet] = None
+
+    @property
+    def u(self) -> Optional[ParameterSet]:
+        return _StateSet.read(self._u)
 
     def apply(self, state, updates, late=False):
         g = state.global_params
         dbar = _weighted_mean(state, updates, delta=True)
-        u0s, us, out = _state_bufs(self.u, g), [], []
-        for gb, d in zip(g._bufs, dbar):
+        if self._u is None:
+            self._u = _StateSet(g)
+        out = []
+        for gb, d, u in zip(g._bufs, dbar, self._u.bufs):
             d2 = np.multiply(d, d)
-            u = next(u0s) + d2
-            us.append(u)
+            u += d2
             step = np.multiply(d, gb.dtype.type(self.server_lr), out=d)
             out.append(gb + _adaptive(step, u, d2, self.tau))
-        self.u = ParameterSet._wrap(g._layout, us)
         _advance(state, out)
         return True
 
@@ -223,43 +241,47 @@ class FedAdamAggregator(_Strategy):
         self.beta1 = beta1
         self.beta2 = beta2
         self.tau = tau
-        self.m: Optional[ParameterSet] = None
-        self.u: Optional[ParameterSet] = None
+        self._m: Optional[_StateSet] = None
+        self._u: Optional[_StateSet] = None
+
+    @property
+    def m(self) -> Optional[ParameterSet]:
+        return _StateSet.read(self._m)
+
+    @property
+    def u(self) -> Optional[ParameterSet]:
+        return _StateSet.read(self._u)
 
     def apply(self, state, updates, late=False):
         g = state.global_params
         dbar = _weighted_mean(state, updates, delta=True)
-        m0s, u0s = _state_bufs(self.m, g), _state_bufs(self.u, g)
-        ms, us, out = [], [], []
-        for gb, d in zip(g._bufs, dbar):
+        if self._m is None:
+            self._m, self._u = _StateSet(g), _StateSet(g)
+        out = []
+        for gb, d, m, u in zip(g._bufs, dbar, self._m.bufs, self._u.bufs):
             t = gb.dtype.type
             d2 = np.multiply(d, d)
-            m = np.multiply(next(m0s), t(self.beta1))
+            m *= t(self.beta1)
             m += np.multiply(d, t(1 - self.beta1), out=d)
-            ms.append(m)
-            u = self._second_moment(next(u0s), d2, d)
-            us.append(u)
+            self._second_moment(u, d2, d)
             step = np.multiply(m, t(self.server_lr), out=d)
             out.append(gb + _adaptive(step, u, d2, self.tau))
-        self.m = ParameterSet._wrap(g._layout, ms)
-        self.u = ParameterSet._wrap(g._layout, us)
         _advance(state, out)
         return True
 
-    def _second_moment(self, u0, d2, scratch):
-        """``b2*u + (1-b2)*dbar^2``, spending ``d2``; ``scratch`` is free."""
-        u = np.multiply(u0, u0.dtype.type(self.beta2))
-        u += np.multiply(d2, u0.dtype.type(1 - self.beta2), out=d2)
-        return u
+    def _second_moment(self, u, d2, scratch) -> None:
+        """``u = b2*u + (1-b2)*dbar^2`` in place, spending ``d2``; ``scratch`` is free."""
+        u *= u.dtype.type(self.beta2)
+        u += np.multiply(d2, u.dtype.type(1 - self.beta2), out=d2)
 
 
 class FedYogiAggregator(FedAdamAggregator):
-    def _second_moment(self, u0, d2, scratch):
-        """``u0 - ((1-b2) * dbar^2) * sign(u0 - dbar^2)``, spending ``d2`` and ``scratch``."""
-        sign = np.sign(np.subtract(u0, d2, out=scratch), out=scratch)
-        pull = np.multiply(d2, u0.dtype.type(1 - self.beta2), out=d2)
+    def _second_moment(self, u, d2, scratch) -> None:
+        """``u = u - ((1-b2) * dbar^2) * sign(u - dbar^2)`` in place, spending ``d2`` and ``scratch``."""
+        sign = np.sign(np.subtract(u, d2, out=scratch), out=scratch)
+        pull = np.multiply(d2, u.dtype.type(1 - self.beta2), out=d2)
         pull *= sign
-        return u0 - pull
+        u -= pull
 
 
 class FedAsyncAggregator(_Strategy):

@@ -736,7 +736,7 @@ def load_params(path) -> ParameterSet:
 # exchange records
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ModelUpdate:
     """One client contribution, as submitted to the server.
 

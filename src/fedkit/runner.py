@@ -41,8 +41,13 @@ class RunOutputs:
     final_params: ParameterSet
     epoch: int
     updates_processed: int
-    metrics: list
+    agent: ServerAgent
     run_dir: Optional[Path] = None
+
+    @property
+    def metrics(self) -> list[MetricRecord]:
+        """The run record as rows (``ServerAgent.metrics``)."""
+        return self.agent.metrics
 
 
 def write_run_dir(
@@ -70,12 +75,10 @@ def _finish(cfg, agent: ServerAgent, now: float, run_dir, metrics_format) -> Run
     agent.finalize(now)
     if cfg.evaluation is not None:
         ds = build_dataset(cfg.evaluation["dataset_name"], cfg.evaluation["dataset_kwargs"])
-        scores = dataset_metrics(cfg.model_spec, agent.global_params, ds)
-        for kind, value in sorted(scores.items()):
-            agent.metrics.append(MetricRecord(now, "server", f"val_{kind}", float(value)))
+        agent.record_eval(now, dataset_metrics(cfg.model_spec, agent.global_params, ds))
     if run_dir is not None:
         run_dir = write_run_dir(run_dir, cfg, agent.metrics, agent.global_params, metrics_format)
-    return RunOutputs(agent.global_params, agent.epoch, agent.update_count, agent.metrics, run_dir)
+    return RunOutputs(agent.global_params, agent.epoch, agent.update_count, agent, run_dir)
 
 
 def serve(cfg: ExperimentConfig, port: Optional[int] = None) -> SocketServer:

@@ -35,7 +35,7 @@ LATITUDE = 0.2  # deadline slack factor on a group's expected arrival time
 SPEED_EMA = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Aggregate:
     updates: tuple[ModelUpdate, ...]
     mode: str = "round"  # round | late

@@ -20,10 +20,19 @@ own and never costs the round it would have joined.  The structure check
 reads only the update's layout, so it never trains a simulated update whose
 params are deferred.  An update counts
 towards ``target_updates`` once the scheduler has accepted it.
+
+The agent keeps the run record of both paths as typed columns: per counted
+aggregation its time and epoch (16 bytes), and per evaluation score, which
+the simulator or the runner hands to ``record_eval``, its time, kind and
+value.  A long-lived server thus holds no object per aggregation.
+``metrics`` reads the record as a list of :class:`~fedkit.params.MetricRecord`
+rows built at each read: the epoch rows first, then the evaluation rows.
 """
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from typing import NamedTuple, Optional
 
 from .aggregators import AggregatorState, _staleness, make_aggregator
@@ -57,7 +66,12 @@ class ServerAgent:
         # updates the scheduler accepted (refused ones must not count)
         self.update_count = 0
         self.aggregation_count = 0
-        self.metrics: list[MetricRecord] = []
+        # the run record's columns (see the module docstring)
+        self._epoch_times = array("d")
+        self._epochs = array("q")
+        self._eval_times = array("d")
+        self._eval_kinds: list[str] = []
+        self._eval_values = array("d")
 
     @property
     def global_params(self) -> ParameterSet:
@@ -66,6 +80,19 @@ class ServerAgent:
     @property
     def epoch(self) -> int:
         return self.state.epoch
+
+    @property
+    def metrics(self) -> list[MetricRecord]:
+        """The run record as rows, epoch rows first; a new list at each read."""
+        rows = [
+            MetricRecord(t, "server", "epoch", float(e))
+            for t, e in zip(self._epoch_times, self._epochs)
+        ]
+        rows += [
+            MetricRecord(t, "server", k, v)
+            for t, k, v in zip(self._eval_times, self._eval_kinds, self._eval_values)
+        ]
+        return rows
 
     @property
     def done(self) -> bool:
@@ -122,8 +149,16 @@ class ServerAgent:
         steps = self.scheduler.assign(client_ids, now)
         return {cid: Reply(params, epoch, n) for cid, n in steps.items()}
 
+    def record_eval(self, now: float, scores: dict) -> None:
+        """Record the evaluation ``scores`` taken at ``now``, in kind order, each as ``val_<kind>``."""
+        for kind, value in sorted(scores.items()):
+            self._eval_times.append(now)
+            self._eval_kinds.append(sys.intern(f"val_{kind}"))
+            self._eval_values.append(float(value))
+
     def _record(self, now: float) -> None:
-        self.metrics.append(MetricRecord(now, "server", "epoch", float(self.state.epoch)))
+        self._epoch_times.append(now)
+        self._epochs.append(self.state.epoch)
 
 
 def make_server_agent(run, max_updates: Optional[int] = None) -> ServerAgent:

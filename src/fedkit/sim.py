@@ -152,9 +152,13 @@ class SimResult:
     aggregations: int
     updates_processed: int
     virtual_time: float
-    metrics: list
     utilization: UtilizationReport
     agent: ServerAgent
+
+    @property
+    def metrics(self) -> list[MetricRecord]:
+        """The run record as rows (``ServerAgent.metrics``)."""
+        return self.agent.metrics
 
 
 def draw_batch_times(n: int, fastest: float = 0.2, spread: float = 10.0, seed: int = 0):
@@ -250,7 +254,6 @@ class _Sim:
         self.rounds = _Rounds(sc.codec)
         self.dispatched: list[tuple[ModelUpdate, _Job]] = []  # by this event; arrivals not pushed yet
         self.segments: list[tuple[str, float, float]] = []
-        self.metrics: list[MetricRecord] = []
         self.model_bytes = serialized_size(self.agent.global_params)
         self._seen_aggs = 0
         self._pending_deadlines: set[float] = set()
@@ -318,8 +321,7 @@ class _Sim:
         if self.sc.eval_dataset is None:
             return
         scores = dataset_metrics(self.sc.model_spec, self.agent.global_params, self.sc.eval_dataset)
-        for kind, value in sorted(scores.items()):
-            self.metrics.append(MetricRecord(now, "server", f"val_{kind}", float(value)))
+        self.agent.record_eval(now, scores)
 
     def _dispatch(self, replies: dict[str, Reply], now: float) -> None:
         """Start each replied client's next round, in client id order."""
@@ -365,7 +367,6 @@ class _Sim:
             aggregations=self.agent.aggregation_count,
             updates_processed=self.agent.update_count,
             virtual_time=now,
-            metrics=self.agent.metrics + self.metrics,
             utilization=report,
             agent=self.agent,
         )

@@ -14,6 +14,11 @@ passes it runs the deadline check itself: a group with a deadline has an
 arrived member, so some thread is parked for every deadline.  The server's
 clock starts at 0, as the simulator's does, so ``now`` means the same to a
 scheduler on both paths.
+
+Both ends set ``TCP_NODELAY``.  A model reply leaves as a small head, the
+tensors and a short tail, and Nagle's rule would hold the tail until the
+peer's delayed ACK.  The server lets go of the threads of connections that
+ended whenever it accepts a new one.
 """
 from __future__ import annotations
 
@@ -256,12 +261,15 @@ class SocketServer:
                 return
             t = threading.Thread(target=self._serve_connection, args=(conn,), daemon=True)
             t.start()
+            # a long-lived server keeps no thread of a connection that ended
+            self._conn_threads = [c for c in self._conn_threads if c.is_alive()]
             self._conn_threads.append(t)
 
     def _serve_connection(self, conn: socket.socket) -> None:
         """Answer frames until the peer ends; an error the agent raises ends this thread with it."""
         stream = conn.makefile("rwb")
         try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while True:
                 try:
                     frame = read_frame(stream, self.max_payload)
@@ -380,6 +388,7 @@ class Communicator:
         if self._sock is not None:
             return
         self._sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._stream = self._sock.makefile("rwb")
 
     def close(self) -> None:

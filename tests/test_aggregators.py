@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,6 +162,32 @@ def test_fedyogi_differs_from_fedadam_when_variance_shrinks():
     yogi.apply(st_yogi, u2y)
     # adam decays u multiplicatively, yogi subtracts additively: they diverge
     assert not np.allclose(adam.u["w"], yogi.u["w"])
+
+
+@pytest.mark.parametrize("cls", [A.FedAdamAggregator, A.FedYogiAggregator])
+def test_fedopt_round_makes_three_model_sized_buffers(cls):
+    # the moments are updated in place: a round makes dbar, dbar^2 and the new
+    # global model; the first round also makes the two moment sets, zeros
+    n = 1 << 20
+    model_bytes = 8 * n
+    rng = np.random.default_rng(5)
+    st = A.AggregatorState(ParameterSet({"w": rng.standard_normal(n)}))
+    ups = [
+        ModelUpdate("a", ParameterSet({"w": rng.standard_normal(n)}), True, 1, 1, r)
+        for r in range(3)
+    ]
+    agg = cls(server_lr=0.01)
+    made = []
+    tracemalloc.start()
+    try:
+        for u in ups:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            agg.apply(st, [u])
+            made.append((tracemalloc.get_traced_memory()[1] - before) / model_bytes)
+    finally:
+        tracemalloc.stop()
+    assert made[0] <= 5.2 and max(made[1:]) <= 3.2, made
 
 
 # ---------------------------------------------------------------------------
