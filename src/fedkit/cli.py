@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import bench
 from .config import build_scenario, load_config
 from .errors import ConfigError, FedkitError
 from .runner import run_client, run_local, run_server, write_run_dir
@@ -35,7 +34,7 @@ def _add_run_dir_args(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedkit",
-        description="Federated learning orchestration: simulate, run, and report.",
+        description="Federated learning orchestration: simulate, run, and validate configs.",
         epilog=f"Auth tokens come from the config or the {TOKEN_ENV_VAR} environment variable.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -52,15 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="virtual-clock simulation of the config")
     _add_config_args(p)
     _add_run_dir_args(p)
-
-    p = sub.add_parser(
-        "report-utilization",
-        help="utilization and Gantt CSVs from re-simulating a run's config "
-        "(for a socket run: the simulated schedule, not a measured one)",
-    )
-    p.add_argument("--run-dir", help="run directory holding config.yaml")
-    p.add_argument("--config", help="config file (alternative to --run-dir)")
-    p.add_argument("--out-dir", help="where to write the CSVs (default: next to the source)")
 
     p = sub.add_parser("validate-config", help="parse and validate without running")
     _add_config_args(p)
@@ -113,23 +103,9 @@ def _cmd_simulate(args) -> int:
         print(f"  final {m.kind}={m.value:.4f}")
     if args.run_dir:
         run_dir = write_run_dir(
-            args.run_dir, cfg, result.metrics, result.final_params, args.metrics_format
+            args.run_dir, cfg, result.metrics, result.final_params, args.metrics_format, report
         )
-        report.write_tables(run_dir)
         print(f"outputs in {run_dir}")
-    return 0
-
-
-def _cmd_report_utilization(args) -> int:
-    if bool(args.run_dir) == bool(args.config):
-        print("give exactly one of --run-dir or --config", file=sys.stderr)
-        return 2
-    source = args.run_dir or args.config
-    report = bench.report_utilization(source, out_dir=args.out_dir)
-    for cid in sorted(report.per_client):
-        u = report.per_client[cid]
-        print(f"{cid}: compute={u.compute_seconds:.3f}s total={u.total_seconds:.3f}s "
-              f"utilization={u.utilization:.3f}")
     return 0
 
 
@@ -152,7 +128,6 @@ def _cmd_validate_config(args) -> int:
 _COMMANDS = {
     "run": _cmd_run,
     "simulate": _cmd_simulate,
-    "report-utilization": _cmd_report_utilization,
     "validate-config": _cmd_validate_config,
 }
 

@@ -208,7 +208,6 @@ def local_train(
     base: ParameterSet,
     steps: Optional[int] = None,
     base_epoch: int = 0,
-    clock=time.monotonic,
 ) -> ModelUpdate:
     """Run ``steps`` minibatch steps from ``base`` and package the result.
 
@@ -216,10 +215,10 @@ def local_train(
     privacy pipeline before being wrapped into a :class:`ModelUpdate`.  This
     is :func:`train_cohort` with a cohort of one.
     """
-    return train_cohort([(state, base, steps, base_epoch)], clock)[0]
+    return train_cohort([(state, base, steps, base_epoch)])[0]
 
 
-def train_cohort(jobs, clock=time.monotonic) -> list[ModelUpdate]:
+def train_cohort(jobs) -> list[ModelUpdate]:
     """Train several clients together; one :class:`ModelUpdate` per job, in order.
 
     Each job is ``(state, base, steps, base_epoch)`` as the arguments of
@@ -236,14 +235,14 @@ def train_cohort(jobs, clock=time.monotonic) -> list[ModelUpdate]:
     ]
     if len({id(st) for st, _, _, _ in jobs}) != len(jobs):
         raise ConfigError("a client can train only once per cohort")
-    start = clock()
+    start = time.monotonic()
     updates: list = [None] * len(jobs)
     busy = []
     for i, job in enumerate(jobs):
         if job[2] > 0:
             busy.append(i)
         else:
-            updates[i] = _package(job, job[1], start, clock())
+            updates[i] = _package(job, job[1], start, time.monotonic())
     if not busy:
         return updates
     # every check of the round, before any client draws a batch
@@ -258,7 +257,7 @@ def train_cohort(jobs, clock=time.monotonic) -> list[ModelUpdate]:
 
     def train(part: list) -> None:
         trained = _train_rows([jobs[i] for i in part], [targets[i] for i in part])
-        end = clock()
+        end = time.monotonic()
         # packaged at once, while a large model's weights are still in cache
         for i, params in zip(part, trained):
             updates[i] = _package(jobs[i], params, start, end)

@@ -38,16 +38,15 @@ from .sim import SimClient, SimScenario, draw_batch_times
 from .transport import TOKEN_ENV_VAR
 from .wire import DEFAULT_INLINE_LIMIT, MAX_PAYLOAD
 
-_TRAIN_KEYS = {
-    "optimizer": str,
-    "lr": float,
-    "batch_size": int,
-    "local_steps": int,
-    "prox_mu": float,
-    "send_delta": bool,
-    "seed": int,
-}
-_PRIVACY_KEYS = {"enabled": bool, "epsilon": float, "clip_norm": float, "clip_kind": str}
+
+def _kwarg_types(cls) -> dict:
+    """The type of each keyword argument of ``cls``, as its default declares it."""
+    params = inspect.signature(cls).parameters.values()
+    return {p.name: type(p.default) for p in params if p.default is not p.empty}
+
+
+_TRAIN_KEYS = _kwarg_types(TrainConfig)
+_PRIVACY_KEYS = _kwarg_types(PrivacyConfig)
 _COMPRESSOR_KEYS = {
     "enable_compression": bool,
     "lossy_compressor": str,
@@ -266,12 +265,6 @@ def _parse_comm(section, path: str) -> CommSettings:
         except ValueError:
             raise ParseError(f"{path}.bind: bad port {port!r}") from None
     return CommSettings(**kwargs)
-
-
-def _kwarg_types(cls) -> dict:
-    """The type of each keyword argument of ``cls``, as its default declares it."""
-    params = inspect.signature(cls).parameters.values()
-    return {p.name: type(p.default) for p in params if p.default is not p.empty}
 
 
 def _check_kwargs(key: str, make, *args) -> None:

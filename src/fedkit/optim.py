@@ -20,6 +20,11 @@ import numpy as np
 from .errors import ShapeMismatch, UnknownStrategyName
 from .params import ParameterSet
 
+# Adam's moment decay rates and denominator floor
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def _step(opt, params: ParameterSet, grads: ParameterSet) -> ParameterSet:
     """``opt.update`` on copies of the buffers of ``params`` and ``grads``, as a new set."""
@@ -44,11 +49,8 @@ class SGD:
 
 
 class Adam:
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         # one flat first and second moment per dtype of the model
         self._m: dict[np.dtype, np.ndarray] = {}
@@ -57,7 +59,7 @@ class Adam:
     def update(self, ws, gs) -> None:
         """One Adam step in place on every ``w``; ``g`` is used as scratch."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for w, g in zip(ws, gs):
@@ -82,7 +84,7 @@ class Adam:
             tmp *= self.lr
             np.divide(v, bias2, out=g)
             np.sqrt(g, out=g)
-            g += self.eps
+            g += EPS
             tmp /= g
             w -= tmp
 

@@ -1,8 +1,12 @@
 """Run a validated config for real: one process per role, TCP in between.
 
 ``run_server`` blocks until the server agent is done (``make_server_agent``
-decides when), then writes the run directory with ``write_run_dir``:
-resolved config snapshot, metric log, and the final model.
+decides when), then scores the final model and writes the run directory.
+``write_run_dir`` is the one writer of a run directory, for simulated runs
+too: resolved config snapshot, metric log, final model and, for a
+simulation, the utilization and Gantt tables.  It removes every file of an
+earlier run that this run does not write, so the directory never mixes
+two runs.  A socket run has no utilization report yet.
 ``run_client`` is the matching worker loop.  ``run_local`` wires both sides
 up inside a single process, which is handy for demos and for checking that
 a networked run reproduces the simulator's model.
@@ -21,6 +25,7 @@ from .metrics import export_metrics
 from .models import build_dataset, dataset_metrics
 from .params import MetricRecord, ParameterSet, save_params
 from .server import ServerAgent, make_server_agent
+from .sim import UtilizationReport
 from .transport import Communicator, SocketServer
 
 DEFAULT_METRICS_FORMAT = "csv"
@@ -53,29 +58,36 @@ class RunOutputs:
 def write_run_dir(
     run_dir, cfg: ExperimentConfig, metrics, params: ParameterSet,
     metrics_format: str = DEFAULT_METRICS_FORMAT,
+    report: Optional[UtilizationReport] = None,
 ) -> Path:
-    """Write a run directory: config snapshot, metric file and final model.
+    """Write a run directory: config snapshot, metric file, final model and the run's ``report``.
 
-    The metric file is replaced, not appended to, so a directory that a
-    second run writes into holds that run's records only.
+    The report's tables are written when there is one (a simulation's).
+    The metric file is replaced, not appended to, and the other format's
+    metric file and the tables of an earlier run are removed, so a
+    directory that a second run writes into holds that run's records only.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     dump_resolved(cfg, run_dir / "config.yaml")
-    for suffix in ("csv", "jsonl"):
-        (run_dir / f"metrics.{suffix}").unlink(missing_ok=True)
+    for name in ("metrics.csv", "metrics.jsonl", "utilization.csv", "gantt.csv"):
+        (run_dir / name).unlink(missing_ok=True)
     suffix = "jsonl" if metrics_format == "jsonl" else "csv"
     export_metrics(metrics, metrics_format, run_dir / f"metrics.{suffix}")
     save_params(params, run_dir / "model.bin")
+    if report is not None:
+        report.write_tables(run_dir)
     return run_dir
 
 
 def _finish(cfg, agent: ServerAgent, now: float, run_dir, metrics_format) -> RunOutputs:
     """End a socket run at server time ``now``: finalize, evaluate, write the run directory."""
     agent.finalize(now)
-    if cfg.evaluation is not None:
+    if cfg.evaluation is None:
+        agent.evaluate(now, None)
+    else:
         ds = build_dataset(cfg.evaluation["dataset_name"], cfg.evaluation["dataset_kwargs"])
-        agent.record_eval(now, dataset_metrics(cfg.model_spec, agent.global_params, ds))
+        agent.evaluate(now, lambda params: dataset_metrics(cfg.model_spec, params, ds))
     if run_dir is not None:
         run_dir = write_run_dir(run_dir, cfg, agent.metrics, agent.global_params, metrics_format)
     return RunOutputs(agent.global_params, agent.epoch, agent.update_count, agent, run_dir)

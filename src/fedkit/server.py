@@ -22,9 +22,12 @@ params are deferred.  An update counts
 towards ``target_updates`` once the scheduler has accepted it.
 
 The agent keeps the run record of both paths as typed columns: per counted
-aggregation its time and epoch (16 bytes), and per evaluation score, which
-the simulator or the runner hands to ``record_eval``, its time, kind and
-value.  A long-lived server thus holds no object per aggregation.
+aggregation its time and epoch (16 bytes), and per evaluation score its
+time, kind and value.  A long-lived server thus holds no object per
+aggregation.  Both drivers score the global model through ``evaluate``,
+which skips a call when no aggregation was counted since the one before:
+the simulator calls it after every event, so it scores after each event
+that aggregated, and the runner calls it once, after ``finalize``.
 ``metrics`` reads the record as a list of :class:`~fedkit.params.MetricRecord`
 rows built at each read: the epoch rows first, then the evaluation rows.
 """
@@ -66,6 +69,7 @@ class ServerAgent:
         # updates the scheduler accepted (refused ones must not count)
         self.update_count = 0
         self.aggregation_count = 0
+        self._scored_aggs = 0  # aggregation_count at the last evaluate
         # the run record's columns (see the module docstring)
         self._epoch_times = array("d")
         self._epochs = array("q")
@@ -148,6 +152,17 @@ class ServerAgent:
         params, epoch = self.state.global_params, self.state.epoch
         steps = self.scheduler.assign(client_ids, now)
         return {cid: Reply(params, epoch, n) for cid, n in steps.items()}
+
+    def evaluate(self, now: float, score) -> None:
+        """Record ``score(global_params)`` at ``now`` if an aggregation was counted since the last call.
+
+        ``score`` is None when the run has no evaluation set.
+        """
+        if self.aggregation_count == self._scored_aggs:
+            return
+        self._scored_aggs = self.aggregation_count
+        if score is not None:
+            self.record_eval(now, score(self.state.global_params))
 
     def record_eval(self, now: float, scores: dict) -> None:
         """Record the evaluation ``scores`` taken at ``now``, in kind order, each as ``val_<kind>``."""

@@ -255,7 +255,6 @@ class _Sim:
         self.dispatched: list[tuple[ModelUpdate, _Job]] = []  # by this event; arrivals not pushed yet
         self.segments: list[tuple[str, float, float]] = []
         self.model_bytes = serialized_size(self.agent.global_params)
-        self._seen_aggs = 0
         self._pending_deadlines: set[float] = set()
 
     def _push(self, time: float, kind: int, subject: str, payload=None) -> None:
@@ -313,15 +312,8 @@ class _Sim:
             self._pending_deadlines.add(t)
             self._push(t, _DEADLINE, "", None)
 
-    def _evaluate(self, now: float) -> None:
-        new_aggs = self.agent.aggregation_count
-        if new_aggs == self._seen_aggs:
-            return
-        self._seen_aggs = new_aggs
-        if self.sc.eval_dataset is None:
-            return
-        scores = dataset_metrics(self.sc.model_spec, self.agent.global_params, self.sc.eval_dataset)
-        self.agent.record_eval(now, scores)
+    def _score(self, params: ParameterSet) -> dict:
+        return dataset_metrics(self.sc.model_spec, params, self.sc.eval_dataset)
 
     def _dispatch(self, replies: dict[str, Reply], now: float) -> None:
         """Start each replied client's next round, in client id order."""
@@ -333,6 +325,7 @@ class _Sim:
 
     def run(self) -> SimResult:
         sc = self.sc
+        score = None if sc.eval_dataset is None else self._score
         self._dispatch({cid: self.agent.handle_model_request(cid, 0.0) for cid in self.ids}, 0.0)
 
         now = 0.0
@@ -348,7 +341,7 @@ class _Sim:
             else:
                 replies = self.agent.process_update(payload, now)
             self.rounds.settle()
-            self._evaluate(now)
+            self.agent.evaluate(now, score)
             if self.agent.done:
                 break
             self._dispatch(replies, now)
@@ -358,7 +351,7 @@ class _Sim:
 
         self.agent.finalize(now)
         self.rounds.settle()
-        self._evaluate(now)
+        self.agent.evaluate(now, score)
 
         report = self._utilization(t_end=now)
         return SimResult(

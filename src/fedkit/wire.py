@@ -599,9 +599,5 @@ class StaticTokenAuthenticator:
     def __init__(self, token: Union[str, bytes] = b""):
         self._token = token.encode("utf-8") if isinstance(token, str) else bytes(token)
 
-    @property
-    def token(self) -> bytes:
-        return self._token
-
     def verify(self, presented: bytes) -> bool:
         return hmac.compare_digest(self._token, presented)

@@ -1,4 +1,5 @@
 """CLI surface: subcommands, exit codes, file outputs."""
+import csv
 import re
 from pathlib import Path
 
@@ -161,7 +162,7 @@ def test_readme_example_config_validates_and_builds(tmp_path, capsys):
     assert [c.client_id for c in scenario.clients] == ["alpha", "beta"]
 
 
-@pytest.mark.parametrize("command", ["bench-comm", "bench-compress"])
+@pytest.mark.parametrize("command", ["bench-comm", "bench-compress", "report-utilization"])
 def test_removed_subcommands_exit_2(command, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--out", str(tmp_path / "x.csv")])
@@ -184,6 +185,62 @@ def test_simulate_writes_run_dir(config_path, tmp_path, capsys):
     assert "mean_utilization" in out
     for name in ("config.yaml", "metrics.csv", "model.bin", "utilization.csv", "gantt.csv"):
         assert (run_dir / name).exists(), name
+
+
+TWO_SPEED_DOC = {
+    "server_configs": {
+        "aggregator": "FedAvgAggregator",
+        "scheduler": "SyncScheduler",
+        "num_global_epochs": 3,
+        "model_configs": {
+            "layer_dims": [5, 8, 3],
+            "activation": "relu",
+            "loss": "softmax_cross_entropy",
+        },
+    },
+    "client_configs": {
+        "train_configs": {"lr": 0.05, "batch_size": 16, "local_steps": 100},
+        "data_configs": {
+            "dataset_name": "blobs",
+            "dataset_kwargs": {
+                "classes": 3,
+                "dim": 5,
+                "per_class": 40,
+                "seed": 1,
+                "partition": {"scheme": "iid", "seed": 3},
+            },
+        },
+    },
+    "clients": [
+        {"client_id": "fast", "mean_batch_time": 1.0},
+        {"client_id": "slow", "mean_batch_time": 2.0},
+    ],
+}
+
+
+def test_simulate_run_dir_tables_hold_the_two_speed_reference_numbers(tmp_path, capsys):
+    # fast idles half of every round waiting for slow, which never idles
+    path = tmp_path / "two-speed.yaml"
+    path.write_text(yaml.safe_dump(TWO_SPEED_DOC))
+    run_dir = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--run-dir", str(run_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "fast: utilization=0.500" in out and "slow: utilization=1.000" in out
+    with (run_dir / "utilization.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["client_id"]: float(r["utilization"]) for r in rows} == {"fast": 0.5, "slow": 1.0}
+    with (run_dir / "gantt.csv").open(newline="") as fh:
+        spans = list(csv.DictReader(fh))
+    assert {s["kind"] for s in spans} == {"compute", "idle"}
+
+
+def test_socket_run_into_a_simulated_run_dir_removes_its_tables(config_path, tmp_path):
+    run_dir = tmp_path / "reused"
+    args = ["--config", str(config_path), "--run-dir", str(run_dir)]
+    assert main(["simulate", *args]) == 0
+    assert (run_dir / "utilization.csv").exists() and (run_dir / "gantt.csv").exists()
+    assert main(["run", "--role", "local", *args]) == 0
+    assert sorted(p.name for p in run_dir.iterdir()) == ["config.yaml", "metrics.csv", "model.bin"]
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["run", "--role", "local"]])
@@ -263,33 +320,3 @@ def test_run_client_connection_refused_exits_1(config_path, capsys):
     assert rc == 1
     assert "ConnectionRefused" in capsys.readouterr().err
 
-
-def test_report_utilization_needs_exactly_one_source(config_path, capsys):
-    assert main(["report-utilization"]) == 2
-    assert (
-        main(
-            [
-                "report-utilization",
-                "--config",
-                str(config_path),
-                "--run-dir",
-                str(config_path.parent),
-            ]
-        )
-        == 2
-    )
-
-
-def test_report_utilization_from_config(config_path, tmp_path, capsys):
-    rc = main(
-        [
-            "report-utilization",
-            "--config",
-            str(config_path),
-            "--out-dir",
-            str(tmp_path / "rpt"),
-        ]
-    )
-    assert rc == 0
-    assert (tmp_path / "rpt" / "utilization.csv").exists()
-    assert "utilization=" in capsys.readouterr().out

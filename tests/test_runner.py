@@ -1,15 +1,19 @@
 """End-to-end runs over real sockets driven from config files."""
+import socket
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import yaml
 
 from fedkit import compression
+from fedkit.cli import main
 from fedkit.config import build_scenario, load_config
 from fedkit.errors import Unauthenticated
 from fedkit.metrics import read_metrics
 from fedkit.params import ModelUpdate, load_params, serialize_params
-from fedkit.runner import run_client, run_local, serve
+from fedkit.runner import run_client, run_local, run_server, serve
 from fedkit.server import make_server_agent
 from fedkit.sim import run_simulation
 
@@ -109,6 +113,57 @@ def test_run_dir_outputs(tmp_path):
     assert any(m.kind == "val_loss" for m in metrics)
     stored = load_params(out.run_dir / "model.bin")
     assert serialize_params(stored) == serialize_params(out.final_params)
+
+
+def free_port() -> int:
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+def wait_until_listening(port: int, server) -> None:
+    """Return once ``port`` accepts a connection; fail if ``server`` (a future) ends first."""
+    while True:
+        try:
+            socket.create_connection(("127.0.0.1", port), timeout=1.0).close()
+            return
+        except ConnectionRefusedError:
+            if server.done():
+                raise AssertionError(f"the server ended before it listened: {server.exception()!r}")
+            time.sleep(0.01)
+
+
+@pytest.mark.parametrize("cli_role", ["server", "client"])
+def test_distributed_roles_reproduce_the_local_run_and_the_simulation(tmp_path, capsys, cli_role):
+    # one process per role as the CLI runs them, here one thread each: the
+    # role named by cli_role goes through main, the others call the runner
+    path = write_config(tmp_path)
+    cfg = load_config(path)
+    run_dir, port = tmp_path / "dist", free_port()
+    argv = ["run", "--config", str(path), "--port", str(port)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        if cli_role == "server":
+            server = pool.submit(main, [*argv, "--role", "server", "--run-dir", str(run_dir),
+                                        "--timeout", "60"])
+        else:
+            server = pool.submit(run_server, cfg, run_dir, port=port, timeout=60)
+        wait_until_listening(port, server)
+        beta = pool.submit(run_client, cfg, "beta", port=port)
+        if cli_role == "client":
+            assert main([*argv, "--role", "client", "--client-id", "alpha"]) == 0
+            assert "client alpha finished after 3 rounds" in capsys.readouterr().out
+        else:
+            assert run_client(cfg, "alpha", port=port) == 3
+        assert beta.result(timeout=60) == 3
+        if cli_role == "server":
+            assert server.result(timeout=60) == 0
+            assert "run complete: epoch=3 updates=6" in capsys.readouterr().out
+        else:
+            assert server.result(timeout=60).epoch == 3
+    assert sorted(p.name for p in run_dir.iterdir()) == ["config.yaml", "metrics.csv", "model.bin"]
+    served = serialize_params(load_params(run_dir / "model.bin"))
+    assert served == serialize_params(run_local(cfg).final_params)
+    assert served == serialize_params(run_simulation(build_scenario(cfg)).final_params)
 
 
 def test_async_local_run_completes(tmp_path):

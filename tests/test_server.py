@@ -78,6 +78,28 @@ class TestRunRecord:
         with pytest.raises(AttributeError):
             agent.metrics = []
 
+    def test_evaluate_scores_once_per_run_of_aggregations(self):
+        params = ParameterSet({"w": np.zeros(4)})
+        agent = async_agent(params)
+        scored = []
+
+        def score(p):
+            scored.append(p)
+            return {"loss": float(len(scored))}
+
+        agent.evaluate(0.0, score)  # nothing aggregated yet
+        agent.process_update(update(params, 0), 0.5)
+        agent.process_update(update(params, 1), 0.5)
+        agent.evaluate(0.5, score)
+        agent.evaluate(0.7, score)  # no aggregation since the last call
+        agent.process_update(update(params, 2), 1.5)
+        agent.evaluate(1.5, None)  # no evaluation set: the aggregation is passed over
+        agent.evaluate(1.6, score)
+        assert len(scored) == 1
+        assert [r for r in agent.metrics if r.kind != "epoch"] == [
+            MetricRecord(0.5, "server", "val_loss", 1.0)
+        ]
+
 
 # -- metric files ----------------------------------------------------------------
 
